@@ -26,7 +26,6 @@ from .losses import (
     LossSpec,
     bce_loss,
     cce_loss,
-    cost_model_from_json,
     fused_gradient_from_probs,
     fused_logit_gradient,
     loss_value,

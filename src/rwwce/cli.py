@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bernoulli import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
@@ -50,8 +51,6 @@ STANDARD_FILES = (
     ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 )
-
-TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon")
 
 
 class CliError(Exception):
@@ -180,28 +179,16 @@ def _load_pool(resolved: dict):
     return pool
 
 
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        learning_rate=float(resolved["learning_rate"]),
-        adam_beta1=float(resolved["adam_beta1"]),
-        adam_beta2=float(resolved["adam_beta2"]),
-        adam_epsilon=float(resolved["adam_epsilon"]),
-        seed=seed,
-    )
-
-
 def _train_defaults() -> dict:
+    """Every TrainConfig field but the seed, which each suite derives per trial."""
     base = TrainConfig()
-    return {
-        "epochs": base.epochs,
-        "batch_size": base.batch_size,
-        "learning_rate": base.learning_rate,
-        "adam_beta1": base.adam_beta1,
-        "adam_beta2": base.adam_beta2,
-        "adam_epsilon": base.adam_epsilon,
-    }
+    return {f.name: getattr(base, f.name) for f in fields(TrainConfig) if f.name != "seed"}
+
+
+def _train_config(resolved: dict, seed: int) -> TrainConfig:
+    # Cast each value to its default's type: int for counts, float for rates.
+    values = {key: type(default)(resolved[key]) for key, default in _train_defaults().items()}
+    return TrainConfig(**values, seed=seed)
 
 
 def _write_outputs(resolved: dict, summary, records) -> None:
@@ -283,9 +270,6 @@ def cmd_run_binary(args) -> int:
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "learning_rate": args.learning_rate,
-        "adam_beta1": None,
-        "adam_beta2": None,
-        "adam_epsilon": None,
     }
     resolved = _overlay(defaults, _load_config_file(args.config), flags)
     if resolved["digits"] is None:
@@ -340,9 +324,6 @@ def cmd_run_categorical(args) -> int:
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "learning_rate": args.learning_rate,
-        "adam_beta1": None,
-        "adam_beta2": None,
-        "adam_epsilon": None,
     }
     resolved = _overlay(defaults, _load_config_file(args.config), flags)
     if resolved["pairs"] is None or resolved["pairs"] == "all":

@@ -458,11 +458,11 @@ def summary_to_csv(summary: SuiteSummary) -> str:
     """Render per-model means as CSV, one row per model."""
     if summary.kind == "binary":
         header = "Model,MeanFN,MeanFP,MeanTop1Error,MeanRealWorldCost"
-        metrics = ("fn", "fp", "top1_error", "real_world_cost")
+        metrics = BINARY_TEST_METRICS
         order = BINARY_MODELS
     else:
         header = "Model,MeanHighCostCount,MeanTop1Error,MeanRealWorldCost"
-        metrics = ("high_cost_count", "top1_error", "real_world_cost")
+        metrics = CATEGORICAL_MEAN_METRICS
         order = CATEGORICAL_MODELS
     lines = [header]
     for model in order:
@@ -474,11 +474,11 @@ def summary_to_csv(summary: SuiteSummary) -> str:
 def summary_table(summary: SuiteSummary) -> str:
     """Render the summary as a fixed-width plain-text table with t-tests."""
     if summary.kind == "binary":
-        metrics = ("fn", "fp", "top1_error", "real_world_cost", "f1")
+        metrics = BINARY_MEAN_METRICS
         headers = ("model", "mean_fn", "mean_fp", "mean_top1", "mean_rwc", "mean_f1")
         order = BINARY_MODELS
     else:
-        metrics = ("high_cost_count", "top1_error", "real_world_cost")
+        metrics = CATEGORICAL_MEAN_METRICS
         headers = ("model", "mean_high_cost", "mean_top1", "mean_rwc")
         order = CATEGORICAL_MODELS
     rows = [headers]

@@ -9,15 +9,18 @@ training objective is denominated in the same units as the deployment cost.
 
 All losses use natural log and clip each log argument below at EPSILON so a
 saturated probability yields a large finite penalty instead of an infinity.
-Each public loss function writes out its own formula; the weighted variants
-degenerate to the unweighted ones exactly when their weights are 1 (and the
-false-positive matrix is 0), and tests hold them to that.
+Each variant is a choice of term weights: (a, b) on the positive and negative
+log terms for binary variants, (a, FP) on the true-class and wrong-class terms
+for categorical ones.  One binary and one categorical kernel evaluate every
+variant from those weights, and the gradient reads the same weights, so the
+weighted variants degenerate to the unweighted ones exactly when their
+weights are 1 (and FP is 0); tests hold them to that.  The six named loss
+functions are thin wrappers over loss_value.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -241,84 +244,6 @@ def _clipped_logs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def bce_loss(h, y) -> float:
-    """Binary cross-entropy, averaged over the batch."""
-    h, y = _as_binary_pair(h, y)
-    log_h, log_not_h = _clipped_logs(h)
-    return float(-np.mean(y * log_h + (1.0 - y) * log_not_h))
-
-
-def wbce_loss(h, y, weights: LegacyWeights) -> float:
-    """Binary cross-entropy with the positive-label term scaled by weights.positive."""
-    h, y = _as_binary_pair(h, y)
-    log_h, log_not_h = _clipped_logs(h)
-    return float(-np.mean(weights.positive * y * log_h + (1.0 - y) * log_not_h))
-
-
-def rwwce_binary_loss(h, y, cost: BinaryCostModel) -> float:
-    """Binary cross-entropy with each error term priced at its marginal cost.
-
-    The positive-label log term carries cost.fn_cost, the negative-label term
-    cost.fp_cost, so the value is the batch-mean expected cost surrogate.
-    """
-    h, y = _as_binary_pair(h, y)
-    log_h, log_not_h = _clipped_logs(h)
-    return float(-np.mean(cost.fn_cost * y * log_h + cost.fp_cost * (1.0 - y) * log_not_h))
-
-
-def cce_loss(h, y) -> float:
-    """Categorical cross-entropy over probability rows and one-hot labels."""
-    h, y = _as_categorical_pair(h, y)
-    log_h = np.log(np.maximum(h, EPSILON))
-    return float(-np.mean((y * log_h).sum(axis=1)))
-
-
-def wcce_loss(h, y, weights: LegacyWeights) -> float:
-    """Categorical cross-entropy with each true-class term scaled by its class weight."""
-    h, y = _as_categorical_pair(h, y)
-    if weights.per_class is None:
-        raise ValueError("wcce requires per_class weights")
-    if weights.per_class.shape[0] != h.shape[1]:
-        raise ValueError(
-            f"per_class has {weights.per_class.shape[0]} entries for {h.shape[1]} classes"
-        )
-    log_h = np.log(np.maximum(h, EPSILON))
-    return float(-np.mean((weights.per_class * y * log_h).sum(axis=1)))
-
-
-def rwwce_categorical_loss(h, y, cost: CategoricalCostModel) -> float:
-    """Categorical cross-entropy priced by real-world costs.
-
-    For an example of true class k the loss charges fn_costs[k] on the
-    true-class log term and, for every other class k', fp_costs[k][k'] on
-    log(1 - h_k'), penalizing probability parked on wrong classes that are
-    expensive to confuse.  The diagonal of fp_costs is ignored.
-    """
-    h, y = _as_categorical_pair(h, y)
-    if cost.num_classes != h.shape[1]:
-        raise ValueError(f"cost model has {cost.num_classes} classes, batch has {h.shape[1]}")
-    log_h, log_not_h = _clipped_logs(h)
-    fp = cost.fp_costs_off_diagonal()
-    fn_rows = (cost.fn_costs * y * log_h).sum(axis=1)
-    fp_rows = ((y @ fp) * log_not_h).sum(axis=1)
-    return float(-np.mean(fn_rows + fp_rows))
-
-
-def loss_value(spec: LossSpec, h, y) -> float:
-    """Evaluate the loss named by spec on a batch of predictions."""
-    if spec.variant == "bce":
-        return bce_loss(h, y)
-    if spec.variant == "wbce":
-        return wbce_loss(h, y, spec.weights)
-    if spec.variant == "cce":
-        return cce_loss(h, y)
-    if spec.variant == "wcce":
-        return wcce_loss(h, y, spec.weights)
-    if spec.variant == "rwwce_binary":
-        return rwwce_binary_loss(h, y, spec.binary_cost)
-    return rwwce_categorical_loss(h, y, spec.categorical_cost)
-
-
 def _binary_term_weights(spec: LossSpec) -> tuple[float, float]:
     """(positive-term, negative-term) multipliers for a binary variant."""
     if spec.variant == "bce":
@@ -341,6 +266,64 @@ def _categorical_term_weights(spec: LossSpec, k: int) -> tuple[np.ndarray, np.nd
     if cost.num_classes != k:
         raise ValueError(f"cost model has {cost.num_classes} classes, batch has {k}")
     return cost.fn_costs, cost.fp_costs_off_diagonal()
+
+
+def loss_value(spec: LossSpec, h, y) -> float:
+    """Evaluate the loss named by spec on a batch of predictions.
+
+    Binary:       -mean(a * y * log h + b * (1 - y) * log(1 - h))
+    Categorical:  -mean over rows of  sum(a * y * log h) + sum((y @ FP) * log(1 - h))
+    with (a, b) or (a, FP) taken from the variant's term weights.
+    """
+    if spec.is_binary:
+        h, y = _as_binary_pair(h, y)
+        a, b = _binary_term_weights(spec)
+        log_h, log_not_h = _clipped_logs(h)
+        return float(-np.mean(a * y * log_h + b * (1.0 - y) * log_not_h))
+    h, y = _as_categorical_pair(h, y)
+    a, fp = _categorical_term_weights(spec, h.shape[1])
+    log_h, log_not_h = _clipped_logs(h)
+    return float(-np.mean((a * y * log_h).sum(axis=1) + ((y @ fp) * log_not_h).sum(axis=1)))
+
+
+def bce_loss(h, y) -> float:
+    """Binary cross-entropy, averaged over the batch."""
+    return loss_value(LossSpec.bce(), h, y)
+
+
+def wbce_loss(h, y, weights: LegacyWeights) -> float:
+    """Binary cross-entropy with the positive-label term scaled by weights.positive."""
+    return loss_value(LossSpec("wbce", weights=weights), h, y)
+
+
+def rwwce_binary_loss(h, y, cost: BinaryCostModel) -> float:
+    """Binary cross-entropy with each error term priced at its marginal cost.
+
+    The positive-label log term carries cost.fn_cost, the negative-label term
+    cost.fp_cost, so the value is the batch-mean expected cost surrogate.
+    """
+    return loss_value(LossSpec("rwwce_binary", binary_cost=cost), h, y)
+
+
+def cce_loss(h, y) -> float:
+    """Categorical cross-entropy over probability rows and one-hot labels."""
+    return loss_value(LossSpec.cce(), h, y)
+
+
+def wcce_loss(h, y, weights: LegacyWeights) -> float:
+    """Categorical cross-entropy with each true-class term scaled by its class weight."""
+    return loss_value(LossSpec("wcce", weights=weights), h, y)
+
+
+def rwwce_categorical_loss(h, y, cost: CategoricalCostModel) -> float:
+    """Categorical cross-entropy priced by real-world costs.
+
+    For an example of true class k the loss charges fn_costs[k] on the
+    true-class log term and, for every other class k', fp_costs[k][k'] on
+    log(1 - h_k'), penalizing probability parked on wrong classes that are
+    expensive to confuse.  The diagonal of fp_costs is ignored.
+    """
+    return loss_value(LossSpec("rwwce_categorical", categorical_cost=cost), h, y)
 
 
 def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
@@ -383,32 +366,3 @@ def fused_logit_gradient(spec: LossSpec, z, y) -> np.ndarray:
     else:
         h = softmax(z)
     return fused_gradient_from_probs(spec, h, y)
-
-
-def binary_cost_from_json(doc: dict) -> BinaryCostModel:
-    """Build a BinaryCostModel from {"w_mcfn": number, "w_mcfp": number}."""
-    if not isinstance(doc, dict) or set(doc) != {"w_mcfn", "w_mcfp"}:
-        raise ValueError('binary cost document must have exactly the keys "w_mcfn", "w_mcfp"')
-    return BinaryCostModel(float(doc["w_mcfn"]), float(doc["w_mcfp"]))
-
-
-def categorical_cost_from_json(doc: dict) -> CategoricalCostModel:
-    """Build a CategoricalCostModel from {"k": K, "w_fn": [...], "w_fp": [[...]]}."""
-    if not isinstance(doc, dict) or set(doc) != {"k", "w_fn", "w_fp"}:
-        raise ValueError('categorical cost document must have exactly the keys "k", "w_fn", "w_fp"')
-    k = int(doc["k"])
-    fn = np.asarray(doc["w_fn"], dtype=np.float64)
-    fp = np.asarray(doc["w_fp"], dtype=np.float64)
-    if fn.shape != (k,):
-        raise ValueError(f'"w_fn" must be a list of {k} numbers')
-    if fp.shape != (k, k):
-        raise ValueError(f'"w_fp" must be a {k}x{k} matrix')
-    return CategoricalCostModel(fn, fp)
-
-
-def cost_model_from_json(text_or_doc) -> BinaryCostModel | CategoricalCostModel:
-    """Parse a cost model from a JSON string or an already-decoded document."""
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, str) else text_or_doc
-    if isinstance(doc, dict) and "w_mcfn" in doc:
-        return binary_cost_from_json(doc)
-    return categorical_cost_from_json(doc)

@@ -10,7 +10,7 @@ checking.  Everything is float64 and deterministic given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .losses import (
 )
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
-
-# Topology spec: sequence of (in_dim, out_dim, activation) triples.
-Topology = "list[tuple[int, int, str]]"
 
 
 @dataclass

@@ -5,7 +5,6 @@ rationals) rather than opaque literals, so each assertion shows its own
 derivation.
 """
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from rwwce import (
     LossSpec,
     bce_loss,
     cce_loss,
-    cost_model_from_json,
     fused_gradient_from_probs,
     fused_logit_gradient,
     loss_value,
@@ -357,10 +355,24 @@ def test_loss_spec_requires_matching_payload():
 def test_class_count_mismatches_are_rejected():
     h = [[0.5, 0.3, 0.2]]
     y = [[1.0, 0.0, 0.0]]
-    with pytest.raises(ValueError):
-        wcce_loss(h, y, LegacyWeights(per_class=[1.0, 1.0]))
-    with pytest.raises(ValueError):
-        rwwce_categorical_loss(h, y, CategoricalCostModel(np.ones(4), np.zeros((4, 4))))
+    short_weights = LegacyWeights(per_class=[1.0, 1.0])
+    wide_cost = CategoricalCostModel(np.ones(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="per_class has 2 entries for 3 classes"):
+        wcce_loss(h, y, short_weights)
+    with pytest.raises(ValueError, match="cost model has 4 classes, batch has 3"):
+        rwwce_categorical_loss(h, y, wide_cost)
+    specs = [
+        (LossSpec("wcce", weights=short_weights), "per_class has 2 entries for 3 classes"),
+        (
+            LossSpec("rwwce_categorical", categorical_cost=wide_cost),
+            "cost model has 4 classes, batch has 3",
+        ),
+    ]
+    for spec, message in specs:
+        with pytest.raises(ValueError, match=message):
+            loss_value(spec, h, y)
+        with pytest.raises(ValueError, match=message):
+            fused_gradient_from_probs(spec, h, y)
 
 
 # --- activations -------------------------------------------------------------
@@ -396,28 +408,3 @@ def test_softmax_uniform_logits():
 def test_softmax_rejects_non_2d():
     with pytest.raises(ValueError):
         softmax(np.zeros(4))
-
-
-# --- JSON cost parsing -------------------------------------------------------
-
-
-def test_binary_cost_json_roundtrip():
-    cost = cost_model_from_json('{"w_mcfn": 2000, "w_mcfp": 100}')
-    assert isinstance(cost, BinaryCostModel)
-    assert (cost.fn_cost, cost.fp_cost) == (2000.0, 100.0)
-
-
-def test_categorical_cost_json_roundtrip():
-    doc = {"k": 3, "w_fn": [1, 1, 1], "w_fp": [[0, 19, 0], [0, 0, 0], [0, 0, 0]]}
-    cost = cost_model_from_json(json.dumps(doc))
-    assert isinstance(cost, CategoricalCostModel)
-    assert cost.fp_costs[0, 1] == 19.0
-
-
-def test_cost_json_rejects_wrong_keys():
-    with pytest.raises(ValueError):
-        cost_model_from_json('{"w_mcfn": 1, "w_mcfp": 2, "extra": 3}')
-    with pytest.raises(ValueError):
-        cost_model_from_json('{"k": 2, "w_fn": [1, 1, 1], "w_fp": [[0, 0], [0, 0]]}')
-    with pytest.raises(ValueError):
-        cost_model_from_json('{"k": 2, "w_fn": [1, 1], "w_fp": [[0, 0]]}')
