@@ -6,7 +6,10 @@ suites), bernoulli (the one-parameter weighted-MLE demonstration), and
 gradcheck (finite-difference validation of every loss gradient).
 
 Settings resolve in three layers: built-in defaults, then a JSON config file
-given with --config, then explicit flags.  Every command echoes its fully
+given with --config, then explicit flags.  Each flag is stored under its
+config key (on the suites --seed is base_seed, --w-fn is w_mcfn and --w-fp
+is w_mcfp), and every value takes the type of its default, so a wrongly
+typed config value is a configuration error.  Every command echoes its fully
 resolved configuration as one JSON line before doing any work; feeding that
 echoed object back via --config reproduces the run.
 
@@ -17,6 +20,7 @@ failure (including a failed gradient check or a failed numeric cross-check).
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import os
 import sys
@@ -52,6 +56,8 @@ STANDARD_FILES = (
     ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 )
 
+SCALES = ("desk", "full")
+
 
 class CliError(Exception):
     """A user-facing validation or configuration problem."""
@@ -67,18 +73,21 @@ class _Parser(argparse.ArgumentParser):
 def _parse_int_list(text: str) -> list[int]:
     """Parse "3", "0,2,5", and range forms like "0-9" (mixable with commas)."""
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part[1:]:  # allow a leading minus sign to fail int() below
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise CliError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if "-" in part[1:]:  # allow a leading minus sign to fail int() below
+                lo_text, hi_text = part.split("-", 1)
+                lo, hi = int(lo_text), int(hi_text)
+                if hi < lo:
+                    raise CliError(f"empty range {part!r}")
+                out.extend(range(lo, hi + 1))
+            else:
+                out.append(int(part))
+    except ValueError as e:
+        raise CliError(f"bad integer list {text!r}: {e}") from e
     if not out:
         raise CliError(f"no integers in {text!r}")
     return out
@@ -116,19 +125,43 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _overlay(defaults: dict, config: dict, flags: dict) -> dict:
-    """defaults <- config file <- explicit flags; unknown config keys error."""
-    out = dict(defaults)
-    for key, value in config.items():
+def _cast(key: str, value, kind):
+    """value as kind, refusing any value the cast would change ("5", 1.5 or [1] as an int)."""
+    try:
+        cast = kind(value)
+    except (TypeError, ValueError):
+        cast = None
+    if cast is None or cast != value:
+        raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
+    return cast
+
+
+def _int_list(key: str, value) -> list[int]:
+    if not isinstance(value, (list, tuple)):
+        raise CliError(f"config key {key!r} expects list, got {value!r}")
+    return [_cast(key, item, int) for item in value]
+
+
+def _resolve(args, defaults: dict) -> dict:
+    """defaults <- config file <- explicit flags, each value cast to its default's type.
+
+    Every flag's argparse dest is its config key, so a flag is read from args
+    under that key.  Unknown config keys and wrongly typed values are errors.
+    """
+    resolved = dict(defaults)
+    for key, value in _load_config_file(args.config).items():
         if key == "command":
             continue
         if key not in defaults:
             raise CliError(f"unknown config key {key!r}")
-        out[key] = value
-    for key, value in flags.items():
-        if value is not None:
-            out[key] = value
-    return out
+        resolved[key] = value
+    for key, default in defaults.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            resolved[key] = flag
+        if default is not None:
+            resolved[key] = _cast(key, resolved[key], type(default))
+    return resolved
 
 
 def _echo(resolved: dict) -> None:
@@ -170,13 +203,8 @@ def _resolve_data(resolved: dict) -> None:
     resolved.pop("data_dir", None)
 
 
-def _load_pool(resolved: dict):
-    corpora = [
-        load_idx_files(i, l) for i, l in zip(resolved["images"], resolved["labels"])
-    ]
-    pool = concat_corpora(*corpora)
-    print(f"loaded {pool.size} examples from {len(corpora)} file pair(s)")
-    return pool
+def _load_pool(images: list[str], labels: list[str]):
+    return concat_corpora(*(load_idx_files(i, l) for i, l in zip(images, labels)))
 
 
 def _train_defaults() -> dict:
@@ -185,13 +213,41 @@ def _train_defaults() -> dict:
     return {f.name: getattr(base, f.name) for f in fields(TrainConfig) if f.name != "seed"}
 
 
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    # Cast each value to its default's type: int for counts, float for rates.
-    values = {key: type(default)(resolved[key]) for key, default in _train_defaults().items()}
-    return TrainConfig(**values, seed=seed)
+def _suite_defaults(**specific) -> dict:
+    """The settings both suites share, plus one suite's selection, costs and out_dir."""
+    return {
+        "scale": "desk",
+        "base_seed": 0,
+        "jobs": 1,
+        "images": None,
+        "labels": None,
+        "data_dir": None,
+        **_train_defaults(),
+        **specific,
+    }
 
 
-def _write_outputs(resolved: dict, summary, records) -> None:
+def _run_suite(resolved: dict, command: str, suite, *selection, **costs) -> int:
+    """Echo the settings, load the pool, run one suite and write its outputs."""
+    if resolved["scale"] not in SCALES:
+        raise CliError(f"config key 'scale' expects one of {SCALES}, got {resolved['scale']!r}")
+    _resolve_data(resolved)
+    resolved["command"] = command
+    template = TrainConfig(
+        **{key: resolved[key] for key in _train_defaults()}, seed=resolved["base_seed"]
+    )
+    _echo(resolved)
+
+    pool = _load_pool(resolved["images"], resolved["labels"])
+    print(f"loaded {pool.size} examples from {len(resolved['images'])} file pair(s)")
+    summary, records = suite(
+        pool,
+        *selection,
+        base_seed=resolved["base_seed"],
+        train_template=template,
+        jobs=resolved["jobs"],
+        **costs,
+    )
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -200,11 +256,11 @@ def _write_outputs(resolved: dict, summary, records) -> None:
     csv_path.write_text(summary_to_csv(summary), encoding="utf-8")
     print(f"wrote {records_path} and {csv_path}")
     print(summary_table(summary), end="")
+    return 0
 
 
 def cmd_verify_data(args) -> int:
-    defaults = {"data_dir": None}
-    resolved = _overlay(defaults, _load_config_file(args.config), {"data_dir": args.data_dir})
+    resolved = _resolve(args, {"data_dir": None})
     data_dir = resolved["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
         raise CliError(f"pass --data-dir or set ${DATA_DIR_ENV}")
@@ -218,8 +274,6 @@ def cmd_verify_data(args) -> int:
         name = path.name.removesuffix(".gz")
         expected = MNIST_FILE_BYTES[name]
         if path.suffix == ".gz":
-            import gzip
-
             with gzip.open(path, "rb") as f:
                 actual = len(f.read())
         else:
@@ -230,9 +284,7 @@ def cmd_verify_data(args) -> int:
     if failures:
         raise CliError(f"{failures} file(s) failed the byte-length check")
 
-    pool = concat_corpora(
-        load_idx_files(images[0], labels[0]), load_idx_files(images[1], labels[1])
-    )
+    pool = _load_pool(images, labels)
     if pool.size != MNIST_TOTAL_EXAMPLES:
         raise CliError(f"pool has {pool.size} examples, expected {MNIST_TOTAL_EXAMPLES}")
     classes = len(set(pool.labels.tolist()))
@@ -241,115 +293,50 @@ def cmd_verify_data(args) -> int:
 
 
 def cmd_run_binary(args) -> int:
-    defaults = {
-        "scale": "desk",
-        "digits": None,
-        "slices": None,
-        "base_seed": 0,
-        "w_mcfn": DEFAULT_BINARY_COST.fn_cost,
-        "w_mcfp": DEFAULT_BINARY_COST.fp_cost,
-        "jobs": 1,
-        "out_dir": "runs/binary",
-        "images": None,
-        "labels": None,
-        "data_dir": None,
-        **_train_defaults(),
-    }
-    flags = {
-        "scale": args.scale,
-        "digits": _parse_int_list(args.digits) if args.digits else None,
-        "slices": _parse_int_list(args.slices) if args.slices else None,
-        "base_seed": args.seed,
-        "w_mcfn": args.w_fn,
-        "w_mcfp": args.w_fp,
-        "jobs": args.jobs,
-        "out_dir": args.out_dir,
-        "images": args.images,
-        "labels": args.labels,
-        "data_dir": args.data_dir,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-    }
-    resolved = _overlay(defaults, _load_config_file(args.config), flags)
-    if resolved["digits"] is None:
-        resolved["digits"] = list(range(10))
-    if resolved["slices"] is None:
-        resolved["slices"] = list(range(10)) if resolved["scale"] == "full" else [0]
-    _resolve_data(resolved)
-    resolved["command"] = "run-binary"
-    _echo(resolved)
-
-    pool = _load_pool(resolved)
-    cost = BinaryCostModel(float(resolved["w_mcfn"]), float(resolved["w_mcfp"]))
-    template = _train_config(resolved, seed=int(resolved["base_seed"]))
-    summary, records = run_binary_suite(
-        pool,
-        [int(d) for d in resolved["digits"]],
-        [int(s) for s in resolved["slices"]],
-        base_seed=int(resolved["base_seed"]),
-        cost=cost,
-        train_template=template,
-        jobs=int(resolved["jobs"]),
+    resolved = _resolve(
+        args,
+        _suite_defaults(
+            digits=None,
+            slices=None,
+            w_mcfn=DEFAULT_BINARY_COST.fn_cost,
+            w_mcfp=DEFAULT_BINARY_COST.fp_cost,
+            out_dir="runs/binary",
+        ),
     )
-    _write_outputs(resolved, summary, records)
-    return 0
+    presets = {"digits": range(10), "slices": range(10 if resolved["scale"] == "full" else 1)}
+    for key, preset in presets.items():
+        resolved[key] = _int_list(key, list(preset) if resolved[key] is None else resolved[key])
+    cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
+    return _run_suite(
+        resolved, "run-binary", run_binary_suite, resolved["digits"], resolved["slices"], cost=cost
+    )
 
 
 def cmd_run_categorical(args) -> int:
-    defaults = {
-        "scale": "desk",
-        "pairs": None,
-        "base_seed": 0,
-        "pair_weight": DEFAULT_PAIR_WEIGHT,
-        "off_pair_cost": DEFAULT_OFF_PAIR_COST,
-        "jobs": 1,
-        "out_dir": "runs/categorical",
-        "images": None,
-        "labels": None,
-        "data_dir": None,
-        **_train_defaults(),
-    }
-    flags = {
-        "scale": args.scale,
-        "pairs": _parse_pairs(args.pairs) if args.pairs else None,
-        "base_seed": args.seed,
-        "pair_weight": args.pair_weight,
-        "off_pair_cost": args.off_pair_cost,
-        "jobs": args.jobs,
-        "out_dir": args.out_dir,
-        "images": args.images,
-        "labels": args.labels,
-        "data_dir": args.data_dir,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-    }
-    resolved = _overlay(defaults, _load_config_file(args.config), flags)
-    if resolved["pairs"] is None or resolved["pairs"] == "all":
-        if resolved["pairs"] == "all" or resolved["scale"] == "full":
-            resolved["pairs"] = all_ordered_pairs()
-        else:
-            resolved["pairs"] = sample_pairs(10, int(resolved["base_seed"]))
-    pairs = [(int(a), int(b)) for a, b in resolved["pairs"]]
-    resolved["pairs"] = [[a, b] for a, b in pairs]
-    _resolve_data(resolved)
-    resolved["command"] = "run-categorical"
-    _echo(resolved)
-
-    pool = _load_pool(resolved)
-    template = _train_config(resolved, seed=int(resolved["base_seed"]))
-    summary, records = run_categorical_suite(
-        pool,
-        pairs,
-        base_seed=int(resolved["base_seed"]),
-        pair_weight=float(resolved["pair_weight"]),
-        off_pair_cost=float(resolved["off_pair_cost"]),
-        train_template=template,
-        jobs=int(resolved["jobs"]),
+    resolved = _resolve(
+        args,
+        _suite_defaults(
+            pairs=None,
+            pair_weight=DEFAULT_PAIR_WEIGHT,
+            off_pair_cost=DEFAULT_OFF_PAIR_COST,
+            out_dir="runs/categorical",
+        ),
     )
-    _write_outputs(resolved, summary, records)
-    return 0
+    pairs = resolved["pairs"]
+    if pairs is None or pairs == "all":
+        if pairs == "all" or resolved["scale"] == "full":
+            pairs = all_ordered_pairs()
+        else:
+            pairs = sample_pairs(10, resolved["base_seed"])
+    resolved["pairs"] = [_int_list("pairs", pair) for pair in _cast("pairs", pairs, list)]
+    return _run_suite(
+        resolved,
+        "run-categorical",
+        run_categorical_suite,
+        resolved["pairs"],
+        pair_weight=resolved["pair_weight"],
+        off_pair_cost=resolved["off_pair_cost"],
+    )
 
 
 def cmd_bernoulli(args) -> int:
@@ -364,33 +351,16 @@ def cmd_bernoulli(args) -> int:
         "curve": None,
         "curve_points": 99,
     }
-    flags = {
-        "n_pos": args.n_pos,
-        "n_neg": args.n_neg,
-        "w_pos": args.w_pos,
-        "w_neg": args.w_neg,
-        "p0": args.p0,
-        "step": args.step,
-        "iterations": args.iterations,
-        "curve": args.curve,
-        "curve_points": args.curve_points,
-    }
-    resolved = _overlay(defaults, _load_config_file(args.config), flags)
+    resolved = _resolve(args, defaults)
     resolved["command"] = "bernoulli"
     _echo(resolved)
 
     scenario = BernoulliScenario(
-        n_pos=int(resolved["n_pos"]),
-        n_neg=int(resolved["n_neg"]),
-        w_pos=float(resolved["w_pos"]),
-        w_neg=float(resolved["w_neg"]),
+        resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
     )
     closed_form = analytic_minimizer(scenario)
     descended = descend(
-        scenario,
-        p0=float(resolved["p0"]),
-        step=float(resolved["step"]),
-        iterations=int(resolved["iterations"]),
+        scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
     )
     likelihood_argmax, _ = likelihood_check(scenario)
     print(f"closed-form minimizer: {closed_form!r}")
@@ -401,7 +371,7 @@ def cmd_bernoulli(args) -> int:
     )
 
     if resolved["curve"]:
-        points = int(resolved["curve_points"])
+        points = resolved["curve_points"]
         if points < 2:
             raise CliError("curve_points must be >= 2")
         grid = [(i + 1) / (points + 1) for i in range(points)]
@@ -420,22 +390,15 @@ def cmd_bernoulli(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    defaults = {"seed": 0, "instances": 4, "step": 1e-5, "tolerance": 1e-5}
-    flags = {
-        "seed": args.seed,
-        "instances": args.instances,
-        "step": args.step,
-        "tolerance": args.tolerance,
-    }
-    resolved = _overlay(defaults, _load_config_file(args.config), flags)
+    resolved = _resolve(args, {"seed": 0, "instances": 4, "step": 1e-5, "tolerance": 1e-5})
     resolved["command"] = "gradcheck"
     _echo(resolved)
 
     report = gradcheck_matrix(
-        seed=int(resolved["seed"]),
-        instances_per_variant=int(resolved["instances"]),
-        step=float(resolved["step"]),
-        tolerance=float(resolved["tolerance"]),
+        seed=resolved["seed"],
+        instances_per_variant=resolved["instances"],
+        step=resolved["step"],
+        tolerance=resolved["tolerance"],
     )
     for variant, worst in report.worst_by_variant.items():
         status = "ok" if worst < report.tolerance else "FAIL"
@@ -457,10 +420,10 @@ def _add_train_arguments(sub) -> None:
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", type=int)
     sub.add_argument("--learning-rate", type=float)
-    sub.add_argument("--seed", type=int, help="base seed; trial i uses base_seed + i")
+    sub.add_argument("--seed", type=int, dest="base_seed", help="trial i uses base_seed + i")
     sub.add_argument("--jobs", type=int, help="parallel trial workers (threads)")
     sub.add_argument("--out-dir")
-    sub.add_argument("--scale", choices=("desk", "full"), help="trial-count preset")
+    sub.add_argument("--scale", choices=SCALES, help="trial-count preset")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -475,16 +438,16 @@ def _build_parser() -> argparse.ArgumentParser:
     binary = commands.add_parser("run-binary", help="imbalanced binary detection suite")
     _add_data_arguments(binary)
     _add_train_arguments(binary)
-    binary.add_argument("--digits", help='digits to detect, e.g. "0-9" or "3,7"')
-    binary.add_argument("--slices", help='positive-slice indices, e.g. "0" or "0-9"')
-    binary.add_argument("--w-fn", type=float, help="cost of a false negative")
-    binary.add_argument("--w-fp", type=float, help="cost of a false positive")
+    binary.add_argument("--digits", type=_parse_int_list, help='digits to detect, e.g. "0-9" or "3,7"')
+    binary.add_argument("--slices", type=_parse_int_list, help='positive-slice indices, e.g. "0" or "0-9"')
+    binary.add_argument("--w-fn", type=float, dest="w_mcfn", help="cost of a false negative")
+    binary.add_argument("--w-fp", type=float, dest="w_mcfp", help="cost of a false positive")
     binary.set_defaults(handler=cmd_run_binary)
 
     categorical = commands.add_parser("run-categorical", help="10-class expensive-confusion suite")
     _add_data_arguments(categorical)
     _add_train_arguments(categorical)
-    categorical.add_argument("--pairs", help='"all" or pairs like "1:7,3:5" (true:predicted)')
+    categorical.add_argument("--pairs", type=_parse_pairs, help='"all" or pairs like "1:7,3:5" (true:predicted)')
     categorical.add_argument("--pair-weight", type=float, help="extra cost on the expensive cell")
     categorical.add_argument("--off-pair-cost", type=float, help="cost of every other error")
     categorical.set_defaults(handler=cmd_run_categorical)
@@ -514,17 +477,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return args.handler(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.handler(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # genuine runtime failure

@@ -116,6 +116,11 @@ def test_run_binary_end_to_end_and_echo_reproduces(small_dir, tmp_path, capsys):
             "--slices", "0",
             "--epochs", "2",
             "--seed", "7",
+            "--w-fn", "500",
+            "--w-fp", "50",
+            "--jobs", "2",
+            "--batch-size", "50",
+            "--learning-rate", "0.002",
             "--out-dir", str(first_out),
         ]
     )
@@ -126,8 +131,11 @@ def test_run_binary_end_to_end_and_echo_reproduces(small_dir, tmp_path, capsys):
     assert config["command"] == "run-binary"
     assert config["digits"] == [3]
     assert config["base_seed"] == 7
-    assert config["w_mcfn"] == 2000.0
-    assert config["w_mcfp"] == 100.0
+    assert config["w_mcfn"] == 500.0
+    assert config["w_mcfp"] == 50.0
+    assert config["jobs"] == 2
+    assert config["batch_size"] == 50
+    assert config["learning_rate"] == 0.002
     assert "data_dir" not in config
     assert len(config["images"]) == 2
 
@@ -178,7 +186,10 @@ def test_run_binary_explicit_file_pairs(small_dir, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "loaded 7000 examples from 2 file pair(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "loaded 7000 examples from 2 file pair(s)" in out
+    config = echoed_config(out)
+    assert (config["w_mcfn"], config["w_mcfp"]) == (2000.0, 100.0)
 
 
 def test_run_binary_fails_when_positives_run_out(small_dir, tmp_path, capsys):
@@ -232,6 +243,8 @@ def test_run_categorical_single_pair(small_dir, tmp_path, capsys):
             "--pairs", "4:9",
             "--epochs", "1",
             "--seed", "3",
+            "--pair-weight", "10",
+            "--off-pair-cost", "2",
             "--out-dir", str(out_dir),
         ]
     )
@@ -239,7 +252,9 @@ def test_run_categorical_single_pair(small_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     config = echoed_config(out)
     assert config["pairs"] == [[4, 9]]
-    assert config["pair_weight"] == 19.0
+    assert config["base_seed"] == 3
+    assert config["pair_weight"] == 10.0
+    assert config["off_pair_cost"] == 2.0
     records = load_records(out_dir / "records.jsonl")
     assert [r.model for r in records] == ["control", "experimental"]
     csv_text = (out_dir / "summary.csv").read_text()
@@ -260,6 +275,7 @@ def test_run_categorical_default_desk_pairs(small_dir, tmp_path, capsys):
     assert rc == 0
     config = echoed_config(capsys.readouterr().out)
     assert config["pairs"] == [[a, b] for a, b in sample_pairs(10, 3)]
+    assert (config["pair_weight"], config["off_pair_cost"]) == (19.0, 1.0)
     assert len(load_records(tmp_path / "out" / "records.jsonl")) == 20
 
 
@@ -290,6 +306,38 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     path.write_text(json.dumps({"command": "run-binary", "bogus": 1}))
     assert main(["--config", str(path), "run-binary"]) == 1
     assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value, kind",
+    [
+        ("bernoulli", "n_pos", [1], "int"),
+        ("run-binary", "epochs", [1], "int"),
+        ("run-binary", "epochs", 1.5, "int"),
+        ("run-binary", "w_mcfn", "500", "float"),
+        ("run-binary", "out_dir", 5, "str"),
+        ("run-binary", "digits", 3, "list"),
+        ("run-categorical", "pairs", "4:9", "list"),
+        ("gradcheck", "tolerance", None, "float"),
+    ],
+)
+def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, kind):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": command, key: value}))
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert f"config key {key!r} expects {kind}, got {value!r}" in captured.err
+    assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
+
+
+@pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
+def test_config_scale_must_be_a_preset(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scale": "fulll"}))
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert "config key 'scale' expects one of ('desk', 'full'), got 'fulll'" in captured.err
+    assert ECHO_PREFIX not in captured.out
 
 
 def test_malformed_config_file_is_an_error(tmp_path, capsys):
@@ -338,9 +386,34 @@ def test_bernoulli_default_run(capsys):
 
 
 def test_bernoulli_weighted_run(capsys):
-    rc = main(["bernoulli", "--n-pos", "1", "--n-neg", "1", "--w-pos", "9"])
+    rc = main(
+        [
+            "bernoulli",
+            "--n-pos", "1",
+            "--n-neg", "1",
+            "--w-pos", "18",
+            "--w-neg", "2",
+            "--p0", "0.3",
+            "--step", "0.02",
+            "--iterations", "5000",
+            "--curve-points", "9",
+        ]
+    )
     assert rc == 0
-    assert "closed-form minimizer: 0.9" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "closed-form minimizer: 0.9" in out
+    assert echoed_config(out) == {
+        "command": "bernoulli",
+        "n_pos": 1,
+        "n_neg": 1,
+        "w_pos": 18.0,
+        "w_neg": 2.0,
+        "p0": 0.3,
+        "step": 0.02,
+        "iterations": 5000,
+        "curve": None,
+        "curve_points": 9,
+    }
 
 
 def test_bernoulli_curve_csv(tmp_path, capsys):

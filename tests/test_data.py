@@ -178,6 +178,7 @@ def test_make_binary_dataset_later_slice_offsets(full_pool):
 
 def test_make_binary_dataset_positive_fraction_is_about_one_percent(full_pool):
     ds = make_binary_dataset(full_pool, digit=0, slice_index=0)
+    assert len(ds.Y) == 9 * 7000 + 630 == 63_630  # every other-digit example plus one slice
     fraction = ds.Y.mean()
     assert 0.008 < fraction < 0.012
 
