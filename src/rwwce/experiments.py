@@ -70,6 +70,12 @@ class BinaryTrialConfig:
     cost: BinaryCostModel
     train: TrainConfig
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.digit < NUM_CLASSES:
+            raise ValueError(f"digit must be 0..9, got {self.digit}")
+        if self.slice_index < 0:
+            raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
+
     @classmethod
     def make(
         cls,

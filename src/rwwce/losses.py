@@ -11,11 +11,13 @@ All losses use natural log and clip each log argument below at EPSILON so a
 saturated probability yields a large finite penalty instead of an infinity.
 Each variant is a choice of term weights: (a, b) on the positive and negative
 log terms for binary variants, (a, FP) on the true-class and wrong-class terms
-for categorical ones.  One binary and one categorical kernel evaluate every
-variant from those weights, and the gradient reads the same weights, so the
+for categorical ones.  One unchecked kernel, loss_and_gradient, evaluates
+every variant's loss and logit gradient together from those weights, so the
 weighted variants degenerate to the unweighted ones exactly when their
-weights are 1 (and FP is 0); tests hold them to that.  The six named loss
-functions are thin wrappers over loss_value.
+weights are 1 (and FP is 0); tests hold them to that.  loss_value and
+fused_gradient_from_probs validate a batch and call it; train() validates its
+labels once through checked_targets and calls it per batch.  The six named
+loss functions are thin wrappers over loss_value.
 """
 
 from __future__ import annotations
@@ -191,59 +193,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _as_binary_pair(h, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and normalize (probabilities, labels) to flat float64 vectors.
-
-    Accepts shape (M,) or a single column (M, 1) for either argument.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if h.ndim == 2 and h.shape[1] == 1:
-        h = h[:, 0]
-    if y.ndim == 2 and y.shape[1] == 1:
-        y = y[:, 0]
-    if h.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"expected vectors, got shapes {h.shape} and {y.shape}")
-    if h.shape != y.shape:
-        raise ValueError(f"shape mismatch: {h.shape} probabilities vs {y.shape} labels")
-    if h.size == 0:
-        raise ValueError("empty batch")
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise ValueError("binary labels must be exactly 0 or 1")
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return h, y
-
-
-def _as_categorical_pair(h, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate (probability rows, one-hot rows); rows of h must sum to 1."""
-    h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if h.ndim != 2 or y.ndim != 2:
-        raise ValueError(f"expected 2-D arrays, got shapes {h.shape} and {y.shape}")
-    if h.shape != y.shape:
-        raise ValueError(f"shape mismatch: {h.shape} probabilities vs {y.shape} labels")
-    if h.shape[0] == 0:
-        raise ValueError("empty batch")
-    if h.shape[1] < 2:
-        raise ValueError("categorical batch needs at least two classes")
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(h.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE):
-        raise ValueError("probability rows must sum to 1")
-    if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
-        raise ValueError("labels must be exact one-hot rows")
-    return h, y
-
-
-def _clipped_logs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log h, log(1-h)) with each log argument clipped below at EPSILON."""
-    return (
-        np.log(np.maximum(h, EPSILON)),
-        np.log(np.maximum(1.0 - h, EPSILON)),
-    )
-
-
 def _binary_term_weights(spec: LossSpec) -> tuple[float, float]:
     """(positive-term, negative-term) multipliers for a binary variant."""
     if spec.variant == "bce":
@@ -268,22 +217,98 @@ def _categorical_term_weights(spec: LossSpec, k: int) -> tuple[np.ndarray, np.nd
     return cost.fn_costs, cost.fp_costs_off_diagonal()
 
 
+def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, tuple]:
+    """Validate labels for probabilities of shape h_shape and resolve the term weights.
+
+    Binary labels and probabilities may each be (M,) or a single column
+    (M, 1); categorical ones are (M, K) with one-hot label rows.  These are
+    loss_value's label checks and messages.  Returns (labels, weights) as
+    loss_and_gradient takes them, binary labels flattened; train() calls
+    this once for its whole training set.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if spec.is_binary:
+        if len(h_shape) == 2 and h_shape[1] == 1:
+            h_shape = h_shape[:1]
+        if y.ndim == 2 and y.shape[1] == 1:
+            y = y[:, 0]
+        if len(h_shape) != 1 or y.ndim != 1:
+            raise ValueError(f"expected vectors, got shapes {h_shape} and {y.shape}")
+    elif len(h_shape) != 2 or y.ndim != 2:
+        raise ValueError(f"expected 2-D arrays, got shapes {h_shape} and {y.shape}")
+    if h_shape != y.shape:
+        raise ValueError(f"shape mismatch: {h_shape} probabilities vs {y.shape} labels")
+    if y.shape[0] == 0:
+        raise ValueError("empty batch")
+    if spec.is_binary:
+        if np.any((y != 0.0) & (y != 1.0)):
+            raise ValueError("binary labels must be exactly 0 or 1")
+        return y, _binary_term_weights(spec)
+    if h_shape[1] < 2:
+        raise ValueError("categorical batch needs at least two classes")
+    if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
+        raise ValueError("labels must be exact one-hot rows")
+    return y, _categorical_term_weights(spec, h_shape[1])
+
+
+def _checked(spec: LossSpec, h, y) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(weights, probabilities, labels) of one batch, validated for loss_and_gradient."""
+    h = np.asarray(h, dtype=np.float64)
+    y, weights = checked_targets(spec, y, h.shape)
+    if np.any(h < 0.0) or np.any(h > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not spec.is_binary and np.any(np.abs(h.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE):
+        raise ValueError("probability rows must sum to 1")
+    return weights, h, y
+
+
+def loss_and_gradient(
+    spec: LossSpec, weights, h: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The batch loss and its gradient with respect to the final-layer logits.
+
+    Unchecked: h holds float64 probabilities and (y, weights) are what
+    checked_targets returns for them.  With each log argument clipped below
+    at EPSILON, and u_t = -a_t on a row's true class t, u_j = (y @ FP)_j *
+    h_j / (1 - h_j) elsewhere:
+
+      binary       loss = -mean(a * y * log h + b * (1 - y) * log(1 - h))
+                   dJ/dz = (a * y * (h - 1) + b * (1 - y) * h) / M
+      categorical  loss = -mean over rows of sum(a * y * log h) + sum((y @ FP) * log(1 - h))
+                   dJ/dz_i = (u_i - h_i * sum_j u_j) / M
+
+    The sigmoid/softmax Jacobian is folded in analytically, which keeps the
+    gradient free of the 1/h and 1/(1-h) blowups a chain through the raw
+    probability gradient would hit.  The gradient has h's shape.
+    """
+    if spec.is_binary:
+        a, b = weights
+        hv = h.reshape(y.shape)
+        pos = a * y
+        neg = b * (1.0 - y)
+        log_h = np.log(np.maximum(hv, EPSILON))
+        log_not_h = np.log(np.maximum(1.0 - hv, EPSILON))
+        loss = float(-np.mean(pos * log_h + neg * log_not_h))
+        dz = (pos * (hv - 1.0) + neg * hv) / hv.shape[0]
+        return loss, dz.reshape(h.shape)
+    a, fp = weights
+    pos = a * y
+    wrong = y @ fp
+    not_h = np.maximum(1.0 - h, EPSILON)
+    log_h = np.log(np.maximum(h, EPSILON))
+    loss = float(-np.mean((pos * log_h).sum(axis=1) + (wrong * np.log(not_h)).sum(axis=1)))
+    u = -pos + wrong * (h / not_h)
+    s = u.sum(axis=1, keepdims=True)
+    return loss, (u - h * s) / h.shape[0]
+
+
 def loss_value(spec: LossSpec, h, y) -> float:
     """Evaluate the loss named by spec on a batch of predictions.
 
-    Binary:       -mean(a * y * log h + b * (1 - y) * log(1 - h))
-    Categorical:  -mean over rows of  sum(a * y * log h) + sum((y @ FP) * log(1 - h))
-    with (a, b) or (a, FP) taken from the variant's term weights.
+    Validates the batch, then evaluates loss_and_gradient's formula with
+    (a, b) or (a, FP) taken from the variant's term weights.
     """
-    if spec.is_binary:
-        h, y = _as_binary_pair(h, y)
-        a, b = _binary_term_weights(spec)
-        log_h, log_not_h = _clipped_logs(h)
-        return float(-np.mean(a * y * log_h + b * (1.0 - y) * log_not_h))
-    h, y = _as_categorical_pair(h, y)
-    a, fp = _categorical_term_weights(spec, h.shape[1])
-    log_h, log_not_h = _clipped_logs(h)
-    return float(-np.mean((a * y * log_h).sum(axis=1) + ((y @ fp) * log_not_h).sum(axis=1)))
+    return loss_and_gradient(spec, *_checked(spec, h, y))[0]
 
 
 def bce_loss(h, y) -> float:
@@ -330,27 +355,10 @@ def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
     """Gradient of loss_value with respect to the final-layer logits,
     expressed through the activation outputs h (sigmoid or softmax rows).
 
-    The sigmoid/softmax Jacobian is folded in analytically, which keeps the
-    computation free of the 1/h and 1/(1-h) blowups a chain through the raw
-    probability gradient would hit.  Returns an array shaped like h, already
-    carrying the 1/M batch-mean factor.
+    Returns an array shaped like h, already carrying the 1/M batch-mean
+    factor; see loss_and_gradient for the formulas.
     """
-    given = np.asarray(h, dtype=np.float64)
-    if spec.is_binary:
-        hv, yv = _as_binary_pair(h, y)
-        a, b = _binary_term_weights(spec)
-        grad = (a * yv * (hv - 1.0) + b * (1.0 - yv) * hv) / hv.shape[0]
-        return grad.reshape(given.shape)
-
-    hm, ym = _as_categorical_pair(h, y)
-    m, k = hm.shape
-    a, fp = _categorical_term_weights(spec, k)
-    # For row m with true class t:  u_t = -a_t,  u_j = fp[t,j] * h_j / (1-h_j).
-    # Through the softmax Jacobian, dJ/dz_i = (u_i - h_i * sum_j u_j) / M.
-    ratio = hm / np.maximum(1.0 - hm, EPSILON)
-    u = -(ym * a) + (ym @ fp) * ratio
-    s = u.sum(axis=1, keepdims=True)
-    return (u - hm * s) / m
+    return loss_and_gradient(spec, *_checked(spec, h, y))[1]
 
 
 def fused_logit_gradient(spec: LossSpec, z, y) -> np.ndarray:

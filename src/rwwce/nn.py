@@ -2,9 +2,11 @@
 
 Enough machinery to train the small classifiers the experiment suites use:
 Glorot-uniform init, forward pass with retained activations, backprop that
-starts from a fused loss/logit gradient, an Adam optimizer written as a pure
-function, a mini-batch training loop, and central-difference gradient
-checking.  Everything is float64 and deterministic given a seed.
+starts from a fused loss/logit gradient, an in-place Adam optimizer over one
+flat parameter vector, a mini-batch training loop, and central-difference
+gradient checking.  Everything is float64 and deterministic given a seed.
+In train() the weights, biases, gradients and Adam moments each live in one
+contiguous vector, so an update is a handful of whole-vector operations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .losses import (
     BINARY_VARIANTS,
     VARIANTS,
     LossSpec,
+    checked_targets,
     fused_gradient_from_probs,
+    loss_and_gradient,
     loss_value,
     sigmoid,
     softmax,
@@ -85,16 +89,31 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the model's parameters."""
+    """Step count, first/second moments and two scratch vectors (u, w) for
+    one flat parameter vector, so a step allocates nothing."""
 
     step: int
-    m: list[tuple[np.ndarray, np.ndarray]]
-    v: list[tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
 
     @classmethod
-    def for_mlp(cls, mlp: Mlp) -> "AdamState":
-        zeros = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
-        return cls(step=0, m=[zeros(l) for l in mlp.layers], v=[zeros(l) for l in mlp.layers])
+    def zeros(cls, size: int) -> "AdamState":
+        return cls(0, *(np.zeros(size) for _ in range(4)))
+
+
+def flat_layers(flat: np.ndarray, layers) -> list[DenseLayer]:
+    """Layers shaped like layers whose weights and biases are views into flat,
+    laid out as each layer's weights (row-major) then its bias, in order."""
+    views, offset = [], 0
+    for layer in layers:
+        w_end = offset + layer.weights.size
+        b_end = w_end + layer.bias.size
+        weights = flat[offset:w_end].reshape(layer.weights.shape)
+        views.append(DenseLayer(weights, flat[w_end:b_end], layer.activation))
+        offset = b_end
+    return views
 
 
 def init_mlp(topology, seed: int) -> Mlp:
@@ -134,8 +153,9 @@ def init_mlp(topology, seed: int) -> Mlp:
 
 
 def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z; relu overwrites z."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return sigmoid(z)
     if name == "softmax":
@@ -159,7 +179,8 @@ def forward(mlp: Mlp, x) -> list[np.ndarray]:
         )
     activations = [x]
     for layer in mlp.layers:
-        z = activations[-1] @ layer.weights + layer.bias
+        z = activations[-1] @ layer.weights
+        z += layer.bias
         activations.append(_apply_activation(layer.activation, z))
     return activations
 
@@ -167,7 +188,7 @@ def forward(mlp: Mlp, x) -> list[np.ndarray]:
 def _activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
     """Derivative of a hidden activation, recovered from its stored output."""
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
+        return a > 0.0  # multiplies as 1.0 / 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "identity":
@@ -175,13 +196,15 @@ def _activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"cannot differentiate hidden activation {name!r}")
 
 
-def backward(mlp: Mlp, activations: list[np.ndarray], output_gradient: np.ndarray):
+def backward(mlp: Mlp, activations: list[np.ndarray], output_gradient: np.ndarray, out=None):
     """Backpropagate a final-layer logit gradient to per-layer parameter grads.
 
     output_gradient is dJ/dz for the final layer, as produced by the fused
     loss gradients (the final activation's Jacobian is already folded in, and
     the 1/M batch factor is already carried).  Returns a list of
-    (d_weights, d_bias) tuples, one per layer.
+    (d_weights, d_bias) pairs, one per layer.  When out is given (such a
+    list, as train() builds from views into one flat gradient vector), the
+    gradients are written into its arrays and out is returned.
     """
     n = len(mlp.layers)
     if len(activations) != n + 1:
@@ -191,49 +214,48 @@ def backward(mlp: Mlp, activations: list[np.ndarray], output_gradient: np.ndarra
         raise ValueError(
             f"output gradient shape {delta.shape} does not match output {activations[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n  # type: ignore[list-item]
+    if out is None:
+        out = [(np.empty(l.weights.shape), np.empty(l.bias.shape)) for l in mlp.layers]
     for i in reversed(range(n)):
-        prev = activations[i]
-        grads[i] = (prev.T @ delta, delta.sum(axis=0))
+        gw, gb = out[i]
+        np.matmul(activations[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
-            hidden = mlp.layers[i - 1]
-            delta = (delta @ mlp.layers[i].weights.T) * _activation_derivative(
-                hidden.activation, activations[i]
-            )
-    return grads
+            delta = delta @ mlp.layers[i].weights.T
+            delta *= _activation_derivative(mlp.layers[i - 1].activation, activations[i])
+    return out
 
 
-def adam_step(mlp: Mlp, grads, state: AdamState, config: TrainConfig) -> tuple[Mlp, AdamState]:
-    """One Adam update.  Pure: returns a new model and state, inputs untouched.
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig) -> None:
+    """One Adam update of the flat parameter vector theta, in place.
 
-    Bias-corrected form: with t = state.step + 1,
+    Bias-corrected form (Kingma & Ba): with t = state.step + 1,
       m <- b1 m + (1-b1) g,   v <- b2 v + (1-b2) g^2,
       theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+    Every entry goes through the same float operations in the same order as
+    that formula evaluated left to right, using the state's scratch vectors.
     """
-    if len(grads) != len(mlp.layers):
-        raise ValueError(f"expected {len(mlp.layers)} gradient pairs, got {len(grads)}")
-    t = state.step + 1
+    if grad.shape != theta.shape or state.m.shape != theta.shape:
+        raise ValueError("gradient and moment shapes must mirror the parameters")
+    state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    new_layers, new_m, new_v = [], [], []
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(mlp.layers, grads, state.m, state.v):
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-            raise ValueError("gradient shapes do not mirror the model parameters")
-        params = []
-        moments = []
-        for theta, g, m_old, v_old in ((layer.weights, gw, mw, vw), (layer.bias, gb, mb, vb)):
-            m_new = b1 * m_old + (1.0 - b1) * g
-            v_new = b2 * v_old + (1.0 - b2) * (g * g)
-            theta_new = theta - config.learning_rate * (m_new / corr1) / (
-                np.sqrt(v_new / corr2) + config.adam_epsilon
-            )
-            params.append(theta_new)
-            moments.append((m_new, v_new))
-        new_layers.append(DenseLayer(params[0], params[1], layer.activation))
-        new_m.append((moments[0][0], moments[1][0]))
-        new_v.append((moments[0][1], moments[1][1]))
-    return Mlp(new_layers), AdamState(step=t, m=new_m, v=new_v)
+    corr1 = 1.0 - b1**state.step
+    corr2 = 1.0 - b2**state.step
+    m, v, u, w = state.m, state.v, state.u, state.w
+    m *= b1
+    np.multiply(grad, 1.0 - b1, out=w)
+    m += w
+    np.multiply(grad, grad, out=w)
+    w *= 1.0 - b2
+    v *= b2
+    v += w
+    np.divide(v, corr2, out=u)
+    np.sqrt(u, out=u)
+    u += config.adam_epsilon
+    np.divide(m, corr1, out=w)
+    w *= config.learning_rate
+    w /= u
+    theta -= w
 
 
 def _check_pairing(mlp: Mlp, spec: LossSpec) -> None:
@@ -255,9 +277,11 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     """Mini-batch gradient descent with Adam.
 
     train_set provides arrays X (M, d) and Y (labels: (M,) binary or (M, K)
-    one-hot).  Each epoch reshuffles with a generator seeded once from
+    one-hot).  The labels are checked once, with loss_value's rules, before
+    the first step.  Each epoch reshuffles with a generator seeded once from
     config.seed, walks the permutation in batch_size slices (final short
-    batch included), and applies one Adam update per batch.  Returns the
+    batch included), and applies one in-place Adam update per batch to a
+    flat copy of mlp's parameters; mlp itself is left untouched.  Returns the
     trained model and the per-epoch mean training loss (example-weighted, as
     observed during the epoch).  Bit-deterministic for fixed inputs.
     """
@@ -269,9 +293,14 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     if y.shape[0] != m:
         raise ValueError(f"X has {m} rows but Y has {y.shape[0]}")
     _check_pairing(mlp, loss_spec)
+    y, weights = checked_targets(loss_spec, y, (m, mlp.layers[-1].out_dim))
 
-    model = mlp
-    state = AdamState.for_mlp(mlp)
+    params = [p.ravel() for l in mlp.layers for p in (l.weights, l.bias)]
+    theta = np.concatenate(params, dtype=np.float64)
+    model = Mlp(flat_layers(theta, mlp.layers))
+    grad = np.zeros_like(theta)
+    grads = [(l.weights, l.bias) for l in flat_layers(grad, mlp.layers)]
+    state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     for _ in range(config.epochs):
@@ -279,13 +308,10 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
         weighted_total = 0.0
         for start in range(0, m, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            acts = forward(model, xb)
-            probs = acts[-1]
-            batch_loss = loss_value(loss_spec, probs, yb)
-            dz = fused_gradient_from_probs(loss_spec, probs, yb)
-            grads = backward(model, acts, dz)
-            model, state = adam_step(model, grads, state, config)
+            acts = forward(model, x[idx])
+            batch_loss, dz = loss_and_gradient(loss_spec, weights, acts[-1], y[idx])
+            backward(model, acts, dz, out=grads)
+            adam_step(theta, grad, state, config)
             weighted_total += batch_loss * idx.shape[0]
         epoch_loss = weighted_total / m
         if not math.isfinite(epoch_loss):

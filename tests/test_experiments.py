@@ -39,6 +39,25 @@ def test_binary_trial_config_propagates_seed_into_training():
     assert cfg.cost == DEFAULT_BINARY_COST
 
 
+def test_binary_trial_config_validation():
+    with pytest.raises(ValueError, match="digit must be 0..9, got 11"):
+        BinaryTrialConfig.make(11, 0, seed=0)
+    with pytest.raises(ValueError, match="digit must be 0..9, got -1"):
+        BinaryTrialConfig.make(-1, 0, seed=0)
+    with pytest.raises(ValueError, match="slice_index must be >= 0, got -1"):
+        BinaryTrialConfig.make(3, -1, seed=0)
+
+
+def test_binary_suite_rejects_a_bad_digit_before_any_training(small_pool, monkeypatch):
+    import rwwce.experiments as experiments_module
+
+    calls = []
+    monkeypatch.setattr(experiments_module, "train", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="digit must be 0..9, got 11"):
+        run_binary_suite(small_pool, [3, 11], [0], base_seed=0, train_template=FAST_TRAIN)
+    assert calls == []
+
+
 def test_categorical_trial_config_validation():
     with pytest.raises(ValueError):
         CategoricalTrialConfig.make(3, 3, seed=0)

@@ -1,0 +1,50 @@
+"""Frozen-records gate: a small fixed run must reproduce its stored records.
+
+tests/frozen/records.jsonl holds the records of one binary trial and one
+categorical trial on the 7,000-example synthetic pool (the small_pool
+fixture), trained for a few epochs.  A change to the training code that
+alters any record field other than wall_time (a reordered reduction, a
+different float path) fails this test.  When a change is meant to move the
+records, regenerate the file and say so in the change log:
+
+    PYTHONPATH=src:tests python tests/test_frozen_records.py
+"""
+
+from pathlib import Path
+
+from rwwce import (
+    TrainConfig,
+    load_records,
+    records_match,
+    run_binary_suite,
+    run_categorical_suite,
+)
+
+FROZEN = Path(__file__).resolve().parent / "frozen" / "records.jsonl"
+
+# batch_size 64 leaves a short final batch on both training splits.
+TRAIN = TrainConfig(epochs=3, batch_size=64)
+
+
+def fixed_run(pool):
+    """Records of the frozen configuration: binary digit 3, categorical pair 4->9."""
+    _, binary = run_binary_suite(pool, digits=[3], slices=[0], base_seed=11, train_template=TRAIN)
+    _, categorical = run_categorical_suite(pool, [(4, 9)], base_seed=12, train_template=TRAIN)
+    return binary + categorical
+
+
+def test_fixed_run_reproduces_frozen_records(small_pool):
+    records = fixed_run(small_pool)
+    frozen = load_records(FROZEN)
+    assert [r.model for r in records] == ["control1", "control2", "test", "control", "experimental"]
+    assert records_match(records, frozen)
+
+
+if __name__ == "__main__":
+    import corpus
+    from rwwce import load_idx, save_records
+
+    pool = load_idx(*corpus.synthetic_idx_pair(700, seed=990))
+    FROZEN.parent.mkdir(exist_ok=True)
+    save_records(fixed_run(pool), FROZEN)
+    print(f"wrote {FROZEN}")

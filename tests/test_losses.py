@@ -28,6 +28,7 @@ from rwwce import (
     wbce_loss,
     wcce_loss,
 )
+from rwwce.losses import checked_targets, loss_and_gradient
 
 
 def random_binary_batch(rng, m=None):
@@ -408,3 +409,42 @@ def test_softmax_uniform_logits():
 def test_softmax_rejects_non_2d():
     with pytest.raises(ValueError):
         softmax(np.zeros(4))
+
+
+# --- fused kernel ------------------------------------------------------------
+
+
+def _saturate(h, rng):
+    """Overwrite a fifth of the entries with values at or past the log clip."""
+    mask = rng.random(h.shape) < 0.2
+    h[mask] = rng.choice([0.0, 1.0, 1e-12, 1.0 - 1e-12], size=int(mask.sum()))
+    return h
+
+
+def test_unchecked_kernel_matches_the_checked_calls_bit_for_bit():
+    rng = np.random.default_rng(77)
+    binary = [LossSpec.bce(), LossSpec.wbce(7.0), LossSpec.rwwce_binary(2000.0, 100.0)]
+    for _ in range(200):
+        h, y = random_binary_batch(rng)
+        h = _saturate(h, rng)[:, None]  # as the network emits it, (M, 1)
+        for spec in binary:
+            labels, weights = checked_targets(spec, y, h.shape)
+            loss, dz = loss_and_gradient(spec, weights, h, labels)
+            assert loss == loss_value(spec, h, y)
+            assert np.array_equal(dz, fused_gradient_from_probs(spec, h, y))
+            assert dz.shape == h.shape
+
+        k = int(rng.integers(2, 11))
+        z = rng.normal(0.0, rng.choice([1.0, 40.0]), size=(int(rng.integers(1, 65)), k))
+        h = softmax(z)  # wide logits saturate whole rows
+        y = np.eye(k)[rng.integers(0, k, size=h.shape[0])]
+        categorical = [
+            LossSpec.cce(),
+            LossSpec.wcce(rng.uniform(0.5, 3.0, k)),
+            LossSpec.rwwce_categorical(rng.uniform(0.5, 3.0, k), rng.uniform(0.0, 5.0, (k, k))),
+        ]
+        for spec in categorical:
+            labels, weights = checked_targets(spec, y, h.shape)
+            loss, dz = loss_and_gradient(spec, weights, h, labels)
+            assert loss == loss_value(spec, h, y)
+            assert np.array_equal(dz, fused_gradient_from_probs(spec, h, y))

@@ -22,6 +22,7 @@ from rwwce import (
     loss_value,
     train,
 )
+from rwwce.nn import flat_layers
 
 BINARY_TOPOLOGY = [(784, 10, "relu"), (10, 1, "sigmoid")]
 CATEGORICAL_TOPOLOGY = [(784, 50, "relu"), (50, 20, "relu"), (20, 10, "softmax")]
@@ -140,62 +141,69 @@ def test_backward_validates_shapes():
 # --- Adam ---------------------------------------------------------------------
 
 
-def scalar_model(w=0.5):
-    return Mlp([DenseLayer(np.array([[w]]), np.array([0.0]), "identity")])
+def scalar_params(w=0.5):
+    """The flat [weight, bias] vector of a 1x1 layer, as train() lays it out."""
+    return np.array([w, 0.0])
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
-    mlp = scalar_model()
-    state = AdamState.for_mlp(mlp)
-    grads = [(np.zeros((1, 1)), np.zeros(1))]
-    new_mlp, new_state = adam_step(mlp, grads, state, TrainConfig())
-    assert np.array_equal(new_mlp.layers[0].weights, mlp.layers[0].weights)
-    assert new_state.step == 1
+    theta = scalar_params()
+    state = AdamState.zeros(2)
+    adam_step(theta, np.zeros(2), state, TrainConfig())
+    assert np.array_equal(theta, scalar_params())
+    assert state.step == 1
 
 
 def test_adam_first_step_matches_hand_formula():
     config = TrainConfig(learning_rate=0.001)
     g = 0.25
-    mlp = scalar_model(w=0.5)
-    state = AdamState.for_mlp(mlp)
-    new_mlp, new_state = adam_step(mlp, [(np.array([[g]]), np.zeros(1))], state, config)
+    theta = scalar_params(w=0.5)
+    state = AdamState.zeros(2)
+    adam_step(theta, np.array([g, 0.0]), state, config)
     # t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps).
     expected = 0.5 - config.learning_rate * g / (abs(g) + config.adam_epsilon)
-    assert new_mlp.layers[0].weights[0, 0] == pytest.approx(expected, rel=1e-12)
-    assert new_state.m[0][0][0, 0] == pytest.approx(0.1 * g, rel=1e-12)
-    assert new_state.v[0][0][0, 0] == pytest.approx(0.001 * g * g, rel=1e-12)
+    assert theta[0] == pytest.approx(expected, rel=1e-12)
+    assert state.m[0] == pytest.approx(0.1 * g, rel=1e-12)
+    assert state.v[0] == pytest.approx(0.001 * g * g, rel=1e-12)
 
 
 def test_adam_constant_gradient_update_approaches_signed_learning_rate():
     config = TrainConfig(learning_rate=0.001)
-    mlp = scalar_model(w=3.0)
-    state = AdamState.for_mlp(mlp)
-    grads = [(np.array([[0.7]]), np.array([0.0]))]
-    previous = mlp.layers[0].weights[0, 0]
+    theta = scalar_params(w=3.0)
+    state = AdamState.zeros(2)
+    grad = np.array([0.7, 0.0])
+    previous = theta[0]
     for _ in range(200):
-        mlp, state = adam_step(mlp, grads, state, config)
-    step_size = previous - mlp.layers[0].weights[0, 0]
+        adam_step(theta, grad, state, config)
+    step_size = previous - theta[0]
     # 200 steps of roughly lr each, all in the gradient's direction.
     assert step_size == pytest.approx(200 * config.learning_rate, rel=0.01)
 
 
-def test_adam_is_pure():
-    mlp = scalar_model()
-    state = AdamState.for_mlp(mlp)
-    w_before = mlp.layers[0].weights.copy()
-    adam_step(mlp, [(np.ones((1, 1)), np.ones(1))], state, TrainConfig())
-    assert np.array_equal(mlp.layers[0].weights, w_before)
-    assert state.step == 0
-    assert np.array_equal(state.m[0][0], np.zeros((1, 1)))
-
-
 def test_adam_rejects_mismatched_gradients():
-    mlp = scalar_model()
-    state = AdamState.for_mlp(mlp)
+    theta = scalar_params()
+    state = AdamState.zeros(2)
     with pytest.raises(ValueError):
-        adam_step(mlp, [], state, TrainConfig())
+        adam_step(theta, np.ones(3), state, TrainConfig())
     with pytest.raises(ValueError):
-        adam_step(mlp, [(np.ones((2, 2)), np.ones(1))], state, TrainConfig())
+        adam_step(theta, np.ones((2, 1)), state, TrainConfig())
+    with pytest.raises(ValueError):
+        adam_step(theta, np.ones(2), AdamState.zeros(3), TrainConfig())
+    assert np.array_equal(theta, scalar_params())
+    assert state.step == 0
+
+
+def test_flat_layers_are_views_in_layer_order():
+    mlp = init_mlp([(3, 2, "relu"), (2, 1, "sigmoid")], seed=0)
+    flat = np.arange(11.0)
+    layers = flat_layers(flat, mlp.layers)
+    assert np.array_equal(layers[0].weights, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(layers[0].bias, [6.0, 7.0])
+    assert np.array_equal(layers[1].weights, [[8.0], [9.0]])
+    assert np.array_equal(layers[1].bias, [10.0])
+    assert [l.activation for l in layers] == ["relu", "sigmoid"]
+    flat[10] = -1.0
+    assert layers[1].bias[0] == -1.0
 
 
 def test_train_config_validation():
@@ -267,10 +275,122 @@ def test_train_full_batch_equals_one_manual_adam_step():
     order = np.random.default_rng(21).permutation(data.size)
     acts = forward(mlp, data.X[order])
     dz = fused_gradient_from_probs(LossSpec.bce(), acts[-1], data.Y[order])
-    expected, _ = adam_step(mlp, backward(mlp, acts, dz), AdamState.for_mlp(mlp), config)
-    for got, want in zip(trained.layers, expected.layers):
+    theta = np.concatenate([p.ravel() for l in mlp.layers for p in (l.weights, l.bias)])
+    grad = np.concatenate([g.ravel() for pair in backward(mlp, acts, dz) for g in pair])
+    adam_step(theta, grad, AdamState.zeros(theta.size), config)
+    for got, want in zip(trained.layers, flat_layers(theta, mlp.layers)):
         assert np.allclose(got.weights, want.weights, atol=1e-14)
         assert np.allclose(got.bias, want.bias, atol=1e-14)
+
+
+def reference_train(mlp, data, spec, config):
+    """train() written out with the checked per-batch calls and textbook Adam.
+
+    Every parameter array is updated out of place with the closed form of
+    test_adam_first_step_matches_hand_formula, one layer at a time.
+    """
+    b1, b2, lr, eps = config.adam_beta1, config.adam_beta2, config.learning_rate, config.adam_epsilon
+    params = [p.copy() for l in mlp.layers for p in (l.weights, l.bias)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(config.seed)
+    history, t = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(data.size)
+        total = 0.0
+        for start in range(0, data.size, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            model = Mlp(
+                [DenseLayer(params[2 * i], params[2 * i + 1], l.activation)
+                 for i, l in enumerate(mlp.layers)]
+            )
+            acts = forward(model, data.X[idx])
+            batch_loss = loss_value(spec, acts[-1], data.Y[idx])
+            dz = fused_gradient_from_probs(spec, acts[-1], data.Y[idx])
+            grads = [g for pair in backward(model, acts, dz) for g in pair]
+            t += 1
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                params[i] = params[i] - lr * (m[i] / (1.0 - b1**t)) / (
+                    np.sqrt(v[i] / (1.0 - b2**t)) + eps
+                )
+            total += batch_loss * idx.shape[0]
+        history.append(total / data.size)
+    return params, history
+
+
+@pytest.mark.parametrize("kind", ["binary", "categorical"])
+def test_train_is_bit_identical_to_the_reference_loop(kind):
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(53, 6))  # batch_size 8 leaves a final batch of 5
+    if kind == "binary":
+        data = Dataset("binary", x, (rng.random(53) < 0.3).astype(np.float64))
+        mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=12)
+        spec = LossSpec.rwwce_binary(20.0, 3.0)
+    else:
+        data = Dataset("categorical", x, np.eye(4)[rng.integers(0, 4, size=53)])
+        mlp = init_mlp([(6, 7, "relu"), (7, 5, "sigmoid"), (5, 4, "softmax")], seed=12)
+        spec = LossSpec.rwwce_categorical(rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 3.0, (4, 4)))
+    config = TrainConfig(epochs=6, batch_size=8, learning_rate=0.01, seed=13)
+    trained, history = train(mlp, data, spec, config)
+    params, expected_history = reference_train(mlp, data, spec, config)
+    assert history == expected_history
+    got = [p for l in trained.layers for p in (l.weights, l.bias)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, params))
+
+
+def test_train_leaves_the_input_model_untouched():
+    data = binary_toy_set()
+    mlp = init_mlp([(2, 4, "relu"), (4, 1, "sigmoid")], seed=3)
+    before = mlp.copy()
+    trained, _ = train(mlp, data, LossSpec.bce(), TrainConfig(epochs=2, batch_size=8))
+    for la, lb, lt in zip(mlp.layers, before.layers, trained.layers):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+        assert not np.shares_memory(la.weights, lt.weights)
+
+
+def _entry_cases():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20, 3))
+    good_y = np.eye(3)[np.arange(20) % 3]
+    not_one_hot = good_y.copy()
+    not_one_hot[-1] = [0.0, 1.0, 1.0]
+    binary_y = (np.arange(20) % 2).astype(np.float64)
+    binary_y[-1] = 0.5
+    sigmoid_head = [(3, 4, "relu"), (4, 1, "sigmoid")]
+    softmax_head = [(3, 4, "relu"), (4, 3, "softmax")]
+    wide_cost = LossSpec.rwwce_categorical(np.ones(4), np.zeros((4, 4)))
+    return [
+        ("binary", sigmoid_head, x, binary_y, LossSpec.bce(), "binary labels must be exactly 0 or 1"),
+        ("categorical", softmax_head, x, not_one_hot, LossSpec.cce(), "labels must be exact one-hot rows"),
+        (
+            "categorical", softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]),
+            "per_class has 2 entries for 3 classes",
+        ),
+        ("categorical", softmax_head, x, good_y, wide_cost, "cost model has 4 classes, batch has 3"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_train_rejects_bad_labels_before_the_first_step(case, monkeypatch):
+    import rwwce.nn as nn_module
+
+    kind, topology, x, y, spec, message = _entry_cases()[case]
+    mlp = init_mlp(topology, seed=0)
+    h = forward(mlp, x[-4:])[-1]
+    with pytest.raises(ValueError) as expected:
+        loss_value(spec, h, y[-4:])
+    assert str(expected.value) == message
+
+    steps = []
+    monkeypatch.setattr(nn_module, "forward", lambda *a: steps.append(a) or forward(*a))
+
+    with pytest.raises(ValueError) as got:
+        train(mlp, Dataset(kind, x, y), spec, TrainConfig(epochs=1, batch_size=4))
+    assert str(got.value) == str(expected.value)
+    assert steps == []
 
 
 def test_train_enforces_loss_activation_pairing():
