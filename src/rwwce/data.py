@@ -2,13 +2,15 @@
 
 Reads the classic big-endian IDX format used to distribute MNIST: an
 images file (magic 0x00000803) of 28x28 unsigned bytes and a labels file
-(magic 0x00000801) of digit bytes.  Pixels are scaled to [0, 1] float64 and
-flattened row-major to 784 features.  From a loaded corpus the module builds
-the two experiment dataset shapes: a heavily imbalanced binary problem (one
-slice of 630 occurrences of a chosen digit as positives against every
-example of the other digits) and the full 10-class one-hot problem.  A
-seeded shuffle splits any dataset 25% test / 7.5% validation / remainder
-train, using integer arithmetic so the proportions are exact floors.
+(magic 0x00000801) of digit bytes.  Pixels stay the uint8 bytes of the
+payload, flattened row-major to 784 features, through every dataset and
+split, so a pool costs one byte per pixel; nn.forward scales each batch to
+[0, 1] with / 255.0.  From a loaded corpus the module builds the two
+experiment dataset shapes: a heavily imbalanced binary problem (one slice of
+630 occurrences of a chosen digit as positives against every example of the
+other digits) and the full 10-class one-hot problem.  A seeded shuffle
+splits any dataset 25% test / 7.5% validation / remainder train, using
+integer arithmetic so the proportions are exact floors.
 """
 
 from __future__ import annotations
@@ -44,13 +46,19 @@ NUM_CLASSES = 10
 
 @dataclass
 class RawMnist:
-    """A loaded corpus: images (N, 784) float64 in [0, 1], labels (N,) int64 in 0..9."""
+    """A loaded corpus: images (N, 784) uint8 pixel bytes, labels (N,) int64 in 0..9.
+
+    Images of any other dtype are rejected rather than converted; the uint8
+    dtype is what bounds every pixel to 0..255.
+    """
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.images = np.asarray(self.images)
+        if self.images.dtype != np.uint8:
+            raise ValueError(f"images must be uint8 pixel bytes, got {self.images.dtype}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 2 or self.images.shape[1] != FEATURES:
             raise ValueError(f"images must be (N, {FEATURES}), got {self.images.shape}")
@@ -60,8 +68,6 @@ class RawMnist:
             )
         if self.images.shape[0] == 0:
             raise ValueError("corpus is empty")
-        if np.any(self.images < 0.0) or np.any(self.images > 1.0):
-            raise ValueError("image features must lie in [0, 1]")
         if np.any(self.labels < 0) or np.any(self.labels > 9):
             raise ValueError("labels must be digits 0..9")
 
@@ -75,7 +81,8 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> RawMnist:
 
     Verifies both magic numbers, the 28x28 image dimensions, the agreement
     of the two counts, and that each payload carries exactly as many bytes
-    as its header promises.
+    as its header promises.  The images are a read-only uint8 view of
+    images_bytes, not a copy.
     """
     if len(images_bytes) < 16:
         raise ValueError("images file too short for an IDX header")
@@ -98,8 +105,7 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> RawMnist:
     if len(labels_bytes) != 8 + lcount:
         raise ValueError(f"labels payload is {len(labels_bytes)} bytes, header implies {8 + lcount}")
 
-    pixels = np.frombuffer(images_bytes, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    images = np.frombuffer(images_bytes, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(labels_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     return RawMnist(images, labels)
 
@@ -131,7 +137,9 @@ class Dataset:
     """A model-ready dataset.
 
     kind is "binary" (Y is a (M,) 0/1 vector) or "categorical" (Y is an
-    (M, K) exact one-hot matrix).  Features are float64 in [0, 1].
+    (M, K) exact one-hot matrix).  X holds uint8 pixel bytes, as every
+    dataset built from a RawMnist does; X of any other dtype is stored as
+    float64.  Y is float64.
     """
 
     kind: str
@@ -141,7 +149,9 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.kind not in ("binary", "categorical"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        self.X = np.asarray(self.X, dtype=np.float64)
+        self.X = np.asarray(self.X)
+        if self.X.dtype != np.uint8:
+            self.X = self.X.astype(np.float64, copy=False)
         self.Y = np.asarray(self.Y, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-D")

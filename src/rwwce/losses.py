@@ -175,12 +175,8 @@ class LossSpec:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere; never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ Glorot-uniform init, forward pass with retained activations, backprop that
 starts from a fused loss/logit gradient, an in-place Adam optimizer over one
 flat parameter vector, a mini-batch training loop, and central-difference
 gradient checking.  Everything is float64 and deterministic given a seed.
+A uint8 input batch is pixel bytes; forward() scales it with / 255.0, the
+one place the pixels are divided.
 In train() the weights, biases, gradients and Adam moments each live in one
 contiguous vector, so an update is a handful of whole-vector operations.
 """
@@ -23,7 +25,7 @@ from .losses import (
     checked_targets,
     fused_gradient_from_probs,
     loss_and_gradient,
-    loss_value,
+    loss_value,  # unused here; perfbench wraps nn.loss_value
     sigmoid,
     softmax,
 )
@@ -166,9 +168,14 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 def forward(mlp: Mlp, x) -> list[np.ndarray]:
     """Run the network, returning [input, activation_1, ..., output].
 
-    The retained per-layer activations are exactly what backward() needs.
+    A uint8 batch is pixel bytes: its input activation is x / 255.0, the
+    same correctly rounded division for every entry, so it is bit-identical
+    to feeding the float64 scaled pixels.  Any other batch is cast to
+    float64.  The retained per-layer activations are exactly what
+    backward() needs.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    x = x / 255.0 if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got shape {x.shape}")
     if not mlp.layers:
@@ -277,7 +284,8 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     """Mini-batch gradient descent with Adam.
 
     train_set provides arrays X (M, d) and Y (labels: (M,) binary or (M, K)
-    one-hot).  The labels are checked once, with loss_value's rules, before
+    one-hot); a uint8 X stays uint8 and each gathered batch is scaled by
+    forward().  The labels are checked once, with loss_value's rules, before
     the first step.  Each epoch reshuffles with a generator seeded once from
     config.seed, walks the permutation in batch_size slices (final short
     batch included), and applies one in-place Adam update per batch to a
@@ -285,7 +293,7 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     trained model and the per-epoch mean training loss (example-weighted, as
     observed during the epoch).  Bit-deterministic for fixed inputs.
     """
-    x = np.asarray(train_set.X, dtype=np.float64)
+    x = np.asarray(train_set.X)
     y = np.asarray(train_set.Y, dtype=np.float64)
     m = x.shape[0]
     if m == 0:
@@ -338,15 +346,20 @@ def gradcheck(
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     Entries whose true magnitude sits near that floor are dominated by
     finite-difference cancellation noise, so keep the probe networks small
-    and the batches moderate.
+    and the batches moderate.  The batch is validated once, at the
+    unperturbed parameters; each probe runs the unchecked loss kernel.
     """
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     acts = forward(mlp, x)
     analytic = backward(mlp, acts, fused_gradient_from_probs(loss_spec, acts[-1], y))
+    y, weights = checked_targets(loss_spec, y, acts[-1].shape)
 
     work = mlp.copy()
+
+    def probe_loss() -> float:
+        return loss_and_gradient(loss_spec, weights, forward(work, x)[-1], y)[0]
+
     worst = 0.0
     count = 0
     for layer_index, layer in enumerate(work.layers):
@@ -356,9 +369,9 @@ def gradcheck(
             for j in range(flat.shape[0]):
                 original = flat[j]
                 flat[j] = original + step
-                plus = loss_value(loss_spec, forward(work, x)[-1], y)
+                plus = probe_loss()
                 flat[j] = original - step
-                minus = loss_value(loss_spec, forward(work, x)[-1], y)
+                minus = probe_loss()
                 flat[j] = original
                 numeric = (plus - minus) / (2.0 * step)
                 a = ref[j]

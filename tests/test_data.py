@@ -34,7 +34,8 @@ def test_load_idx_roundtrip():
     images_bytes, labels_bytes, images, labels = _tiny(7, 1)
     raw = load_idx(images_bytes, labels_bytes)
     assert raw.size == 7
-    assert np.array_equal(raw.images, images.astype(np.float64) / 255.0)
+    assert raw.images.dtype == np.uint8
+    assert np.array_equal(raw.images, images)
     assert np.array_equal(raw.labels, labels.astype(np.int64))
 
 
@@ -42,7 +43,8 @@ def test_load_idx_single_saturated_image():
     images = np.full((1, 784), 255, dtype=np.uint8)
     labels = np.array([4], dtype=np.uint8)
     raw = load_idx(corpus.idx_images_bytes(images), corpus.idx_labels_bytes(labels))
-    assert np.array_equal(raw.images, np.ones((1, 784)))
+    assert raw.images.dtype == np.uint8
+    assert np.array_equal(raw.images, np.full((1, 784), 255))
     assert raw.labels.tolist() == [4]
 
 
@@ -99,26 +101,36 @@ def test_load_idx_files_supports_gzip(tmp_path):
     assert np.array_equal(raw.labels, labels.astype(np.int64))
 
 
+def _pixels(shape, value=0):
+    return np.full(shape, value, dtype=np.uint8)
+
+
 def test_raw_mnist_validation():
     with pytest.raises(ValueError):
-        RawMnist(np.zeros((3, 100)), np.zeros(3, dtype=np.int64))
+        RawMnist(_pixels((3, 100)), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError):
-        RawMnist(np.zeros((3, 784)), np.zeros(2, dtype=np.int64))
+        RawMnist(_pixels((3, 784)), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
-        RawMnist(np.zeros((0, 784)), np.zeros(0, dtype=np.int64))
+        RawMnist(_pixels((0, 784)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        RawMnist(np.full((1, 784), 1.5), np.zeros(1, dtype=np.int64))
-    with pytest.raises(ValueError):
-        RawMnist(np.zeros((1, 784)), np.array([10]))
+        RawMnist(_pixels((1, 784)), np.array([10]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16])
+def test_raw_mnist_rejects_images_that_are_not_pixel_bytes(dtype):
+    # Scaled floats in [0, 1] are refused too: images are the IDX bytes.
+    with pytest.raises(ValueError, match="uint8"):
+        RawMnist(np.zeros((1, 784), dtype=dtype), np.zeros(1, dtype=np.int64))
 
 
 def test_concat_corpora_preserves_order():
-    a = RawMnist(np.zeros((2, 784)), np.array([1, 2]))
-    b = RawMnist(np.ones((1, 784)), np.array([3]))
+    a = RawMnist(_pixels((2, 784)), np.array([1, 2]))
+    b = RawMnist(_pixels((1, 784), 255), np.array([3]))
     merged = concat_corpora(a, b)
     assert merged.size == 3
     assert merged.labels.tolist() == [1, 2, 3]
-    assert merged.images[2, 0] == 1.0
+    assert merged.images.dtype == np.uint8
+    assert merged.images[2, 0] == 255
     with pytest.raises(ValueError):
         concat_corpora()
 
@@ -159,6 +171,7 @@ def test_make_binary_dataset_takes_first_occurrences_in_file_order(small_pool):
     keep[small_pool.labels != 3] = True
     keep[occurrences[:POSITIVE_SLICE_SIZE]] = True
     rows = np.flatnonzero(keep)
+    assert ds.X.dtype == np.uint8
     assert np.array_equal(ds.X, small_pool.images[rows])
     positive_rows = rows[ds.Y == 1.0]
     assert set(positive_rows.tolist()) == wanted
@@ -243,6 +256,26 @@ def test_split_determinism_and_seed_sensitivity():
     assert np.array_equal(a.test.X, b.test.X)
     assert np.array_equal(a.train.X, b.train.X)
     assert not np.array_equal(a.test.X, c.test.X)
+
+
+def test_datasets_and_splits_keep_pixel_bytes(small_pool):
+    binary = make_binary_dataset(small_pool, digit=3, slice_index=0)
+    categorical = make_categorical_dataset(small_pool)
+    for ds in (binary, categorical):
+        assert ds.X.dtype == np.uint8
+        parts = split(ds, seed=0)
+        for part in (parts.train, parts.validation, parts.test):
+            assert part.X.dtype == np.uint8
+            assert part.Y.dtype == np.float64
+    # The categorical dataset is the pool itself, not a copy of it.
+    assert np.shares_memory(categorical.X, small_pool.images)
+
+
+def test_dataset_stores_float_features_as_float64():
+    for x in (np.zeros((40, 2), np.float32), np.zeros((40, 2), np.int64), [[0, 1]] * 40):
+        ds = Dataset("binary", x, np.zeros(40))
+        assert ds.X.dtype == np.float64
+        assert split(ds, seed=0).train.X.dtype == np.float64
 
 
 def test_split_rejects_tiny_datasets():

@@ -388,6 +388,26 @@ def test_sigmoid_matches_definition_and_is_stable():
     assert extreme[1] == pytest.approx(0.0, abs=1e-200)
 
 
+def _two_branch_sigmoid(z):
+    """The masked two-branch logistic sigmoid() replaced; pins its bits."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0])
+    rng = np.random.default_rng(17)
+    for z in [edges] + [rng.normal(0.0, 1.0 + 5.0 * (i % 6), size=2_000) for i in range(30)]:
+        assert np.array_equal(sigmoid(z).view(np.int64), _two_branch_sigmoid(z).view(np.int64))
+    column = rng.normal(size=(100, 1))
+    assert sigmoid(column).shape == (100, 1)
+    assert np.array_equal(sigmoid(column), _two_branch_sigmoid(column))
+
+
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(3)
     z = rng.normal(0.0, 3.0, size=(8, 5))

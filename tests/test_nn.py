@@ -107,6 +107,19 @@ def test_forward_matches_hand_computation():
     assert np.array_equal(acts[2], np.array([[6.5]]))
 
 
+def test_forward_scales_pixel_bytes_bit_identically():
+    pixels = np.random.default_rng(4).integers(0, 256, size=(37, 784)).astype(np.uint8)
+    pixels[0] = 255
+    pixels[1] = 0
+    pixels[2, :256] = np.arange(256)  # every byte value
+    for topology in (BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY):
+        mlp = init_mlp(topology, seed=9)
+        got = forward(mlp, pixels)
+        expected = forward(mlp, pixels.astype(np.float64) / 255.0)
+        assert got[0].dtype == np.float64
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
 def test_forward_validates_input():
     mlp = init_mlp([(4, 2, "relu")], seed=0)
     with pytest.raises(ValueError):
@@ -338,6 +351,28 @@ def test_train_is_bit_identical_to_the_reference_loop(kind):
     assert history == expected_history
     got = [p for l in trained.layers for p in (l.weights, l.bias)]
     assert all(np.array_equal(a, b) for a, b in zip(got, params))
+
+
+@pytest.mark.parametrize("kind", ["binary", "categorical"])
+def test_train_on_pixel_bytes_equals_train_on_scaled_floats(kind):
+    rng = np.random.default_rng(23)
+    pixels = rng.integers(0, 256, size=(61, 784)).astype(np.uint8)
+    if kind == "binary":
+        y = (rng.random(61) < 0.2).astype(np.float64)
+        mlp, spec = init_mlp(BINARY_TOPOLOGY, seed=2), LossSpec.rwwce_binary(40.0, 2.0)
+    else:
+        y = np.eye(10)[rng.integers(0, 10, size=61)]
+        mlp, spec = init_mlp(CATEGORICAL_TOPOLOGY, seed=2), LossSpec.cce()
+    config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=6)
+    as_bytes = Dataset(kind, pixels, y)
+    as_floats = Dataset(kind, pixels / 255.0, y)
+    assert as_bytes.X.dtype == np.uint8 and as_floats.X.dtype == np.float64
+    a, history_a = train(mlp, as_bytes, spec, config)
+    b, history_b = train(mlp, as_floats, spec, config)
+    assert history_a == history_b
+    for la, lb in zip(a.layers, b.layers):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
 
 
 def test_train_leaves_the_input_model_untouched():
