@@ -47,7 +47,7 @@ from .metrics import (
     real_world_cost_categorical,
     top1_error,
 )
-from .nn import TrainConfig, forward, init_mlp, train
+from .nn import Mlp, TrainConfig, forward, init_mlp, network_input, train
 
 DEFAULT_BINARY_COST = BinaryCostModel(fn_cost=2000.0, fp_cost=100.0)
 DEFAULT_PAIR_WEIGHT = 19.0
@@ -140,8 +140,11 @@ class RunRecord:
     For categorical runs fn and fp both hold the total misclassification
     count (every multiclass error is a false negative of its true class and
     a false positive of its predicted class) and high_cost_count holds the
-    tally of the single expensive cell.  wall_time is informational only and
-    is excluded from determinism comparisons.
+    tally of the single expensive cell.  wall_time is the seconds of the
+    model's own train() call; control2, which does not train, gets the
+    seconds of its threshold search and rescoring.  The trial's shared
+    evaluation phase is timed in no record.  wall_time is informational only
+    and is excluded from determinism comparisons (records_match).
     """
 
     model: str
@@ -196,48 +199,74 @@ def _binary_record(
     )
 
 
+def _train_timed(initial: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig):
+    """The model train() returns, and the seconds the call took."""
+    started = time.perf_counter()
+    model, _ = train(initial, train_set, loss_spec, config)
+    return model, time.perf_counter() - started
+
+
+def _outputs(models, pixels) -> list[np.ndarray]:
+    """Each model's output layer on one evaluation split.
+
+    The split is scaled once, by network_input, and every model gets that
+    same float64 array.  It is dropped on return, so scoring the splits one
+    after the other keeps one scaled copy alive at a time.
+    """
+    x = network_input(pixels)
+    return [forward(model, x)[-1] for model in models]
+
+
 def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     """Train and evaluate the three binary models on one dataset slice.
 
     Returns [control1, control2, test] records.  control2 never retrains: it
     reuses control1's parameters and only moves the decision threshold.
+    The trial runs in two phases: it trains both models, drops the training
+    split, and only then evaluates them, so the un-split dataset and the
+    training split are gone before any split is scaled to float64.
+    wall_time is the seconds of the model's train() call for control1 and
+    test, and of the threshold search and rescoring for control2.
     """
-    dataset = make_binary_dataset(raw, cfg.digit, cfg.slice_index)
-    parts = split(dataset, cfg.seed)
-    topology = [(dataset.X.shape[1], 10, "relu"), (10, 1, "sigmoid")]
+    parts = split(make_binary_dataset(raw, cfg.digit, cfg.slice_index), cfg.seed)
+    validation, test = parts.validation, parts.test
+    topology = [(test.X.shape[1], 10, "relu"), (10, 1, "sigmoid")]
     initial = init_mlp(topology, cfg.seed)
+    control_model, control_time = _train_timed(initial, parts.train, LossSpec.bce(), cfg.train)
+    weighted_model, weighted_time = _train_timed(
+        initial, parts.train, LossSpec("rwwce_binary", binary_cost=cfg.cost), cfg.train
+    )
+    del parts
 
-    started = time.perf_counter()
-    control_model, _ = train(initial, parts.train, LossSpec.bce(), cfg.train)
-    validation_scores = forward(control_model, parts.validation.X)[-1][:, 0]
-    test_scores = forward(control_model, parts.test.X)[-1][:, 0]
-    counts1 = confusion_binary(test_scores, parts.test.Y, 0.5)
-    validation_f1_at_half = f1_score(confusion_binary(validation_scores, parts.validation.Y, 0.5))
+    models = (control_model, weighted_model)
+    control_validation, weighted_validation = (o[:, 0] for o in _outputs(models, validation.X))
+    control_test, weighted_test = (o[:, 0] for o in _outputs(models, test.X))
+
     control1 = _binary_record(
-        "control1", cfg, counts1, 0.5, validation_f1_at_half, time.perf_counter() - started
+        "control1",
+        cfg,
+        confusion_binary(control_test, test.Y, 0.5),
+        0.5,
+        f1_score(confusion_binary(control_validation, validation.Y, 0.5)),
+        control_time,
     )
 
     started = time.perf_counter()
-    threshold, best_validation_f1 = best_f1_threshold(validation_scores, parts.validation.Y)
-    counts2 = confusion_binary(test_scores, parts.test.Y, threshold)
+    threshold, best_validation_f1 = best_f1_threshold(control_validation, validation.Y)
+    counts2 = confusion_binary(control_test, test.Y, threshold)
     control2 = _binary_record(
         "control2", cfg, counts2, threshold, best_validation_f1, time.perf_counter() - started
     )
 
-    started = time.perf_counter()
-    weighted_model, _ = train(
-        initial, parts.train, LossSpec("rwwce_binary", binary_cost=cfg.cost), cfg.train
+    weighted = _binary_record(
+        "test",
+        cfg,
+        confusion_binary(weighted_test, test.Y, 0.5),
+        0.5,
+        f1_score(confusion_binary(weighted_validation, validation.Y, 0.5)),
+        weighted_time,
     )
-    weighted_scores = forward(weighted_model, parts.test.X)[-1][:, 0]
-    counts3 = confusion_binary(weighted_scores, parts.test.Y, 0.5)
-    weighted_validation_f1 = f1_score(
-        confusion_binary(forward(weighted_model, parts.validation.X)[-1][:, 0], parts.validation.Y, 0.5)
-    )
-    test = _binary_record(
-        "test", cfg, counts3, 0.5, weighted_validation_f1, time.perf_counter() - started
-    )
-
-    return [control1, control2, test]
+    return [control1, control2, weighted]
 
 
 def pair_cost_matrix(cfg: CategoricalTrialConfig) -> np.ndarray:
@@ -274,38 +303,36 @@ def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[Ru
 
     The experimental loss keeps every false-negative weight at 1 and places
     pair_weight on the single expensive false-positive cell, so with
-    pair_weight 0 it degenerates to the control loss exactly.
+    pair_weight 0 it degenerates to the control loss exactly.  As in
+    run_binary_trial, both models are trained before either is evaluated,
+    and the test split is scaled once for both after the training split is
+    dropped.  wall_time is the seconds of the model's train() call.
     """
-    dataset = make_categorical_dataset(raw)
-    parts = split(dataset, cfg.seed)
+    parts = split(make_categorical_dataset(raw), cfg.seed)
+    test = parts.test
     topology = [
-        (dataset.X.shape[1], 50, "relu"),
+        (test.X.shape[1], 50, "relu"),
         (50, 20, "relu"),
         (20, NUM_CLASSES, "softmax"),
     ]
     initial = init_mlp(topology, cfg.seed)
-
-    started = time.perf_counter()
-    control_model, _ = train(initial, parts.train, LossSpec.cce(), cfg.train)
-    control_matrix = confusion_categorical(forward(control_model, parts.test.X)[-1], parts.test.Y)
-    control = _categorical_record(
-        "control", cfg, control_matrix, time.perf_counter() - started
-    )
-
-    started = time.perf_counter()
     fn_weights = np.ones(NUM_CLASSES)
     fp_weights = np.zeros((NUM_CLASSES, NUM_CLASSES))
     fp_weights[cfg.fn_class, cfg.fp_class] = cfg.pair_weight
     weighted_spec = LossSpec.rwwce_categorical(fn_weights, fp_weights)
-    weighted_model, _ = train(initial, parts.train, weighted_spec, cfg.train)
-    weighted_matrix = confusion_categorical(
-        forward(weighted_model, parts.test.X)[-1], parts.test.Y
-    )
-    experimental = _categorical_record(
-        "experimental", cfg, weighted_matrix, time.perf_counter() - started
-    )
+    control_model, control_time = _train_timed(initial, parts.train, LossSpec.cce(), cfg.train)
+    weighted_model, weighted_time = _train_timed(initial, parts.train, weighted_spec, cfg.train)
+    del parts
 
-    return [control, experimental]
+    control_output, weighted_output = _outputs((control_model, weighted_model), test.X)
+    return [
+        _categorical_record(
+            "control", cfg, confusion_categorical(control_output, test.Y), control_time
+        ),
+        _categorical_record(
+            "experimental", cfg, confusion_categorical(weighted_output, test.Y), weighted_time
+        ),
+    ]
 
 
 @dataclass

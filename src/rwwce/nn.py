@@ -5,8 +5,9 @@ Glorot-uniform init, forward pass with retained activations, backprop that
 starts from a fused loss/logit gradient, an in-place Adam optimizer over one
 flat parameter vector, a mini-batch training loop, and central-difference
 gradient checking.  Everything is float64 and deterministic given a seed.
-A uint8 input batch is pixel bytes; forward() scales it with / 255.0, the
-one place the pixels are divided.
+A uint8 input is pixel bytes; network_input() scales it with / 255.0, the
+one place the pixels are divided.  forward() calls it on every batch, and an
+evaluation can call it once to share one scaled split among several models.
 In train() the weights, biases, gradients and Adam moments each live in one
 contiguous vector, so an update is a handful of whole-vector operations.
 """
@@ -165,17 +166,28 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     return z  # identity
 
 
+def network_input(x) -> np.ndarray:
+    """x as the float64 input activation, the one place the pixels are divided.
+
+    A uint8 array is pixel bytes and becomes a new x / 255.0, the same
+    correctly rounded division for every entry.  Any other array is cast to
+    float64, without a copy when it already is float64, so scaling a split
+    once and passing the result to forward() gives the same bits as passing
+    the bytes.
+    """
+    x = np.asarray(x)
+    return x / 255.0 if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
+
+
 def forward(mlp: Mlp, x) -> list[np.ndarray]:
     """Run the network, returning [input, activation_1, ..., output].
 
-    A uint8 batch is pixel bytes: its input activation is x / 255.0, the
-    same correctly rounded division for every entry, so it is bit-identical
-    to feeding the float64 scaled pixels.  Any other batch is cast to
-    float64.  The retained per-layer activations are exactly what
-    backward() needs.
+    The input activation is network_input(x): a uint8 batch is scaled by
+    / 255.0 there, bit-identical to feeding the float64 scaled pixels, and a
+    float64 batch is used as it is.  The retained per-layer activations are
+    exactly what backward() needs.
     """
-    x = np.asarray(x)
-    x = x / 255.0 if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
+    x = network_input(x)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got shape {x.shape}")
     if not mlp.layers:
@@ -241,6 +253,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, config: Tra
       theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     Every entry goes through the same float operations in the same order as
     that formula evaluated left to right, using the state's scratch vectors.
+    Once 1-b1^t rounds to 1.0 (step 356 at the default b1), dividing m by
+    it returns m exactly, so that division is skipped with the same bits.
     """
     if grad.shape != theta.shape or state.m.shape != theta.shape:
         raise ValueError("gradient and moment shapes must mirror the parameters")
@@ -259,8 +273,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, config: Tra
     np.divide(v, corr2, out=u)
     np.sqrt(u, out=u)
     u += config.adam_epsilon
-    np.divide(m, corr1, out=w)
-    w *= config.learning_rate
+    if corr1 == 1.0:
+        np.multiply(m, config.learning_rate, out=w)
+    else:
+        np.divide(m, corr1, out=w)
+        w *= config.learning_rate
     w /= u
     theta -= w
 

@@ -1,5 +1,7 @@
 """Experiment suites: trial mechanics, aggregation, serialization, parallelism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,64 @@ def test_zero_pair_weight_makes_models_identical(small_pool):
     assert experimental.top1_error == control.top1_error
     assert experimental.high_cost_count == control.high_cost_count
     assert experimental.real_world_cost == control.real_world_cost
+
+
+# --- memory order of a trial --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "runner, cfg",
+    [
+        (run_binary_trial, BinaryTrialConfig.make(3, 0, seed=6, train_template=FAST_TRAIN)),
+        (
+            run_categorical_trial,
+            CategoricalTrialConfig.make(4, 9, seed=6, train_template=FAST_CATEGORICAL),
+        ),
+    ],
+    ids=["binary", "categorical"],
+)
+def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatch, runner, cfg):
+    import rwwce.experiments as experiments_module
+
+    refs = []
+    sizes = {}
+    real_split = experiments_module.split
+
+    def watched_split(dataset, seed):
+        parts = real_split(dataset, seed)
+        refs.append(weakref.ref(parts.train.X))
+        # The categorical dataset's X is the corpus array itself, which the
+        # caller keeps; there the un-split Dataset (and its one-hot Y) is
+        # what must go.
+        unsplit = dataset if np.shares_memory(dataset.X, small_pool.images) else dataset.X
+        refs.append(weakref.ref(unsplit))
+        sizes["validation"], sizes["test"] = parts.validation.size, parts.test.size
+        return parts
+
+    calls = []
+    real_forward = experiments_module.forward
+
+    def recording_forward(model, x):
+        calls.append((model, x, [ref() is None for ref in refs]))
+        return real_forward(model, x)
+
+    monkeypatch.setattr(experiments_module, "split", watched_split)
+    monkeypatch.setattr(experiments_module, "forward", recording_forward)
+    runner(cfg, small_pool)
+
+    assert len(refs) == 2
+    for _, x, dead in calls:
+        assert dead == [True, True]
+        assert x.dtype == np.float64
+    models = [model for model, _, _ in calls]
+    inputs = [x for _, x, _ in calls]
+    if runner is run_binary_trial:
+        assert [x.shape[0] for x in inputs] == [sizes["validation"]] * 2 + [sizes["test"]] * 2
+        assert inputs[0] is inputs[1] and inputs[2] is inputs[3]
+        assert models[:2] == models[2:] and models[0] is not models[1]
+    else:
+        assert [x.shape[0] for x in inputs] == [sizes["test"]] * 2
+        assert inputs[0] is inputs[1] and models[0] is not models[1]
 
 
 # --- aggregation -----------------------------------------------------------------

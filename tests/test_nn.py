@@ -22,7 +22,7 @@ from rwwce import (
     loss_value,
     train,
 )
-from rwwce.nn import flat_layers
+from rwwce.nn import flat_layers, network_input
 
 BINARY_TOPOLOGY = [(784, 10, "relu"), (10, 1, "sigmoid")]
 CATEGORICAL_TOPOLOGY = [(784, 50, "relu"), (50, 20, "relu"), (20, 10, "softmax")]
@@ -118,6 +118,10 @@ def test_forward_scales_pixel_bytes_bit_identically():
         expected = forward(mlp, pixels.astype(np.float64) / 255.0)
         assert got[0].dtype == np.float64
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        scaled = network_input(pixels)
+        shared = forward(mlp, scaled)
+        assert shared[0] is scaled
+        assert all(np.array_equal(a, b) for a, b in zip(shared, expected))
 
 
 def test_forward_validates_input():
@@ -191,6 +195,32 @@ def test_adam_constant_gradient_update_approaches_signed_learning_rate():
     step_size = previous - theta[0]
     # 200 steps of roughly lr each, all in the gradient's direction.
     assert step_size == pytest.approx(200 * config.learning_rate, rel=0.01)
+
+
+def test_adam_step_is_bit_identical_to_the_closed_form_for_400_steps():
+    # 1 - b1**t first rounds to 1.0 at t = 356 for the default b1, where
+    # adam_step stops dividing m by it; the run crosses that step.
+    config = TrainConfig()
+    b1, b2, lr, eps = config.adam_beta1, config.adam_beta2, config.learning_rate, config.adam_epsilon
+    first_exact = next(t for t in range(1, 401) if 1.0 - b1**t == 1.0)
+    assert 1 < first_exact < 400
+
+    rng = np.random.default_rng(12)
+    theta = rng.normal(size=64)
+    expected = theta.copy()
+    m, v = np.zeros(64), np.zeros(64)
+    state = AdamState.zeros(64)
+    for t in range(1, 401):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=64)
+        zeros = rng.random(64) < 0.1
+        g[zeros] = np.copysign(0.0, rng.normal(size=int(zeros.sum())))
+        adam_step(theta, g, state, config)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        expected = expected - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        for got, want in ((theta, expected), (state.m, m), (state.v, v)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"step {t}"
+    assert state.step == 400
 
 
 def test_adam_rejects_mismatched_gradients():
