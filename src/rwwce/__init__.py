@@ -22,19 +22,11 @@ from .losses import (
     EPSILON,
     BinaryCostModel,
     CategoricalCostModel,
-    LegacyWeights,
     LossSpec,
-    bce_loss,
-    cce_loss,
     fused_gradient_from_probs,
-    fused_logit_gradient,
     loss_value,
-    rwwce_binary_loss,
-    rwwce_categorical_loss,
     sigmoid,
     softmax,
-    wbce_loss,
-    wcce_loss,
 )
 from .metrics import (
     ConfusionCounts,

@@ -126,20 +126,25 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _cast(key: str, value, kind):
-    """value as kind, refusing any value the cast would change ("5", 1.5 or [1] as an int)."""
+    """value as kind, refusing any value the cast would change ("5", 1.5, [1] or true as an int)."""
     try:
         cast = kind(value)
     except (TypeError, ValueError):
         cast = None
-    if cast is None or cast != value:
+    # bool is an int subclass, so int(True) == True: refuse JSON booleans outright.
+    if cast is None or cast != value or (isinstance(value, bool) and kind is not bool):
         raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
     return cast
 
 
 def _int_list(key: str, value) -> list[int]:
+    """value as a list of ints; a bad item is reported with the whole list."""
     if not isinstance(value, (list, tuple)):
         raise CliError(f"config key {key!r} expects list, got {value!r}")
-    return [_cast(key, item, int) for item in value]
+    try:
+        return [_cast(key, item, int) for item in value]
+    except CliError:
+        raise CliError(f"config key {key!r} expects int, got {value!r}") from None
 
 
 def _resolve(args, defaults: dict) -> dict:

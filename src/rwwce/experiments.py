@@ -232,10 +232,9 @@ def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     validation, test = parts.validation, parts.test
     topology = [(test.X.shape[1], 10, "relu"), (10, 1, "sigmoid")]
     initial = init_mlp(topology, cfg.seed)
+    weighted_spec = LossSpec.rwwce_binary(cfg.cost.fn_cost, cfg.cost.fp_cost)
     control_model, control_time = _train_timed(initial, parts.train, LossSpec.bce(), cfg.train)
-    weighted_model, weighted_time = _train_timed(
-        initial, parts.train, LossSpec("rwwce_binary", binary_cost=cfg.cost), cfg.train
-    )
+    weighted_model, weighted_time = _train_timed(initial, parts.train, weighted_spec, cfg.train)
     del parts
 
     models = (control_model, weighted_model)

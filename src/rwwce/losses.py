@@ -11,19 +11,19 @@ All losses use natural log and clip each log argument below at EPSILON so a
 saturated probability yields a large finite penalty instead of an infinity.
 Each variant is a choice of term weights: (a, b) on the positive and negative
 log terms for binary variants, (a, FP) on the true-class and wrong-class terms
-for categorical ones.  One unchecked kernel, loss_and_gradient, evaluates
-every variant's loss and logit gradient together from those weights, so the
-weighted variants degenerate to the unweighted ones exactly when their
-weights are 1 (and FP is 0); tests hold them to that.  loss_value and
-fused_gradient_from_probs validate a batch and call it; train() validates its
-labels once through checked_targets and calls it per batch.  The six named
-loss functions are thin wrappers over loss_value.
+for categorical ones.  A LossSpec is a variant name plus those weights,
+resolved and validated once by the classmethod named after the variant.  One
+unchecked kernel, loss_and_gradient, evaluates every variant's loss and logit
+gradient together from them, so the weighted variants degenerate to the
+unweighted ones exactly when their weights are 1 (and FP is 0); tests hold
+them to that.  loss_value and fused_gradient_from_probs validate a batch and
+call it; train() validates its labels once through checked_targets and calls
+it per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ EPSILON = 1e-7
 
 VARIANTS = ("bce", "wbce", "cce", "wcce", "rwwce_binary", "rwwce_categorical")
 BINARY_VARIANTS = ("bce", "wbce", "rwwce_binary")
-CATEGORICAL_VARIANTS = ("cce", "wcce", "rwwce_categorical")
 
 ROW_SUM_TOLERANCE = 1e-6
 
@@ -85,10 +84,6 @@ class CategoricalCostModel:
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
 
-    @property
-    def num_classes(self) -> int:
-        return self.fn_costs.shape[0]
-
     def fp_costs_off_diagonal(self) -> np.ndarray:
         """fp_costs with the (unread) diagonal forced to zero."""
         out = self.fp_costs.copy()
@@ -96,49 +91,23 @@ class CategoricalCostModel:
         return out
 
 
-@dataclass
-class LegacyWeights:
-    """Class weights for the standard weighted cross-entropies.
+@dataclass(frozen=True)
+class LossSpec:
+    """A loss variant and its term weights, as loss_and_gradient reads them.
 
-    positive scales the positive-label term of the binary loss; per_class
-    scales each true-class term of the categorical loss.  Both must be
-    strictly positive.
+    terms is (a, b), the positive- and negative-label multipliers, for the
+    binary variants; (a, FP), a true-class weight vector and an off-diagonal
+    false-positive matrix, for wcce and rwwce_categorical; and None for cce,
+    whose class count comes from the batch.  Build a spec with the
+    classmethod named after its variant, which validates the weights.
     """
 
-    positive: float = 1.0
-    per_class: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.positive) or self.positive <= 0:
-            raise ValueError(f"positive weight must be finite and > 0, got {self.positive!r}")
-        if self.per_class is not None:
-            self.per_class = np.asarray(self.per_class, dtype=np.float64)
-            if self.per_class.ndim != 1 or self.per_class.size < 2:
-                raise ValueError("per_class must be a vector of length >= 2")
-            if not np.all(np.isfinite(self.per_class)) or np.any(self.per_class <= 0):
-                raise ValueError("per_class weights must be finite and > 0")
-
-
-@dataclass
-class LossSpec:
-    """A loss variant plus whatever weight payload that variant needs."""
-
     variant: str
-    weights: LegacyWeights | None = None
-    binary_cost: BinaryCostModel | None = None
-    categorical_cost: CategoricalCostModel | None = None
+    terms: tuple | None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.variant == "wbce" and (self.weights is None):
-            raise ValueError("wbce requires LegacyWeights with a positive weight")
-        if self.variant == "wcce" and (self.weights is None or self.weights.per_class is None):
-            raise ValueError("wcce requires LegacyWeights with per_class weights")
-        if self.variant == "rwwce_binary" and self.binary_cost is None:
-            raise ValueError("rwwce_binary requires a BinaryCostModel")
-        if self.variant == "rwwce_categorical" and self.categorical_cost is None:
-            raise ValueError("rwwce_categorical requires a CategoricalCostModel")
 
     @property
     def is_binary(self) -> bool:
@@ -146,30 +115,50 @@ class LossSpec:
 
     @classmethod
     def bce(cls) -> "LossSpec":
-        return cls("bce")
+        return cls("bce", (1.0, 1.0))
 
     @classmethod
     def wbce(cls, positive_weight: float) -> "LossSpec":
-        return cls("wbce", weights=LegacyWeights(positive=positive_weight))
+        """Binary cross-entropy with the positive-label term scaled by positive_weight."""
+        if not np.isfinite(positive_weight) or positive_weight <= 0:
+            raise ValueError(f"positive weight must be finite and > 0, got {positive_weight!r}")
+        return cls("wbce", (float(positive_weight), 1.0))
 
     @classmethod
     def cce(cls) -> "LossSpec":
-        return cls("cce")
+        return cls("cce", None)
 
     @classmethod
-    def wcce(cls, per_class: Sequence[float] | np.ndarray) -> "LossSpec":
-        return cls("wcce", weights=LegacyWeights(per_class=np.asarray(per_class, dtype=np.float64)))
+    def wcce(cls, per_class) -> "LossSpec":
+        """Categorical cross-entropy with each true-class term scaled by its class weight."""
+        w = np.array(per_class, dtype=np.float64)  # a copy: the spec owns its weights
+        if w.ndim != 1 or w.size < 2:
+            raise ValueError("per_class must be a vector of length >= 2")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValueError("per_class weights must be finite and > 0")
+        return cls("wcce", (w, np.zeros((w.size, w.size))))
 
     @classmethod
     def rwwce_binary(cls, fn_cost: float, fp_cost: float) -> "LossSpec":
-        return cls("rwwce_binary", binary_cost=BinaryCostModel(fn_cost, fp_cost))
+        """Binary cross-entropy with each error term priced at its marginal cost.
+
+        The positive-label log term carries fn_cost, the negative-label term
+        fp_cost, so the value is the batch-mean expected cost surrogate.
+        """
+        cost = BinaryCostModel(fn_cost, fp_cost)
+        return cls("rwwce_binary", (float(cost.fn_cost), float(cost.fp_cost)))
 
     @classmethod
     def rwwce_categorical(cls, fn_costs, fp_costs) -> "LossSpec":
-        return cls(
-            "rwwce_categorical",
-            categorical_cost=CategoricalCostModel(np.asarray(fn_costs), np.asarray(fp_costs)),
-        )
+        """Categorical cross-entropy priced by real-world costs.
+
+        For an example of true class k the loss charges fn_costs[k] on the
+        true-class log term and, for every other class k', fp_costs[k][k'] on
+        log(1 - h_k'), penalizing probability parked on wrong classes that are
+        expensive to confuse.  The diagonal of fp_costs is ignored.
+        """
+        cost = CategoricalCostModel(fn_costs, fp_costs)
+        return cls("rwwce_categorical", (cost.fn_costs.copy(), cost.fp_costs_off_diagonal()))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -189,28 +178,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _binary_term_weights(spec: LossSpec) -> tuple[float, float]:
-    """(positive-term, negative-term) multipliers for a binary variant."""
-    if spec.variant == "bce":
-        return 1.0, 1.0
-    if spec.variant == "wbce":
-        return spec.weights.positive, 1.0
-    return spec.binary_cost.fn_cost, spec.binary_cost.fp_cost
-
-
 def _categorical_term_weights(spec: LossSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(true-class vector, off-diagonal fp matrix) multipliers for a categorical variant."""
-    if spec.variant == "cce":
+    """(true-class vector, off-diagonal fp matrix) multipliers for a batch of k classes."""
+    if spec.terms is None:
         return np.ones(k), np.zeros((k, k))
-    if spec.variant == "wcce":
-        w = spec.weights.per_class
-        if w.shape[0] != k:
-            raise ValueError(f"per_class has {w.shape[0]} entries for {k} classes")
-        return w, np.zeros((k, k))
-    cost = spec.categorical_cost
-    if cost.num_classes != k:
-        raise ValueError(f"cost model has {cost.num_classes} classes, batch has {k}")
-    return cost.fn_costs, cost.fp_costs_off_diagonal()
+    n = spec.terms[0].shape[0]
+    if n != k:
+        if spec.variant == "wcce":
+            raise ValueError(f"per_class has {n} entries for {k} classes")
+        raise ValueError(f"cost model has {n} classes, batch has {k}")
+    return spec.terms
 
 
 def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, tuple]:
@@ -239,7 +216,7 @@ def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, tuple]:
     if spec.is_binary:
         if np.any((y != 0.0) & (y != 1.0)):
             raise ValueError("binary labels must be exactly 0 or 1")
-        return y, _binary_term_weights(spec)
+        return y, spec.terms
     if h_shape[1] < 2:
         raise ValueError("categorical batch needs at least two classes")
     if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
@@ -307,46 +284,6 @@ def loss_value(spec: LossSpec, h, y) -> float:
     return loss_and_gradient(spec, *_checked(spec, h, y))[0]
 
 
-def bce_loss(h, y) -> float:
-    """Binary cross-entropy, averaged over the batch."""
-    return loss_value(LossSpec.bce(), h, y)
-
-
-def wbce_loss(h, y, weights: LegacyWeights) -> float:
-    """Binary cross-entropy with the positive-label term scaled by weights.positive."""
-    return loss_value(LossSpec("wbce", weights=weights), h, y)
-
-
-def rwwce_binary_loss(h, y, cost: BinaryCostModel) -> float:
-    """Binary cross-entropy with each error term priced at its marginal cost.
-
-    The positive-label log term carries cost.fn_cost, the negative-label term
-    cost.fp_cost, so the value is the batch-mean expected cost surrogate.
-    """
-    return loss_value(LossSpec("rwwce_binary", binary_cost=cost), h, y)
-
-
-def cce_loss(h, y) -> float:
-    """Categorical cross-entropy over probability rows and one-hot labels."""
-    return loss_value(LossSpec.cce(), h, y)
-
-
-def wcce_loss(h, y, weights: LegacyWeights) -> float:
-    """Categorical cross-entropy with each true-class term scaled by its class weight."""
-    return loss_value(LossSpec("wcce", weights=weights), h, y)
-
-
-def rwwce_categorical_loss(h, y, cost: CategoricalCostModel) -> float:
-    """Categorical cross-entropy priced by real-world costs.
-
-    For an example of true class k the loss charges fn_costs[k] on the
-    true-class log term and, for every other class k', fp_costs[k][k'] on
-    log(1 - h_k'), penalizing probability parked on wrong classes that are
-    expensive to confuse.  The diagonal of fp_costs is ignored.
-    """
-    return loss_value(LossSpec("rwwce_categorical", categorical_cost=cost), h, y)
-
-
 def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
     """Gradient of loss_value with respect to the final-layer logits,
     expressed through the activation outputs h (sigmoid or softmax rows).
@@ -356,17 +293,3 @@ def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
     """
     return loss_and_gradient(spec, *_checked(spec, h, y))[1]
 
-
-def fused_logit_gradient(spec: LossSpec, z, y) -> np.ndarray:
-    """Gradient of loss_value(spec, activation(z), y) with respect to z.
-
-    For binary variants z holds sigmoid logits, shape (M,) or (M, 1); for
-    categorical variants z holds softmax logit rows, shape (M, K).  Matches
-    central finite differences of the composed loss.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if spec.is_binary:
-        h = sigmoid(z)
-    else:
-        h = softmax(z)
-    return fused_gradient_from_probs(spec, h, y)

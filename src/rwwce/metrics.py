@@ -133,10 +133,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
 
 def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
     """Tally argmax predictions against one-hot labels.

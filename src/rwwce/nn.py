@@ -363,14 +363,16 @@ def gradcheck(
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     Entries whose true magnitude sits near that floor are dominated by
     finite-difference cancellation noise, so keep the probe networks small
-    and the batches moderate.  The batch is validated once, at the
-    unperturbed parameters; each probe runs the unchecked loss kernel.
+    and the batches moderate.  The output layer is checked against the loss
+    as train() checks it, and the labels are validated once; the analytic
+    gradient and every probe run the unchecked loss kernel.
     """
+    _check_pairing(mlp, loss_spec)
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     acts = forward(mlp, x)
-    analytic = backward(mlp, acts, fused_gradient_from_probs(loss_spec, acts[-1], y))
     y, weights = checked_targets(loss_spec, y, acts[-1].shape)
+    analytic = backward(mlp, acts, loss_and_gradient(loss_spec, weights, acts[-1], y)[1])
 
     work = mlp.copy()
 

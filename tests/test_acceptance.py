@@ -16,28 +16,22 @@ import pytest
 from rwwce import (
     BernoulliScenario,
     BinaryCostModel,
-    CategoricalCostModel,
-    LegacyWeights,
+    LossSpec,
     TrainConfig,
     analytic_minimizer,
-    bce_loss,
     best_f1_threshold,
-    cce_loss,
     descend,
     gradcheck_matrix,
     likelihood_check,
+    loss_value,
     paired_t_test,
     real_world_cost_binary,
     real_world_cost_categorical,
     records_match,
     run_binary_suite,
     run_categorical_suite,
-    rwwce_binary_loss,
-    rwwce_categorical_loss,
     sample_pairs,
     softmax,
-    wbce_loss,
-    wcce_loss,
 )
 from rwwce.experiments import _without_wall_time
 
@@ -78,24 +72,23 @@ def test_criterion_2_loss_degeneracies():
         h = rng.uniform(1e-6, 1.0 - 1e-6, size=m)
         y = rng.integers(0, 2, size=m).astype(np.float64)
         w = float(rng.uniform(0.1, 100.0))
-        worst = max(worst, abs(rwwce_binary_loss(h, y, BinaryCostModel(1.0, 1.0)) - bce_loss(h, y)))
+        bce = loss_value(LossSpec.bce(), h, y)
+        worst = max(worst, abs(loss_value(LossSpec.rwwce_binary(1.0, 1.0), h, y) - bce))
         worst = max(
             worst,
             abs(
-                rwwce_binary_loss(h, y, BinaryCostModel(w, 1.0))
-                - wbce_loss(h, y, LegacyWeights(positive=w))
+                loss_value(LossSpec.rwwce_binary(w, 1.0), h, y)
+                - loss_value(LossSpec.wbce(w), h, y)
             ),
         )
 
         k = int(rng.integers(2, 11))
         hk = softmax(rng.normal(size=(m, k)) * 3.0)
         yk = np.eye(k)[rng.integers(0, k, size=m)]
-        unit = CategoricalCostModel(np.ones(k), np.zeros((k, k)))
-        worst = max(worst, abs(rwwce_categorical_loss(hk, yk, unit) - cce_loss(hk, yk)))
-        worst = max(
-            worst,
-            abs(wcce_loss(hk, yk, LegacyWeights(per_class=np.ones(k))) - cce_loss(hk, yk)),
-        )
+        cce = loss_value(LossSpec.cce(), hk, yk)
+        unit = LossSpec.rwwce_categorical(np.ones(k), np.zeros((k, k)))
+        worst = max(worst, abs(loss_value(unit, hk, yk) - cce))
+        worst = max(worst, abs(loss_value(LossSpec.wcce(np.ones(k)), hk, yk) - cce))
     assert worst <= 1e-15, worst
     passed(2, "loss degeneracies")
 

@@ -319,6 +319,9 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
         ("run-binary", "digits", 3, "list"),
         ("run-categorical", "pairs", "4:9", "list"),
         ("gradcheck", "tolerance", None, "float"),
+        ("gradcheck", "instances", True, "int"),
+        ("run-binary", "w_mcfn", False, "float"),
+        ("run-binary", "digits", [True], "int"),
     ],
 )
 def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, kind):

@@ -8,8 +8,14 @@ different float path) fails this test.  When a change is meant to move the
 records, regenerate the file and say so in the change log:
 
     PYTHONPATH=src:tests python tests/test_frozen_records.py
+
+The records are bit-exact only for the host's default OpenBLAS thread count:
+the bits of x @ W change with the number of BLAS threads, so on a 2-core
+x86_64 host the gate fails under OPENBLAS_NUM_THREADS=1.  A failure message
+names the thread setting and the core count it ran with.
 """
 
+import os
 from pathlib import Path
 
 from rwwce import (
@@ -37,7 +43,12 @@ def test_fixed_run_reproduces_frozen_records(small_pool):
     records = fixed_run(small_pool)
     frozen = load_records(FROZEN)
     assert [r.model for r in records] == ["control1", "control2", "test", "control", "experimental"]
-    assert records_match(records, frozen)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset (OpenBLAS default)")
+    assert records_match(records, frozen), (
+        f"records differ from tests/frozen/{FROZEN.name}, bit-exact only for the default "
+        f"OpenBLAS thread count of the host that froze it; this run had "
+        f"OPENBLAS_NUM_THREADS={threads} and os.cpu_count()={os.cpu_count()}"
+    )
 
 
 if __name__ == "__main__":

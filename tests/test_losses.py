@@ -14,19 +14,11 @@ from rwwce import (
     EPSILON,
     BinaryCostModel,
     CategoricalCostModel,
-    LegacyWeights,
     LossSpec,
-    bce_loss,
-    cce_loss,
     fused_gradient_from_probs,
-    fused_logit_gradient,
     loss_value,
-    rwwce_binary_loss,
-    rwwce_categorical_loss,
     sigmoid,
     softmax,
-    wbce_loss,
-    wcce_loss,
 )
 from rwwce.losses import checked_targets, loss_and_gradient
 
@@ -52,39 +44,41 @@ def random_categorical_batch(rng, k=None, m=None):
 
 
 def test_bce_single_positive():
-    assert bce_loss([0.6], [1.0]) == pytest.approx(-math.log(0.6), rel=1e-15)
+    assert loss_value(LossSpec.bce(), [0.6], [1.0]) == pytest.approx(-math.log(0.6), rel=1e-15)
 
 
 def test_bce_perfect_prediction_is_zero():
-    assert bce_loss([1.0, 0.0], [1.0, 0.0]) == 0.0
+    assert loss_value(LossSpec.bce(), [1.0, 0.0], [1.0, 0.0]) == 0.0
 
 
 def test_bce_symmetric_half():
-    assert bce_loss([0.5, 0.5], [0.0, 1.0]) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert loss_value(LossSpec.bce(), [0.5, 0.5], [0.0, 1.0]) == pytest.approx(
+        math.log(2.0), rel=1e-15
+    )
 
 
 def test_bce_clips_log_argument_below():
     # A fully wrong saturated prediction costs -ln(eps), not infinity.
-    assert bce_loss([0.0], [1.0]) == pytest.approx(-math.log(EPSILON), rel=1e-15)
-    assert bce_loss([1.0], [0.0]) == pytest.approx(-math.log(EPSILON), rel=1e-15)
+    assert loss_value(LossSpec.bce(), [0.0], [1.0]) == pytest.approx(-math.log(EPSILON), rel=1e-15)
+    assert loss_value(LossSpec.bce(), [1.0], [0.0]) == pytest.approx(-math.log(EPSILON), rel=1e-15)
 
 
 def test_bce_batch_mean():
     expected = (-math.log(0.9) - math.log(1.0 - 0.2)) / 2.0
-    assert bce_loss([0.9, 0.2], [1.0, 0.0]) == pytest.approx(expected, rel=1e-15)
+    assert loss_value(LossSpec.bce(), [0.9, 0.2], [1.0, 0.0]) == pytest.approx(expected, rel=1e-15)
 
 
 def test_wbce_weights_positive_term_only():
-    w = LegacyWeights(positive=2.0)
-    assert wbce_loss([0.6], [1.0], w) == pytest.approx(-2.0 * math.log(0.6), rel=1e-15)
+    w = LossSpec.wbce(2.0)
+    assert loss_value(w, [0.6], [1.0]) == pytest.approx(-2.0 * math.log(0.6), rel=1e-15)
     # y=0: the weight must not touch the negative term.
-    assert wbce_loss([0.6], [0.0], w) == pytest.approx(-math.log(0.4), rel=1e-15)
+    assert loss_value(w, [0.6], [0.0]) == pytest.approx(-math.log(0.4), rel=1e-15)
 
 
 def test_cce_only_true_class_matters():
     y = [[1.0, 0.0, 0.0]]
-    a = cce_loss([[0.6, 0.3, 0.1]], y)
-    b = cce_loss([[0.6, 0.2, 0.2]], y)
+    a = loss_value(LossSpec.cce(), [[0.6, 0.3, 0.1]], y)
+    b = loss_value(LossSpec.cce(), [[0.6, 0.2, 0.2]], y)
     assert a == pytest.approx(-math.log(0.6), rel=1e-15)
     assert a == b
 
@@ -93,32 +87,32 @@ def test_cce_uniform_ten_classes():
     h = np.full((1, 10), 0.1)
     y = np.zeros((1, 10))
     y[0, 3] = 1.0
-    assert cce_loss(h, y) == pytest.approx(math.log(10.0), rel=1e-14)
+    assert loss_value(LossSpec.cce(), h, y) == pytest.approx(math.log(10.0), rel=1e-14)
 
 
 def test_cce_perfect_one_hot_is_zero():
     y = np.eye(4)
-    assert cce_loss(y, y) == 0.0
+    assert loss_value(LossSpec.cce(), y, y) == 0.0
 
 
 def test_wcce_scales_true_class_term():
     h = [[0.5, 0.25, 0.25]]
     y = [[1.0, 0.0, 0.0]]
-    assert wcce_loss(h, y, LegacyWeights(per_class=[2.0, 1.0, 1.0])) == pytest.approx(
+    assert loss_value(LossSpec.wcce([2.0, 1.0, 1.0]), h, y) == pytest.approx(
         2.0 * math.log(2.0), rel=1e-15
     )
     # Weights of classes the label does not select are irrelevant.
-    assert wcce_loss(h, y, LegacyWeights(per_class=[1.0, 3.0, 1.0])) == pytest.approx(
+    assert loss_value(LossSpec.wcce([1.0, 3.0, 1.0]), h, y) == pytest.approx(
         math.log(2.0), rel=1e-15
     )
 
 
 def test_rwwce_binary_worked_value():
-    cost = BinaryCostModel(2000.0, 100.0)
-    assert rwwce_binary_loss([0.5], [1.0], cost) == pytest.approx(
+    cost = LossSpec.rwwce_binary(2000.0, 100.0)
+    assert loss_value(cost, [0.5], [1.0]) == pytest.approx(
         2000.0 * math.log(2.0), rel=1e-14
     )
-    assert rwwce_binary_loss([0.5], [0.0], cost) == pytest.approx(
+    assert loss_value(cost, [0.5], [0.0]) == pytest.approx(
         100.0 * math.log(2.0), rel=1e-14
     )
 
@@ -128,15 +122,15 @@ def test_rwwce_categorical_worked_value():
     # J = -(ln 0.6 + 19 ln(1 - 0.3)).
     fp = np.zeros((3, 3))
     fp[0, 1] = 19.0
-    cost = CategoricalCostModel(np.ones(3), fp)
-    got = rwwce_categorical_loss([[0.6, 0.3, 0.1]], [[1.0, 0.0, 0.0]], cost)
+    cost = LossSpec.rwwce_categorical(np.ones(3), fp)
+    got = loss_value(cost, [[0.6, 0.3, 0.1]], [[1.0, 0.0, 0.0]])
     assert got == pytest.approx(-(math.log(0.6) + 19.0 * math.log(0.7)), rel=1e-14)
 
 
 def test_rwwce_categorical_perfect_prediction_is_zero():
     y = np.eye(3)
-    cost = CategoricalCostModel(np.ones(3), np.full((3, 3), 7.0))
-    assert rwwce_categorical_loss(y, y, cost) == 0.0
+    cost = LossSpec.rwwce_categorical(np.ones(3), np.full((3, 3), 7.0))
+    assert loss_value(cost, y, y) == 0.0
 
 
 def test_rwwce_categorical_ignores_fp_diagonal():
@@ -145,38 +139,15 @@ def test_rwwce_categorical_ignores_fp_diagonal():
     fp = rng.uniform(0.0, 3.0, size=(4, 4))
     spiked = fp.copy()
     np.fill_diagonal(spiked, 1e6)
-    a = rwwce_categorical_loss(h, y, CategoricalCostModel(np.ones(4), fp))
-    b = rwwce_categorical_loss(h, y, CategoricalCostModel(np.ones(4), spiked))
+    a = loss_value(LossSpec.rwwce_categorical(np.ones(4), fp), h, y)
+    b = loss_value(LossSpec.rwwce_categorical(np.ones(4), spiked), h, y)
     assert a == b
-
-
-def test_loss_value_dispatch_matches_direct_calls():
-    rng = np.random.default_rng(0)
-    hb, yb = random_binary_batch(rng, m=32)
-    hc, yc = random_categorical_batch(rng, k=5, m=32)
-    w = rng.uniform(0.5, 2.0, size=5)
-    fp = rng.uniform(0.0, 2.0, size=(5, 5))
-    cases = [
-        (LossSpec.bce(), bce_loss(hb, yb), hb, yb),
-        (LossSpec.wbce(3.0), wbce_loss(hb, yb, LegacyWeights(positive=3.0)), hb, yb),
-        (LossSpec.rwwce_binary(7.0, 2.0), rwwce_binary_loss(hb, yb, BinaryCostModel(7.0, 2.0)), hb, yb),
-        (LossSpec.cce(), cce_loss(hc, yc), hc, yc),
-        (LossSpec.wcce(w), wcce_loss(hc, yc, LegacyWeights(per_class=w)), hc, yc),
-        (
-            LossSpec.rwwce_categorical(np.ones(5), fp),
-            rwwce_categorical_loss(hc, yc, CategoricalCostModel(np.ones(5), fp)),
-            hc,
-            yc,
-        ),
-    ]
-    for spec, expected, h, y in cases:
-        assert loss_value(spec, h, y) == expected
 
 
 def test_monotone_decreasing_in_h_for_positive_example():
     grid = np.linspace(0.05, 0.95, 19)
-    bce_curve = [bce_loss([p], [1.0]) for p in grid]
-    rw_curve = [rwwce_binary_loss([p], [1.0], BinaryCostModel(5.0, 1.0)) for p in grid]
+    bce_curve = [loss_value(LossSpec.bce(), [p], [1.0]) for p in grid]
+    rw_curve = [loss_value(LossSpec.rwwce_binary(5.0, 1.0), [p], [1.0]) for p in grid]
     assert all(a > b for a, b in zip(bce_curve, bce_curve[1:]))
     assert all(a > b for a, b in zip(rw_curve, rw_curve[1:]))
 
@@ -188,17 +159,17 @@ def test_degeneracies_are_exact_on_random_batches():
     rng = np.random.default_rng(42)
     for _ in range(50):
         h, y = random_binary_batch(rng)
-        assert rwwce_binary_loss(h, y, BinaryCostModel(1.0, 1.0)) == bce_loss(h, y)
+        assert loss_value(LossSpec.rwwce_binary(1.0, 1.0), h, y) == loss_value(LossSpec.bce(), h, y)
         w = float(rng.uniform(0.25, 8.0))
-        assert rwwce_binary_loss(h, y, BinaryCostModel(w, 1.0)) == wbce_loss(
-            h, y, LegacyWeights(positive=w)
+        assert loss_value(LossSpec.rwwce_binary(w, 1.0), h, y) == loss_value(
+            LossSpec.wbce(w), h, y
         )
         hc, yc = random_categorical_batch(rng)
         k = hc.shape[1]
-        assert rwwce_categorical_loss(
-            hc, yc, CategoricalCostModel(np.ones(k), np.zeros((k, k)))
-        ) == cce_loss(hc, yc)
-        assert wcce_loss(hc, yc, LegacyWeights(per_class=np.ones(k))) == cce_loss(hc, yc)
+        assert loss_value(
+            LossSpec.rwwce_categorical(np.ones(k), np.zeros((k, k))), hc, yc
+        ) == loss_value(LossSpec.cce(), hc, yc)
+        assert loss_value(LossSpec.wcce(np.ones(k)), hc, yc) == loss_value(LossSpec.cce(), hc, yc)
 
 
 # --- fused gradients ---------------------------------------------------------
@@ -255,7 +226,8 @@ def test_fused_logit_gradient_matches_finite_differences():
                 z = rng.uniform(-4.0, 4.0, size=(m, k))
                 y = np.zeros((m, k))
                 y[np.arange(m), rng.integers(0, k, size=m)] = 1.0
-            analytic = fused_logit_gradient(spec, z, y)
+            h = sigmoid(z) if spec.is_binary else softmax(z)
+            analytic = fused_gradient_from_probs(spec, h, y)
             numeric = central_difference(spec, z, y)
             assert relative_errors(analytic, numeric).max() < 1e-6, spec.variant
 
@@ -287,20 +259,20 @@ def test_categorical_fused_gradient_reduces_to_softmax_residual():
 
 def test_binary_batch_validation():
     with pytest.raises(ValueError):
-        bce_loss([], [])
+        loss_value(LossSpec.bce(), [], [])
     with pytest.raises(ValueError):
-        bce_loss([0.5, 0.5], [1.0])
+        loss_value(LossSpec.bce(), [0.5, 0.5], [1.0])
     with pytest.raises(ValueError):
-        bce_loss([0.5], [0.5])  # labels must be exactly 0 or 1
+        loss_value(LossSpec.bce(), [0.5], [0.5])  # labels must be exactly 0 or 1
     with pytest.raises(ValueError):
-        bce_loss([1.2], [1.0])
+        loss_value(LossSpec.bce(), [1.2], [1.0])
     with pytest.raises(ValueError):
-        bce_loss([-0.1], [0.0])
+        loss_value(LossSpec.bce(), [-0.1], [0.0])
 
 
 def test_binary_accepts_column_vectors():
-    a = bce_loss(np.array([[0.7], [0.2]]), np.array([[1.0], [0.0]]))
-    b = bce_loss([0.7, 0.2], [1.0, 0.0])
+    a = loss_value(LossSpec.bce(), np.array([[0.7], [0.2]]), np.array([[1.0], [0.0]]))
+    b = loss_value(LossSpec.bce(), [0.7, 0.2], [1.0, 0.0])
     assert a == b
 
 
@@ -308,15 +280,15 @@ def test_categorical_batch_validation():
     good_h = [[0.5, 0.5]]
     good_y = [[1.0, 0.0]]
     with pytest.raises(ValueError):
-        cce_loss([[0.7, 0.7]], good_y)  # rows must sum to 1
+        loss_value(LossSpec.cce(), [[0.7, 0.7]], good_y)  # rows must sum to 1
     with pytest.raises(ValueError):
-        cce_loss(good_h, [[0.5, 0.5]])  # labels must be exact one-hot
+        loss_value(LossSpec.cce(), good_h, [[0.5, 0.5]])  # labels must be exact one-hot
     with pytest.raises(ValueError):
-        cce_loss(good_h, [[1.0, 1.0]])
+        loss_value(LossSpec.cce(), good_h, [[1.0, 1.0]])
     with pytest.raises(ValueError):
-        cce_loss([0.5, 0.5], [1.0, 0.0])  # 1-D rejected
+        loss_value(LossSpec.cce(), [0.5, 0.5], [1.0, 0.0])  # 1-D rejected
     with pytest.raises(ValueError):
-        cce_loss(np.empty((0, 2)), np.empty((0, 2)))
+        loss_value(LossSpec.cce(), np.empty((0, 2)), np.empty((0, 2)))
 
 
 def test_cost_model_validation():
@@ -332,40 +304,53 @@ def test_cost_model_validation():
         CategoricalCostModel(np.ones(3), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         CategoricalCostModel(np.ones(3), -np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        LegacyWeights(positive=0.0)
-    with pytest.raises(ValueError):
-        LegacyWeights(per_class=[1.0, -2.0])
+    with pytest.raises(ValueError, match="positive weight must be finite and > 0, got 0.0"):
+        LossSpec.wbce(0.0)
+    with pytest.raises(ValueError, match="per_class weights must be finite and > 0"):
+        LossSpec.wcce([1.0, -2.0])
+    with pytest.raises(ValueError, match="per_class must be a vector of length >= 2"):
+        LossSpec.wcce([1.0])
+    # The cost-priced specs validate through the cost models, with their messages.
+    with pytest.raises(ValueError, match="at least one of fn_cost, fp_cost must be positive"):
+        LossSpec.rwwce_binary(0.0, 0.0)
+    with pytest.raises(ValueError, match="fp_costs must be 3x3 to match fn_costs"):
+        LossSpec.rwwce_categorical(np.ones(3), np.zeros((2, 2)))
 
 
-def test_loss_spec_requires_matching_payload():
-    with pytest.raises(ValueError):
-        LossSpec("nonsense")
-    with pytest.raises(ValueError):
-        LossSpec("wbce")
-    with pytest.raises(ValueError):
-        LossSpec("wcce", weights=LegacyWeights(positive=2.0))
-    with pytest.raises(ValueError):
-        LossSpec("rwwce_binary")
-    with pytest.raises(ValueError):
-        LossSpec("rwwce_categorical")
+def test_loss_spec_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown loss variant 'nonsense'"):
+        LossSpec("nonsense", None)
     assert LossSpec.bce().is_binary
     assert not LossSpec.cce().is_binary
+
+
+def test_loss_spec_terms_are_the_kernel_weights():
+    assert LossSpec.bce().terms == (1.0, 1.0)
+    assert LossSpec.wbce(3).terms == (3.0, 1.0)
+    assert LossSpec.rwwce_binary(2000, 100).terms == (2000.0, 100.0)
+    assert all(type(t) is float for t in LossSpec.rwwce_binary(2000, 100).terms)
+    assert LossSpec.cce().terms is None
+    a, fp = LossSpec.wcce([2.0, 1.0, 3.0]).terms
+    assert np.array_equal(a, [2.0, 1.0, 3.0]) and np.array_equal(fp, np.zeros((3, 3)))
+    fn_costs = np.array([1.0, 2.0, 3.0])
+    fp_costs = np.arange(9.0).reshape(3, 3)
+    a, fp = LossSpec.rwwce_categorical(fn_costs, fp_costs).terms
+    assert np.array_equal(a, fn_costs)
+    assert np.array_equal(fp, fp_costs - np.diag(np.diag(fp_costs)))
+    assert fp_costs[1, 1] == 4.0  # the caller's matrix keeps its diagonal
+    per_class = np.ones(3)
+    wcce = LossSpec.wcce(per_class)
+    fn_costs[0] = per_class[0] = 9.0  # later edits by the caller do not reach a built spec
+    assert wcce.terms[0][0] == 1.0 and a[0] == 1.0
 
 
 def test_class_count_mismatches_are_rejected():
     h = [[0.5, 0.3, 0.2]]
     y = [[1.0, 0.0, 0.0]]
-    short_weights = LegacyWeights(per_class=[1.0, 1.0])
-    wide_cost = CategoricalCostModel(np.ones(4), np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="per_class has 2 entries for 3 classes"):
-        wcce_loss(h, y, short_weights)
-    with pytest.raises(ValueError, match="cost model has 4 classes, batch has 3"):
-        rwwce_categorical_loss(h, y, wide_cost)
     specs = [
-        (LossSpec("wcce", weights=short_weights), "per_class has 2 entries for 3 classes"),
+        (LossSpec.wcce([1.0, 1.0]), "per_class has 2 entries for 3 classes"),
         (
-            LossSpec("rwwce_categorical", categorical_cost=wide_cost),
+            LossSpec.rwwce_categorical(np.ones(4), np.zeros((4, 4))),
             "cost model has 4 classes, batch has 3",
         ),
     ]

@@ -548,6 +548,21 @@ def test_gradcheck_detects_a_corrupted_gradient():
     assert rel > 1e-5
 
 
+@pytest.mark.parametrize(
+    "topology, spec, message",
+    [
+        ([(3, 2, "relu"), (2, 1, "identity")], LossSpec.bce(), "bce needs a 1-unit sigmoid"),
+        ([(3, 2, "relu"), (2, 3, "sigmoid")], LossSpec.cce(), "cce needs a softmax output"),
+    ],
+)
+def test_gradcheck_rejects_an_output_layer_the_loss_cannot_read(topology, spec, message):
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-1.0, 1.0, size=(6, 3))
+    y = np.eye(3)[np.arange(6) % 3] if topology[-1][1] == 3 else (np.arange(6) % 2) * 1.0
+    with pytest.raises(ValueError, match=message):
+        gradcheck(init_mlp(topology, seed=1), (x, y), spec)
+
+
 def test_gradcheck_mirrored_two_class_heads_both_pass():
     # The same problem phrased as 1-unit sigmoid and as 2-way softmax.
     rng = np.random.default_rng(31)
