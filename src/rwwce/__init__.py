@@ -54,6 +54,7 @@ from .nn import (
     gradcheck,
     gradcheck_matrix,
     init_mlp,
+    outputs,
     train,
 )
 from .experiments import (

@@ -47,7 +47,14 @@ from .metrics import (
     real_world_cost_categorical,
     top1_error,
 )
-from .nn import Mlp, TrainConfig, forward, init_mlp, network_input, train
+from .nn import (
+    Mlp,
+    TrainConfig,
+    forward,  # unused here; perfbench wraps experiments.forward
+    init_mlp,
+    outputs,
+    train,
+)
 
 DEFAULT_BINARY_COST = BinaryCostModel(fn_cost=2000.0, fp_cost=100.0)
 DEFAULT_PAIR_WEIGHT = 19.0
@@ -206,25 +213,16 @@ def _train_timed(initial: Mlp, train_set, loss_spec: LossSpec, config: TrainConf
     return model, time.perf_counter() - started
 
 
-def _outputs(models, pixels) -> list[np.ndarray]:
-    """Each model's output layer on one evaluation split.
-
-    The split is scaled once, by network_input, and every model gets that
-    same float64 array.  It is dropped on return, so scoring the splits one
-    after the other keeps one scaled copy alive at a time.
-    """
-    x = network_input(pixels)
-    return [forward(model, x)[-1] for model in models]
-
-
 def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     """Train and evaluate the three binary models on one dataset slice.
 
     Returns [control1, control2, test] records.  control2 never retrains: it
     reuses control1's parameters and only moves the decision threshold.
     The trial runs in two phases: it trains both models, drops the training
-    split, and only then evaluates them, so the un-split dataset and the
-    training split are gone before any split is scaled to float64.
+    split, and only then evaluates them with nn.outputs, so the un-split
+    dataset and the training split are gone before any pixels of the
+    validation and test splits are scaled, in row blocks shared by both
+    models.
     wall_time is the seconds of the model's train() call for control1 and
     test, and of the threshold search and rescoring for control2.
     """
@@ -238,8 +236,8 @@ def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     del parts
 
     models = (control_model, weighted_model)
-    control_validation, weighted_validation = (o[:, 0] for o in _outputs(models, validation.X))
-    control_test, weighted_test = (o[:, 0] for o in _outputs(models, test.X))
+    control_validation, weighted_validation = (o[:, 0] for o in outputs(models, validation.X))
+    control_test, weighted_test = (o[:, 0] for o in outputs(models, test.X))
 
     control1 = _binary_record(
         "control1",
@@ -304,8 +302,9 @@ def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[Ru
     pair_weight on the single expensive false-positive cell, so with
     pair_weight 0 it degenerates to the control loss exactly.  As in
     run_binary_trial, both models are trained before either is evaluated,
-    and the test split is scaled once for both after the training split is
-    dropped.  wall_time is the seconds of the model's train() call.
+    and after the training split is dropped nn.outputs scales the test split
+    in row blocks, each once for both models.  wall_time is the seconds of
+    the model's train() call.
     """
     parts = split(make_categorical_dataset(raw), cfg.seed)
     test = parts.test
@@ -323,7 +322,7 @@ def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[Ru
     weighted_model, weighted_time = _train_timed(initial, parts.train, weighted_spec, cfg.train)
     del parts
 
-    control_output, weighted_output = _outputs((control_model, weighted_model), test.X)
+    control_output, weighted_output = outputs((control_model, weighted_model), test.X)
     return [
         _categorical_record(
             "control", cfg, confusion_categorical(control_output, test.Y), control_time

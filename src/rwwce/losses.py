@@ -24,6 +24,7 @@ it per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -91,6 +92,26 @@ class CategoricalCostModel:
         return out
 
 
+def _is_number_pair(terms) -> bool:
+    return (
+        isinstance(terms, tuple)
+        and len(terms) == 2
+        and all(isinstance(t, Real) and not isinstance(t, bool) for t in terms)
+    )
+
+
+def _is_vector_and_matrix(terms) -> bool:
+    if not (isinstance(terms, tuple) and len(terms) == 2):
+        return False
+    a, fp = terms
+    return (
+        isinstance(a, np.ndarray)
+        and isinstance(fp, np.ndarray)
+        and a.ndim == 1
+        and fp.shape == (a.size, a.size)
+    )
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """A loss variant and its term weights, as loss_and_gradient reads them.
@@ -99,7 +120,8 @@ class LossSpec:
     binary variants; (a, FP), a true-class weight vector and an off-diagonal
     false-positive matrix, for wcce and rwwce_categorical; and None for cce,
     whose class count comes from the batch.  Build a spec with the
-    classmethod named after its variant, which validates the weights.
+    classmethod named after its variant, which validates the weights; a spec
+    built directly has only the shape of its terms checked.
     """
 
     variant: str
@@ -108,6 +130,15 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
+        if self.variant == "cce":
+            shape_ok, expected = self.terms is None, "None"
+        elif self.is_binary:
+            shape_ok, expected = _is_number_pair(self.terms), "a pair of numbers (a, b)"
+        else:
+            shape_ok = _is_vector_and_matrix(self.terms)
+            expected = "(a, FP): a length-K array and a KxK array"
+        if not shape_ok:
+            raise ValueError(f"{self.variant} terms must be {expected}, got {self.terms!r}")
 
     @property
     def is_binary(self) -> bool:

@@ -6,8 +6,9 @@ starts from a fused loss/logit gradient, an in-place Adam optimizer over one
 flat parameter vector, a mini-batch training loop, and central-difference
 gradient checking.  Everything is float64 and deterministic given a seed.
 A uint8 input is pixel bytes; network_input() scales it with / 255.0, the
-one place the pixels are divided.  forward() calls it on every batch, and an
-evaluation can call it once to share one scaled split among several models.
+one place the pixels are divided.  forward() calls it on every batch, and
+outputs() evaluates several models on one split while scaling it in blocks of
+at most EVAL_BLOCK_ROWS rows, each block once for all of the models.
 In train() the weights, biases, gradients and Adam moments each live in one
 contiguous vector, so an update is a handful of whole-vector operations.
 """
@@ -32,6 +33,9 @@ from .losses import (
 )
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
+
+# The most rows outputs() scales at once: 4,096 x 784 float64 pixels is 25.7 MB.
+EVAL_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -170,24 +174,15 @@ def network_input(x) -> np.ndarray:
     """x as the float64 input activation, the one place the pixels are divided.
 
     A uint8 array is pixel bytes and becomes a new x / 255.0, the same
-    correctly rounded division for every entry.  Any other array is cast to
-    float64, without a copy when it already is float64, so scaling a split
-    once and passing the result to forward() gives the same bits as passing
-    the bytes.
+    correctly rounded division for every entry, so scaling any block of rows
+    gives the same bits as scaling the whole array.  Any other array is cast
+    to float64, without a copy when it already is float64.
     """
     x = np.asarray(x)
     return x / 255.0 if x.dtype == np.uint8 else x.astype(np.float64, copy=False)
 
 
-def forward(mlp: Mlp, x) -> list[np.ndarray]:
-    """Run the network, returning [input, activation_1, ..., output].
-
-    The input activation is network_input(x): a uint8 batch is scaled by
-    / 255.0 there, bit-identical to feeding the float64 scaled pixels, and a
-    float64 batch is used as it is.  The retained per-layer activations are
-    exactly what backward() needs.
-    """
-    x = network_input(x)
+def _check_input(mlp: Mlp, x: np.ndarray) -> None:
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got shape {x.shape}")
     if not mlp.layers:
@@ -196,12 +191,69 @@ def forward(mlp: Mlp, x) -> list[np.ndarray]:
         raise ValueError(
             f"input has {x.shape[1]} features, first layer expects {mlp.layers[0].in_dim}"
         )
+
+
+def _dense(layer: DenseLayer, z: np.ndarray) -> np.ndarray:
+    """The layer's output from z = input @ weights; the bias is added into z in place."""
+    z += layer.bias
+    return _apply_activation(layer.activation, z)
+
+
+def forward(mlp: Mlp, x) -> list[np.ndarray]:
+    """Run the network, returning [input, activation_1, ..., output].
+
+    The input activation is network_input(x): a uint8 batch is scaled by
+    / 255.0 there, and a float64 batch is used as it is.  The retained
+    per-layer activations are exactly what backward() needs.  To score
+    models on a whole split, use outputs(), which never holds the scaled
+    split at once.
+    """
+    x = network_input(x)
+    _check_input(mlp, x)
     activations = [x]
     for layer in mlp.layers:
-        z = activations[-1] @ layer.weights
-        z += layer.bias
-        activations.append(_apply_activation(layer.activation, z))
+        activations.append(_dense(layer, activations[-1] @ layer.weights))
     return activations
+
+
+def _row_blocks(m: int) -> list[tuple[int, int]]:
+    """ceil(m / EVAL_BLOCK_ROWS) nearly equal, consecutive (lo, hi) row ranges."""
+    count = -(-m // EVAL_BLOCK_ROWS)
+    bounds = [m * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def outputs(models, x) -> list[np.ndarray]:
+    """Each model's output layer on x, forward(model, x)[-1], with bounded memory.
+
+    Only the first layer reads the wide pixels, so only its product runs by
+    row block: each block of at most EVAL_BLOCK_ROWS rows is scaled once by
+    network_input, multiplied by every model's first-layer weights into that
+    model's preallocated (M, out_dim) array, and freed before the next block
+    is scaled.  The bias, the activation and every later layer then run over
+    all rows at once, as in forward().  The blocks are balanced, so a split
+    of EVAL_BLOCK_ROWS rows or fewer is one block.  On a 2-core x86_64 host
+    (OpenBLAS, default threads), first-layer blocks of 1,000 rows or more
+    gave the same bits as the whole product; some smaller blocks did not,
+    and neither did blocked later layers.
+    """
+    x = np.asarray(x)
+    for mlp in models:
+        _check_input(mlp, x)
+    m = x.shape[0]
+    firsts = [np.empty((m, mlp.layers[0].out_dim)) for mlp in models]
+    for lo, hi in _row_blocks(m):
+        block = network_input(x[lo:hi])
+        for mlp, z in zip(models, firsts):
+            np.matmul(block, mlp.layers[0].weights, out=z[lo:hi])
+        del block  # the next block is scaled only after this one is freed
+    results = []
+    for mlp, z in zip(models, firsts):
+        a = _dense(mlp.layers[0], z)
+        for layer in mlp.layers[1:]:
+            a = _dense(layer, a @ layer.weights)
+        results.append(a)
+    return results
 
 
 def _activation_derivative(name: str, a: np.ndarray) -> np.ndarray:

@@ -206,47 +206,81 @@ def test_zero_pair_weight_makes_models_identical(small_pool):
     ids=["binary", "categorical"],
 )
 def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatch, runner, cfg):
+    """Every scaled evaluation block is made after the training data is dead.
+
+    Watches network_input during nn.outputs: each block of an evaluation
+    split is a view of its pixels, at most EVAL_BLOCK_ROWS (4,096) rows, the
+    blocks cover the split's rows once and in order, and each is scaled once
+    for both of the trial's models.  The trial runs at the shipped block size
+    and again at 256 rows, which cuts every split of the small pool into
+    several blocks.
+    """
     import rwwce.experiments as experiments_module
+    import rwwce.nn as nn_module
 
-    refs = []
-    sizes = {}
+    assert nn_module.EVAL_BLOCK_ROWS == 4096
     real_split = experiments_module.split
+    real_outputs = experiments_module.outputs
+    real_network_input = nn_module.network_input
 
-    def watched_split(dataset, seed):
-        parts = real_split(dataset, seed)
-        refs.append(weakref.ref(parts.train.X))
-        # The categorical dataset's X is the corpus array itself, which the
-        # caller keeps; there the un-split Dataset (and its one-hot Y) is
-        # what must go.
-        unsplit = dataset if np.shares_memory(dataset.X, small_pool.images) else dataset.X
-        refs.append(weakref.ref(unsplit))
-        sizes["validation"], sizes["test"] = parts.validation.size, parts.test.size
-        return parts
+    for block_rows in (4096, 256):
+        monkeypatch.setattr(nn_module, "EVAL_BLOCK_ROWS", block_rows)
+        refs = []
+        sizes = {}
+        evaluations = []  # (models, pixels, blocks) per nn.outputs call
+        scaling = []  # the running evaluation's blocks: (block, scaled shape, dtype, dead)
 
-    calls = []
-    real_forward = experiments_module.forward
+        def watched_split(dataset, seed):
+            parts = real_split(dataset, seed)
+            refs.append(weakref.ref(parts.train.X))
+            # The categorical dataset's X is the corpus array itself, which the
+            # caller keeps; there the un-split Dataset (and its one-hot Y) is
+            # what must go.
+            unsplit = dataset if np.shares_memory(dataset.X, small_pool.images) else dataset.X
+            refs.append(weakref.ref(unsplit))
+            sizes["validation"], sizes["test"] = parts.validation.size, parts.test.size
+            return parts
 
-    def recording_forward(model, x):
-        calls.append((model, x, [ref() is None for ref in refs]))
-        return real_forward(model, x)
+        def recording_outputs(models, pixels):
+            blocks = []
+            evaluations.append((list(models), pixels, blocks))
+            scaling.append(blocks)
+            try:
+                return real_outputs(models, pixels)
+            finally:
+                scaling.pop()
 
-    monkeypatch.setattr(experiments_module, "split", watched_split)
-    monkeypatch.setattr(experiments_module, "forward", recording_forward)
-    runner(cfg, small_pool)
+        def recording_network_input(x):
+            scaled = real_network_input(x)
+            if scaling:
+                dead = [ref() is None for ref in refs]
+                scaling[-1].append((x, scaled.shape, scaled.dtype, dead))
+            return scaled
 
-    assert len(refs) == 2
-    for _, x, dead in calls:
-        assert dead == [True, True]
-        assert x.dtype == np.float64
-    models = [model for model, _, _ in calls]
-    inputs = [x for _, x, _ in calls]
-    if runner is run_binary_trial:
-        assert [x.shape[0] for x in inputs] == [sizes["validation"]] * 2 + [sizes["test"]] * 2
-        assert inputs[0] is inputs[1] and inputs[2] is inputs[3]
-        assert models[:2] == models[2:] and models[0] is not models[1]
-    else:
-        assert [x.shape[0] for x in inputs] == [sizes["test"]] * 2
-        assert inputs[0] is inputs[1] and models[0] is not models[1]
+        monkeypatch.setattr(experiments_module, "split", watched_split)
+        monkeypatch.setattr(experiments_module, "outputs", recording_outputs)
+        monkeypatch.setattr(nn_module, "network_input", recording_network_input)
+        runner(cfg, small_pool)
+
+        assert len(refs) == 2
+        expected = ["validation", "test"] if runner is run_binary_trial else ["test"]
+        assert [pixels.shape[0] for _, pixels, _ in evaluations] == [sizes[k] for k in expected]
+        for models, pixels, blocks in evaluations:
+            assert len(models) == 2 and models[0] is not models[1]
+            assert all(a is b for a, b in zip(models, evaluations[0][0]))
+            assert len(blocks) == -(-pixels.shape[0] // block_rows)
+            row = 0
+            for block, shape, dtype, dead in blocks:
+                assert dead == [True, True]
+                assert np.shares_memory(block, pixels)
+                start = (block.ctypes.data - pixels.ctypes.data) // pixels.strides[0]
+                assert start == row  # in order, no row skipped or scaled twice
+                assert 0 < block.shape[0] <= block_rows
+                assert shape == block.shape and dtype == np.float64
+                row += block.shape[0]
+            assert row == pixels.shape[0]
+        if block_rows == 256:
+            assert all(len(blocks) > 1 for _, _, blocks in evaluations)
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -324,6 +324,44 @@ def test_loss_spec_rejects_unknown_variant():
     assert not LossSpec.cce().is_binary
 
 
+@pytest.mark.parametrize(
+    "variant, terms",
+    [
+        ("bce", None),
+        ("wbce", (2.0,)),
+        ("wbce", (2.0, True)),
+        ("rwwce_binary", [2000.0, 100.0]),
+        ("rwwce_binary", (np.ones(2), np.zeros((2, 2)))),
+        ("cce", (1.0, 1.0)),
+        ("wcce", (1.0, 2.0)),
+        ("wcce", (np.ones(3),)),
+        ("rwwce_categorical", None),
+        ("rwwce_categorical", (np.ones(3), np.zeros((2, 2)))),
+        ("rwwce_categorical", (np.ones((3, 1)), np.zeros((3, 3)))),
+    ],
+)
+def test_hand_built_loss_spec_terms_must_fit_the_variant(variant, terms):
+    with pytest.raises(ValueError, match=f"^{variant} terms must be "):
+        LossSpec(variant, terms)
+
+
+def test_hand_built_loss_spec_with_fitting_terms_is_the_classmethod_spec():
+    for spec in (
+        LossSpec.bce(),
+        LossSpec.wbce(3),
+        LossSpec.rwwce_binary(2000, 100),
+        LossSpec.cce(),
+        LossSpec.wcce([2.0, 1.0, 3.0]),
+        LossSpec.rwwce_categorical(np.ones(3), np.ones((3, 3))),
+    ):
+        rebuilt = LossSpec(spec.variant, spec.terms)
+        if spec.is_binary:
+            h, y = [0.2, 0.9], [1.0, 0.0]
+        else:
+            h, y = [[0.5, 0.3, 0.2]], [[0.0, 1.0, 0.0]]
+        assert loss_value(rebuilt, h, y) == loss_value(spec, h, y)
+
+
 def test_loss_spec_terms_are_the_kernel_weights():
     assert LossSpec.bce().terms == (1.0, 1.0)
     assert LossSpec.wbce(3).terms == (3.0, 1.0)

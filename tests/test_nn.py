@@ -1,9 +1,12 @@
 """Network machinery: init, forward, backward, Adam, training, gradcheck."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import corpus
 
 from rwwce import (
     AdamState,
@@ -22,7 +25,7 @@ from rwwce import (
     loss_value,
     train,
 )
-from rwwce.nn import flat_layers, network_input
+from rwwce.nn import EVAL_BLOCK_ROWS, flat_layers, network_input, outputs
 
 BINARY_TOPOLOGY = [(784, 10, "relu"), (10, 1, "sigmoid")]
 CATEGORICAL_TOPOLOGY = [(784, 50, "relu"), (50, 20, "relu"), (20, 10, "softmax")]
@@ -130,6 +133,56 @@ def test_forward_validates_input():
         forward(mlp, np.zeros(4))
     with pytest.raises(ValueError):
         forward(mlp, np.zeros((3, 5)))
+
+
+@pytest.fixture(scope="module")
+def corpus_pixels():
+    """17,500 rows of synthetic pixel bytes, the size of a categorical trial's test split."""
+    return corpus.synthetic_images_labels(1750)[0]
+
+
+@pytest.mark.parametrize(
+    "topology", [BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY], ids=["binary", "categorical"]
+)
+def test_blocked_outputs_match_forward_bit_for_bit(corpus_pixels, topology):
+    """outputs() gives forward()'s bits on splits around the block boundaries.
+
+    Like tests/test_frozen_records.py this is host-specific: it holds where
+    the BLAS computes a first-layer product of 1,000 rows or more with the
+    same bits in row blocks as whole, as OpenBLAS at its default thread
+    count does on the 2-core x86_64 host it was measured on.
+    """
+    models = [init_mlp(topology, seed=5), init_mlp(topology, seed=6)]
+    for rows in (1, 4095, 4096, 4097, 4772, 8193, 17500):
+        x = corpus_pixels[:rows]
+        for mlp, got in zip(models, outputs(models, x)):
+            assert np.array_equal(got, forward(mlp, x)[-1]), rows
+
+
+@pytest.mark.parametrize(
+    "topology", [BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY], ids=["binary", "categorical"]
+)
+def test_outputs_scale_a_split_in_bounded_memory(corpus_pixels, topology):
+    """Scoring a 17,500-row split never holds it as one float64 copy (110 MB):
+    the traced peak stays under two scaled blocks plus every layer's output."""
+    models = [init_mlp(topology, seed=5), init_mlp(topology, seed=6)]
+    x = corpus_pixels[:17500]
+    output_bytes = sum(x.shape[0] * layer.out_dim * 8 for m in models for layer in m.layers)
+    tracemalloc.start()
+    try:
+        outputs(models, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * EVAL_BLOCK_ROWS * 784 * 8 + output_bytes
+
+
+def test_outputs_validates_input():
+    mlp = init_mlp([(4, 2, "relu")], seed=0)
+    with pytest.raises(ValueError, match="2-D batch"):
+        outputs([mlp], np.zeros(4))
+    with pytest.raises(ValueError, match="first layer expects 4"):
+        outputs([mlp, init_mlp([(5, 2, "relu")], seed=0)], np.zeros((3, 5)))
 
 
 # --- backward -----------------------------------------------------------------
