@@ -20,10 +20,10 @@ failure (including a failed gradient check or a failed numeric cross-check).
 from __future__ import annotations
 
 import argparse
-import gzip
 import json
 import os
 import sys
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,7 +32,8 @@ from .data import (
     MNIST_FILE_BYTES,
     MNIST_TOTAL_EXAMPLES,
     concat_corpora,
-    load_idx_files,
+    load_idx,
+    read_idx_file,
 )
 from .experiments import (
     DEFAULT_BINARY_COST,
@@ -208,8 +209,23 @@ def _resolve_data(resolved: dict) -> None:
     resolved.pop("data_dir", None)
 
 
-def _load_pool(images: list[str], labels: list[str]):
-    return concat_corpora(*(load_idx_files(i, l) for i, l in zip(images, labels)))
+# What a corpus file that cannot be read or parsed raises: gzip adds
+# EOFError for a truncated stream and zlib.error for a corrupt one.
+LOAD_ERRORS = (ValueError, OSError, EOFError, zlib.error)
+
+
+def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
+    """Load each file pair with read (path -> payload) and concatenate them.
+
+    A pair that fails to load is a CliError naming both of its files.
+    """
+    corpora = []
+    for images_path, labels_path in zip(images, labels):
+        try:
+            corpora.append(load_idx(read(images_path), read(labels_path)))
+        except LOAD_ERRORS as e:
+            raise CliError(f"cannot load {images_path} and {labels_path}: {e}") from e
+    return concat_corpora(*corpora)
 
 
 def _train_defaults() -> dict:
@@ -273,23 +289,25 @@ def cmd_verify_data(args) -> int:
     _echo(resolved)
 
     images, labels = _standard_paths(data_dir)
+    # Each file is read once: its payload is both measured here and parsed
+    # into the pool below.
+    payloads = {}
     failures = 0
     for path_text in [p for pair in zip(images, labels) for p in pair]:
-        path = Path(path_text)
-        name = path.name.removesuffix(".gz")
+        name = Path(path_text).name.removesuffix(".gz")
         expected = MNIST_FILE_BYTES[name]
-        if path.suffix == ".gz":
-            with gzip.open(path, "rb") as f:
-                actual = len(f.read())
-        else:
-            actual = path.stat().st_size
+        try:
+            payloads[path_text] = read_idx_file(path_text)
+        except LOAD_ERRORS as e:
+            raise CliError(f"cannot read {path_text}: {e}") from e
+        actual = len(payloads[path_text])
         ok = actual == expected
         print(f"{name}: {actual} bytes (expected {expected}): {'ok' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1
     if failures:
         raise CliError(f"{failures} file(s) failed the byte-length check")
 
-    pool = _load_pool(images, labels)
+    pool = _load_pool(images, labels, read=payloads.pop)
     if pool.size != MNIST_TOTAL_EXAMPLES:
         raise CliError(f"pool has {pool.size} examples, expected {MNIST_TOTAL_EXAMPLES}")
     classes = len(set(pool.labels.tolist()))

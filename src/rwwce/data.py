@@ -2,20 +2,27 @@
 
 Reads the classic big-endian IDX format used to distribute MNIST: an
 images file (magic 0x00000803) of 28x28 unsigned bytes and a labels file
-(magic 0x00000801) of digit bytes.  Pixels stay the uint8 bytes of the
-payload, flattened row-major to 784 features, through every dataset and
-split, so a pool costs one byte per pixel; nn.forward scales each batch to
-[0, 1] with / 255.0.  From a loaded corpus the module builds the two
-experiment dataset shapes: a heavily imbalanced binary problem (one slice of
-630 occurrences of a chosen digit as positives against every example of the
-other digits) and the full 10-class one-hot problem.  A seeded shuffle
-splits any dataset 25% test / 7.5% validation / remainder train, using
-integer arithmetic so the proportions are exact floors.
+(magic 0x00000801) of digit bytes.  A plain file is mapped read-only, not
+read, so a loaded corpus's images are a view of the page cache; a .gz file
+is decompressed into memory.  concat_corpora copies its inputs into one
+pool that owns its memory, and that is the only copy loading makes.
+Pixels stay the uint8 bytes of the payload, flattened row-major to 784
+features, through every dataset and split, so a pool costs one byte per
+pixel; nn.network_input scales them to [0, 1] with / 255.0.  From a loaded
+corpus the module builds the two experiment dataset shapes: a heavily
+imbalanced binary problem (one slice of 630 occurrences of a chosen digit
+as positives against every example of the other digits) and the full
+10-class one-hot problem.  A seeded shuffle splits any dataset 25% test /
+7.5% validation / remainder train, using integer arithmetic so the
+proportions are exact floors.
 """
 
 from __future__ import annotations
 
 import gzip
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,13 +83,15 @@ class RawMnist:
         return self.images.shape[0]
 
 
-def load_idx(images_bytes: bytes, labels_bytes: bytes) -> RawMnist:
+def load_idx(images_bytes: bytes | mmap.mmap, labels_bytes: bytes | mmap.mmap) -> RawMnist:
     """Parse paired IDX image/label payloads into a RawMnist corpus.
 
-    Verifies both magic numbers, the 28x28 image dimensions, the agreement
-    of the two counts, and that each payload carries exactly as many bytes
-    as its header promises.  The images are a read-only uint8 view of
-    images_bytes, not a copy.
+    Each payload is bytes or a read-only mapping of a file (anything with
+    len(), slicing and the buffer protocol).  Verifies both magic numbers,
+    the 28x28 image dimensions, the agreement of the two counts, and that
+    each payload carries exactly as many bytes as its header promises.  The
+    images are a read-only uint8 view of images_bytes, not a copy, and keep
+    it alive; the labels are copied to int64.
     """
     if len(images_bytes) < 16:
         raise ValueError("images file too short for an IDX header")
@@ -110,20 +119,47 @@ def load_idx(images_bytes: bytes, labels_bytes: bytes) -> RawMnist:
     return RawMnist(images, labels)
 
 
-def _read_maybe_gzip(path: Path) -> bytes:
+def read_idx_file(path) -> bytes | mmap.mmap:
+    """One IDX file's payload for load_idx: a read-only mapping, or bytes.
+
+    A .gz file is decompressed into bytes.  A plain file is mapped with
+    mmap.ACCESS_READ, except an empty one, which cannot be mapped and reads
+    as b"" so load_idx rejects it as too short.  A plain path that is not a
+    regular file (a pipe, a device) cannot be mapped and raises ValueError.
+    """
+    path = Path(path)
     if path.suffix == ".gz":
         with gzip.open(path, "rb") as f:
             return f.read()
-    return path.read_bytes()
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"{path} is not a regular file, so it cannot be mapped")
+        if info.st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def load_idx_files(images_path, labels_path) -> RawMnist:
-    """Load an IDX corpus from disk; .gz files are decompressed transparently."""
-    return load_idx(_read_maybe_gzip(Path(images_path)), _read_maybe_gzip(Path(labels_path)))
+    """Load an IDX corpus from disk; .gz files are decompressed transparently.
+
+    A plain images file is mapped, not read: the corpus's images are a
+    read-only view of the file's pages, and the mapping lives as long as
+    they do (the labels are copied, so their mapping closes on return).
+    Truncating a mapped file in place while its corpus is alive ends the
+    process with SIGBUS at the next read of a lost page.  concat_corpora
+    copies, so a pool built by it, as the CLI builds its pools, holds no
+    mapping once the per-file corpora are dropped.
+    """
+    return load_idx(read_idx_file(images_path), read_idx_file(labels_path))
 
 
 def concat_corpora(*corpora: RawMnist) -> RawMnist:
-    """Concatenate corpora in order (e.g. the train and test files into one pool)."""
+    """Concatenate corpora, in order, into a pool that owns its memory.
+
+    Always copies, even a single corpus, so the pool holds no mapping of
+    the files its inputs were loaded from.
+    """
     if not corpora:
         raise ValueError("nothing to concatenate")
     return RawMnist(

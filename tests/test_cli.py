@@ -103,6 +103,71 @@ def test_verify_data_needs_a_source(capsys):
     assert DATA_DIR_ENV in capsys.readouterr().err
 
 
+def test_verify_data_decompresses_each_gz_file_once(mnist_dir, tmp_path, capsys, monkeypatch):
+    gz_dir = tmp_path / "gz"
+    link_layout(mnist_dir, gz_dir, (ALL_NAMES[0], ALL_NAMES[2]))
+    for name in (ALL_NAMES[1], ALL_NAMES[3]):
+        with gzip.open(gz_dir / (name + ".gz"), "wb") as f:
+            f.write((mnist_dir / name).read_bytes())
+    opened = []
+    real_open = gzip.open
+
+    def counting_open(filename, *args, **kwargs):
+        opened.append(str(filename))
+        return real_open(filename, *args, **kwargs)
+
+    monkeypatch.setattr(gzip, "open", counting_open)
+    assert main(["verify-data", "--data-dir", str(gz_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "train-labels-idx1-ubyte: 60008 bytes (expected 60008): ok" in out
+    assert "pool: 70000 examples, 10 classes: ok" in out
+    assert sorted(opened) == sorted(str(gz_dir / (n + ".gz")) for n in (ALL_NAMES[1], ALL_NAMES[3]))
+
+
+def test_verify_data_names_the_file_that_fails_to_parse(mnist_dir, tmp_path, capsys):
+    bad_dir = tmp_path / "bad"
+    link_layout(mnist_dir, bad_dir, (n for n in ALL_NAMES if n != ALL_NAMES[2]))
+    payload = bytearray((mnist_dir / ALL_NAMES[2]).read_bytes())
+    payload[3] = 0x02  # same length, wrong magic
+    (bad_dir / ALL_NAMES[2]).write_bytes(bytes(payload))
+    assert main(["verify-data", "--data-dir", str(bad_dir)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad_dir / ALL_NAMES[2]) in err
+    assert "bad images magic 0x00000802" in err
+
+
+def test_verify_data_truncated_gz_is_a_data_error(mnist_dir, tmp_path, capsys):
+    bad_dir = tmp_path / "bad"
+    link_layout(mnist_dir, bad_dir, ALL_NAMES[:3])
+    gz = bad_dir / (ALL_NAMES[3] + ".gz")
+    gz.write_bytes(gzip.compress((mnist_dir / ALL_NAMES[3]).read_bytes())[:-20])
+    assert main(["verify-data", "--data-dir", str(bad_dir)]) == 1
+    assert f"cannot read {gz}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["missing", "padded"])
+def test_run_binary_names_the_file_pair_that_fails_to_load(small_dir, tmp_path, capsys, broken):
+    labels = tmp_path / "labels"
+    if broken == "padded":
+        labels.write_bytes((small_dir / ALL_NAMES[3]).read_bytes() + b"\x00")
+    images = small_dir / ALL_NAMES[2]
+    rc = main(
+        [
+            "run-binary",
+            "--images", str(small_dir / ALL_NAMES[0]),
+            "--labels", str(small_dir / ALL_NAMES[1]),
+            "--images", str(images),
+            "--labels", str(labels),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"cannot load {images} and {labels}: " in err
+    assert ("No such file" if broken == "missing" else "labels payload is 1009 bytes") in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- run-binary ---------------------------------------------------------------
 
 

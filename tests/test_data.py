@@ -1,7 +1,11 @@
 """IDX ingestion, dataset construction, and the seeded three-way split."""
 
 import gzip
+import mmap
+import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +103,133 @@ def test_load_idx_files_supports_gzip(tmp_path):
     raw = load_idx_files(plain, gz)
     assert raw.size == 4
     assert np.array_equal(raw.labels, labels.astype(np.int64))
+
+
+def _write_idx(path, payload):
+    """Write payload at path, gzip-compressed when the name ends in .gz."""
+    path.write_bytes(gzip.compress(payload) if path.suffix == ".gz" else payload)
+    return path
+
+
+def _pair_files(tmp_path, images_bytes, labels_bytes, suffix=""):
+    return (
+        _write_idx(tmp_path / ("images-idx3-ubyte" + suffix), images_bytes),
+        _write_idx(tmp_path / ("labels-idx1-ubyte" + suffix), labels_bytes),
+    )
+
+
+def _payload_cases():
+    images_bytes, labels_bytes, _, _ = _tiny(3, 4)
+    n_images, n_labels = len(images_bytes), len(labels_bytes)
+    images_short = "images file too short for an IDX header"
+    labels_short = "labels file too short for an IDX header"
+    return {
+        "empty_images": (b"", labels_bytes, images_short),
+        "short_images": (images_bytes[:10], labels_bytes, images_short),
+        "truncated_images": (
+            images_bytes[:-1], labels_bytes,
+            f"images payload is {n_images - 1} bytes, header implies {n_images}",
+        ),
+        "padded_images": (
+            images_bytes + b"\x00", labels_bytes,
+            f"images payload is {n_images + 1} bytes, header implies {n_images}",
+        ),
+        "empty_labels": (images_bytes, b"", labels_short),
+        "short_labels": (images_bytes, labels_bytes[:5], labels_short),
+        "truncated_labels": (
+            images_bytes, labels_bytes[:-1],
+            f"labels payload is {n_labels - 1} bytes, header implies {n_labels}",
+        ),
+        "padded_labels": (
+            images_bytes, labels_bytes + b"\x00",
+            f"labels payload is {n_labels + 1} bytes, header implies {n_labels}",
+        ),
+    }
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gz"])
+@pytest.mark.parametrize("case", list(_payload_cases()))
+def test_load_idx_files_rejects_bad_lengths_with_the_bytes_message(tmp_path, case, suffix):
+    images_bytes, labels_bytes, message = _payload_cases()[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_idx(images_bytes, labels_bytes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_idx_files(*_pair_files(tmp_path, images_bytes, labels_bytes, suffix))
+
+
+def test_load_idx_files_refuses_a_plain_path_that_cannot_be_mapped(tmp_path):
+    _, labels_bytes, _, _ = _tiny(3, 4)
+    labels = _write_idx(tmp_path / "labels-idx1-ubyte", labels_bytes)
+    with pytest.raises(ValueError, match="is not a regular file"):
+        load_idx_files(os.devnull, labels)
+
+
+def test_plain_and_gzip_copies_load_equal_and_read_only(tmp_path):
+    images_bytes, labels_bytes, images, labels = _tiny(50, 6)
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "gz").mkdir()
+    plain = load_idx_files(*_pair_files(tmp_path / "plain", images_bytes, labels_bytes))
+    gz = load_idx_files(*_pair_files(tmp_path / "gz", images_bytes, labels_bytes, ".gz"))
+    for raw in (plain, gz):
+        assert np.array_equal(raw.images, images)
+        assert np.array_equal(raw.labels, labels.astype(np.int64))
+        assert not raw.images.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            raw.images[0, 0] = 1
+    assert np.array_equal(plain.images, gz.images)
+    assert np.array_equal(plain.labels, gz.labels)
+
+
+def test_loading_a_plain_pair_maps_instead_of_copying(tmp_path):
+    # 10,000 images are a 7.84 MB file; reading it into bytes would trace at
+    # least that much.  Mapped, only the int64 labels (80 kB) are allocated.
+    n = 10_000
+    images = (np.arange(n * 784) % 251).astype(np.uint8).reshape(n, 784)
+    labels = (np.arange(n) % 10).astype(np.uint8)
+    paths = _pair_files(tmp_path, corpus.idx_images_bytes(images), corpus.idx_labels_bytes(labels))
+    del images
+    tracemalloc.start()
+    try:
+        raw = load_idx_files(*paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.size == n
+    assert peak < 1_000_000
+
+
+def _buffer_chain(array):
+    """Every object array's memory hangs from: its .base chain, through memoryviews."""
+    chain, obj = [], array.base
+    while obj is not None:
+        chain.append(obj)
+        obj = obj.obj if isinstance(obj, memoryview) else getattr(obj, "base", None)
+    return chain
+
+
+def test_concat_corpora_owns_its_memory_after_loading_mapped_files(tmp_path):
+    a_bytes, a_labels, a_images, _ = _tiny(5, 7)
+    b_bytes, b_labels, b_images, _ = _tiny(4, 8)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a_paths = _pair_files(tmp_path / "a", a_bytes, a_labels)
+    b_paths = _pair_files(tmp_path / "b", b_bytes, b_labels)
+    a, b = load_idx_files(*a_paths), load_idx_files(*b_paths)
+    assert any(isinstance(obj, mmap.mmap) for obj in _buffer_chain(a.images))
+    for single in (True, False):
+        pool = concat_corpora(a) if single else concat_corpora(a, b)
+        assert pool.images.flags.owndata
+        assert not any(isinstance(obj, mmap.mmap) for obj in _buffer_chain(pool.images))
+        assert not any(isinstance(obj, mmap.mmap) for obj in _buffer_chain(pool.labels))
+    expected = np.concatenate([a_images, b_images])
+
+    # Rewrite every pixel of the first images file in place, keeping its
+    # length: the still-mapped corpus sees the new bytes, the pool does not.
+    with open(a_paths[0], "r+b") as f:
+        f.seek(16)
+        f.write(bytes(255 - a_images.reshape(-1)))
+    assert np.array_equal(a.images, 255 - a_images)
+    assert np.array_equal(pool.images, expected)
 
 
 def _pixels(shape, value=0):
