@@ -172,31 +172,27 @@ def concat_corpora(*corpora: RawMnist) -> RawMnist:
 class Dataset:
     """A model-ready dataset.
 
-    kind is "binary" (Y is a (M,) 0/1 vector) or "categorical" (Y is an
-    (M, K) exact one-hot matrix).  X holds uint8 pixel bytes, as every
-    dataset built from a RawMnist does; X of any other dtype is stored as
-    float64.  Y is float64.
+    Y's rank says what the labels are: a (M,) vector of 0/1 labels for a
+    binary problem, or an (M, K) matrix of one-hot rows for a categorical
+    one; train() checks the values against the model's output.  X holds
+    uint8 pixel bytes, as every dataset built from a RawMnist does; X of any
+    other dtype is stored as float64.  Y is float64.
     """
 
-    kind: str
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("binary", "categorical"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
         self.X = np.asarray(self.X)
         if self.X.dtype != np.uint8:
             self.X = self.X.astype(np.float64, copy=False)
         self.Y = np.asarray(self.Y, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-D")
+        if self.Y.ndim not in (1, 2):
+            raise ValueError(f"Y must be a label vector or one-hot rows, got {self.Y.ndim}-D")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError(f"X has {self.X.shape[0]} rows but Y has {self.Y.shape[0]}")
-        if self.kind == "binary" and self.Y.ndim != 1:
-            raise ValueError("binary labels must be a vector")
-        if self.kind == "categorical" and self.Y.ndim != 2:
-            raise ValueError("categorical labels must be one-hot rows")
 
     @property
     def size(self) -> int:
@@ -229,14 +225,14 @@ def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
     rows = np.flatnonzero(keep)
     x = raw.images[rows]
     y = (raw.labels[rows] == digit).astype(np.float64)
-    return Dataset("binary", x, y)
+    return Dataset(x, y)
 
 
 def make_categorical_dataset(raw: RawMnist) -> Dataset:
     """The full corpus as a 10-class one-hot dataset, in file order."""
     y = np.zeros((raw.size, NUM_CLASSES), dtype=np.float64)
     y[np.arange(raw.size), raw.labels] = 1.0
-    return Dataset("categorical", raw.images, y)
+    return Dataset(raw.images, y)
 
 
 @dataclass
@@ -265,6 +261,6 @@ def split(dataset: Dataset, seed: int) -> SplitDataset:
     train_rows = order[n_test + n_val :]
 
     def take(rows: np.ndarray) -> Dataset:
-        return Dataset(dataset.kind, dataset.X[rows], dataset.Y[rows])
+        return Dataset(dataset.X[rows], dataset.Y[rows])
 
     return SplitDataset(train=take(train_rows), validation=take(val_rows), test=take(test_rows))

@@ -33,7 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NUM_CLASSES, RawMnist, make_binary_dataset, make_categorical_dataset, split
+from .data import (
+    FEATURES, NUM_CLASSES, RawMnist, make_binary_dataset, make_categorical_dataset, split
+)
 from .losses import BinaryCostModel, LossSpec
 from .metrics import (
     ConfusionCounts,
@@ -48,7 +50,6 @@ from .metrics import (
     top1_error,
 )
 from .nn import (
-    Mlp,
     TrainConfig,
     forward,  # unused here; perfbench wraps experiments.forward
     init_mlp,
@@ -59,6 +60,9 @@ from .nn import (
 DEFAULT_BINARY_COST = BinaryCostModel(fn_cost=2000.0, fp_cost=100.0)
 DEFAULT_PAIR_WEIGHT = 19.0
 DEFAULT_OFF_PAIR_COST = 1.0
+
+BINARY_TOPOLOGY = ((FEATURES, 10, "relu"), (10, 1, "sigmoid"))
+CATEGORICAL_TOPOLOGY = ((FEATURES, 50, "relu"), (50, 20, "relu"), (20, NUM_CLASSES, "softmax"))
 
 BINARY_MODELS = ("control1", "control2", "test")
 CATEGORICAL_MODELS = ("control", "experimental")
@@ -92,14 +96,8 @@ class BinaryTrialConfig:
         cost: BinaryCostModel = DEFAULT_BINARY_COST,
         train_template: TrainConfig | None = None,
     ) -> "BinaryTrialConfig":
-        template = train_template if train_template is not None else TrainConfig()
-        return cls(
-            digit=digit,
-            slice_index=slice_index,
-            seed=seed,
-            cost=cost,
-            train=replace(template, seed=seed),
-        )
+        config = replace(train_template or TrainConfig(), seed=seed)
+        return cls(digit, slice_index, seed, cost, config)
 
 
 @dataclass(frozen=True)
@@ -129,15 +127,8 @@ class CategoricalTrialConfig:
         off_pair_cost: float = DEFAULT_OFF_PAIR_COST,
         train_template: TrainConfig | None = None,
     ) -> "CategoricalTrialConfig":
-        template = train_template if train_template is not None else TrainConfig()
-        return cls(
-            fn_class=fn_class,
-            fp_class=fp_class,
-            seed=seed,
-            pair_weight=pair_weight,
-            off_pair_cost=off_pair_cost,
-            train=replace(template, seed=seed),
-        )
+        config = replace(train_template or TrainConfig(), seed=seed)
+        return cls(fn_class, fp_class, seed, pair_weight, off_pair_cost, config)
 
 
 @dataclass
@@ -206,11 +197,21 @@ def _binary_record(
     )
 
 
-def _train_timed(initial: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig):
-    """The model train() returns, and the seconds the call took."""
-    started = time.perf_counter()
-    model, _ = train(initial, train_set, loss_spec, config)
-    return model, time.perf_counter() - started
+def _train_models(topology, cfg, train_set, loss_specs):
+    """A trial's training phase: one model per loss spec, all from one init.
+
+    Builds init_mlp(topology, cfg.seed) once and trains a model from it with
+    each spec in order (the cost-blind control first), under cfg.train.
+    Returns the trained models and the seconds of each train() call.
+    """
+    initial = init_mlp(topology, cfg.seed)
+    models, seconds = [], []
+    for loss_spec in loss_specs:
+        started = time.perf_counter()
+        model, _ = train(initial, train_set, loss_spec, cfg.train)
+        seconds.append(time.perf_counter() - started)
+        models.append(model)
+    return models, seconds
 
 
 def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
@@ -228,14 +229,12 @@ def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     """
     parts = split(make_binary_dataset(raw, cfg.digit, cfg.slice_index), cfg.seed)
     validation, test = parts.validation, parts.test
-    topology = [(test.X.shape[1], 10, "relu"), (10, 1, "sigmoid")]
-    initial = init_mlp(topology, cfg.seed)
     weighted_spec = LossSpec.rwwce_binary(cfg.cost.fn_cost, cfg.cost.fp_cost)
-    control_model, control_time = _train_timed(initial, parts.train, LossSpec.bce(), cfg.train)
-    weighted_model, weighted_time = _train_timed(initial, parts.train, weighted_spec, cfg.train)
+    models, (control_time, weighted_time) = _train_models(
+        BINARY_TOPOLOGY, cfg, parts.train, (LossSpec.bce(), weighted_spec)
+    )
     del parts
 
-    models = (control_model, weighted_model)
     control_validation, weighted_validation = (o[:, 0] for o in outputs(models, validation.X))
     control_test, weighted_test = (o[:, 0] for o in outputs(models, test.X))
 
@@ -308,21 +307,16 @@ def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[Ru
     """
     parts = split(make_categorical_dataset(raw), cfg.seed)
     test = parts.test
-    topology = [
-        (test.X.shape[1], 50, "relu"),
-        (50, 20, "relu"),
-        (20, NUM_CLASSES, "softmax"),
-    ]
-    initial = init_mlp(topology, cfg.seed)
     fn_weights = np.ones(NUM_CLASSES)
     fp_weights = np.zeros((NUM_CLASSES, NUM_CLASSES))
     fp_weights[cfg.fn_class, cfg.fp_class] = cfg.pair_weight
     weighted_spec = LossSpec.rwwce_categorical(fn_weights, fp_weights)
-    control_model, control_time = _train_timed(initial, parts.train, LossSpec.cce(), cfg.train)
-    weighted_model, weighted_time = _train_timed(initial, parts.train, weighted_spec, cfg.train)
+    models, (control_time, weighted_time) = _train_models(
+        CATEGORICAL_TOPOLOGY, cfg, parts.train, (LossSpec.cce(), weighted_spec)
+    )
     del parts
 
-    control_output, weighted_output = outputs((control_model, weighted_model), test.X)
+    control_output, weighted_output = outputs(models, test.X)
     return [
         _categorical_record(
             "control", cfg, confusion_categorical(control_output, test.Y), control_time
@@ -398,16 +392,20 @@ def summarize(records: list[RunRecord]) -> SuiteSummary:
     return SuiteSummary(kind=kind, trials=trials, means=means, comparisons=comparisons)
 
 
-def _run_many(runner, configs, raw, jobs: int) -> list[RunRecord]:
+def _run_many(runner, configs, raw, jobs: int) -> tuple[SuiteSummary, list[RunRecord]]:
+    """Run one trial per config, then summarize the suite's records."""
+    if not configs:
+        raise ValueError("no trials requested")
     if jobs <= 1:
         nested = [runner(cfg, raw) for cfg in configs]
     else:
-        # Threads, not processes: the numeric kernels release the GIL and the
-        # corpus is shared read-only.  map() keeps results in config order,
-        # so aggregation is independent of scheduling.
+        # Threads, not processes, because every trial reads the one corpus
+        # in place.  map() keeps results in config order, so the records and
+        # their summary do not depend on scheduling.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             nested = list(pool.map(lambda cfg: runner(cfg, raw), configs))
-    return [record for trial in nested for record in trial]
+    records = [record for trial in nested for record in trial]
+    return summarize(records), records
 
 
 def run_binary_suite(
@@ -424,10 +422,7 @@ def run_binary_suite(
         BinaryTrialConfig.make(d, s, base_seed + i, cost=cost, train_template=train_template)
         for i, (d, s) in enumerate((d, s) for d in digits for s in slices)
     ]
-    if not configs:
-        raise ValueError("no trials requested")
-    records = _run_many(run_binary_trial, configs, raw, jobs)
-    return summarize(records), records
+    return _run_many(run_binary_trial, configs, raw, jobs)
 
 
 def all_ordered_pairs() -> list[tuple[int, int]]:
@@ -463,10 +458,7 @@ def run_categorical_suite(
         )
         for i, (k, k2) in enumerate(pairs)
     ]
-    if not configs:
-        raise ValueError("no trials requested")
-    records = _run_many(run_categorical_trial, configs, raw, jobs)
-    return summarize(records), records
+    return _run_many(run_categorical_trial, configs, raw, jobs)
 
 
 def save_records(records: list[RunRecord], path) -> None:

@@ -29,12 +29,8 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_binary(scores, labels, threshold: float) -> ConfusionCounts:
-    """Count the four outcomes of thresholding scores at a strict cutoff.
-
-    An example is predicted positive exactly when its score is strictly
-    greater than threshold, so a score equal to the threshold is negative.
-    """
+def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and 0/1 labels as matching non-empty float64 vectors, or ValueError."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.ndim != 1 or labels.shape != scores.shape:
@@ -43,6 +39,16 @@ def confusion_binary(scores, labels, threshold: float) -> ConfusionCounts:
         raise ValueError("empty batch")
     if np.any((labels != 0.0) & (labels != 1.0)):
         raise ValueError("binary labels must be exactly 0 or 1")
+    return scores, labels
+
+
+def confusion_binary(scores, labels, threshold: float) -> ConfusionCounts:
+    """Count the four outcomes of thresholding scores at a strict cutoff.
+
+    An example is predicted positive exactly when its score is strictly
+    greater than threshold, so a score equal to the threshold is negative.
+    """
+    scores, labels = _scores_and_labels(scores, labels)
     predicted = scores > threshold
     actual = labels == 1.0
     return ConfusionCounts(
@@ -71,15 +77,7 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     threshold.  When no positive labels exist every candidate scores 0 and
     the above-maximum sentinel is returned.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.ndim != 1 or labels.shape != scores.shape:
-        raise ValueError(f"scores and labels must be matching vectors, got {scores.shape} and {labels.shape}")
-    if scores.size == 0:
-        raise ValueError("empty batch")
-    if np.any((labels != 0.0) & (labels != 1.0)):
-        raise ValueError("binary labels must be exactly 0 or 1")
-
+    scores, labels = _scores_and_labels(scores, labels)
     distinct = np.unique(scores)  # ascending
     descending = distinct[::-1]
     candidates = np.empty(distinct.size + 1)

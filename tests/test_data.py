@@ -285,7 +285,7 @@ def test_standard_layout_fixture_matches_published_lengths(mnist_dir):
 
 def test_make_binary_dataset_shape_and_slice(small_pool):
     ds = make_binary_dataset(small_pool, digit=3, slice_index=0)
-    assert ds.kind == "binary"
+    assert ds.Y.ndim == 1
     positives = int(ds.Y.sum())
     assert positives == POSITIVE_SLICE_SIZE
     occurrences = np.flatnonzero(small_pool.labels == 3)
@@ -339,7 +339,6 @@ def test_make_binary_dataset_rejects_exhausted_slices(small_pool):
 
 def test_make_categorical_dataset(small_pool):
     ds = make_categorical_dataset(small_pool)
-    assert ds.kind == "categorical"
     assert ds.Y.shape == (small_pool.size, 10)
     assert np.array_equal(ds.Y.sum(axis=1), np.ones(small_pool.size))
     assert np.array_equal(np.argmax(ds.Y, axis=1), small_pool.labels)
@@ -350,7 +349,7 @@ def test_make_categorical_dataset(small_pool):
 
 
 def flat_dataset(m):
-    return Dataset("binary", np.zeros((m, 1)), np.zeros(m))
+    return Dataset(np.zeros((m, 1)), np.zeros(m))
 
 
 def test_split_sizes_use_integer_floors():
@@ -372,7 +371,7 @@ def test_split_proportions_on_the_full_pool_size():
 
 def test_split_is_disjoint_and_exhaustive():
     m = 200
-    data = Dataset("binary", np.arange(m, dtype=np.float64).reshape(m, 1), np.zeros(m))
+    data = Dataset(np.arange(m, dtype=np.float64).reshape(m, 1), np.zeros(m))
     parts = split(data, seed=7)
     seen = np.concatenate([parts.test.X[:, 0], parts.validation.X[:, 0], parts.train.X[:, 0]])
     assert sorted(seen.tolist()) == list(range(m))
@@ -380,7 +379,7 @@ def test_split_is_disjoint_and_exhaustive():
 
 def test_split_determinism_and_seed_sensitivity():
     m = 120
-    data = Dataset("binary", np.arange(m, dtype=np.float64).reshape(m, 1), np.zeros(m))
+    data = Dataset(np.arange(m, dtype=np.float64).reshape(m, 1), np.zeros(m))
     a = split(data, seed=5)
     b = split(data, seed=5)
     c = split(data, seed=6)
@@ -404,7 +403,7 @@ def test_datasets_and_splits_keep_pixel_bytes(small_pool):
 
 def test_dataset_stores_float_features_as_float64():
     for x in (np.zeros((40, 2), np.float32), np.zeros((40, 2), np.int64), [[0, 1]] * 40):
-        ds = Dataset("binary", x, np.zeros(40))
+        ds = Dataset(x, np.zeros(40))
         assert ds.X.dtype == np.float64
         assert split(ds, seed=0).train.X.dtype == np.float64
 
@@ -415,13 +414,10 @@ def test_split_rejects_tiny_datasets():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset("other", np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        Dataset("binary", np.zeros(4), np.zeros(4))
-    with pytest.raises(ValueError):
-        Dataset("binary", np.zeros((4, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        Dataset("binary", np.zeros((4, 2)), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        Dataset("categorical", np.zeros((4, 2)), np.zeros(4))
+    with pytest.raises(ValueError, match="X must be 2-D"):
+        Dataset(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="X has 4 rows but Y has 3"):
+        Dataset(np.zeros((4, 2)), np.zeros(3))
+    for y in (np.float64(0.0), np.zeros((4, 2, 1))):
+        with pytest.raises(ValueError, match="Y must be a label vector or one-hot rows"):
+            Dataset(np.zeros((4, 2)), y)

@@ -208,6 +208,8 @@ def test_zero_pair_weight_makes_models_identical(small_pool):
 def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatch, runner, cfg):
     """Every scaled evaluation block is made after the training data is dead.
 
+    So is the categorical validation split, which that trial never scores.
+
     Watches network_input during nn.outputs: each block of an evaluation
     split is a view of its pixels, at most EVAL_BLOCK_ROWS (4,096) rows, the
     blocks cover the split's rows once and in order, and each is scaled once
@@ -238,6 +240,8 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
             # what must go.
             unsplit = dataset if np.shares_memory(dataset.X, small_pool.images) else dataset.X
             refs.append(weakref.ref(unsplit))
+            if runner is run_categorical_trial:
+                refs.append(weakref.ref(parts.validation.X))
             sizes["validation"], sizes["test"] = parts.validation.size, parts.test.size
             return parts
 
@@ -262,7 +266,7 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
         monkeypatch.setattr(nn_module, "network_input", recording_network_input)
         runner(cfg, small_pool)
 
-        assert len(refs) == 2
+        assert len(refs) == (2 if runner is run_binary_trial else 3)
         expected = ["validation", "test"] if runner is run_binary_trial else ["test"]
         assert [pixels.shape[0] for _, pixels, _ in evaluations] == [sizes[k] for k in expected]
         for models, pixels, blocks in evaluations:
@@ -271,7 +275,7 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
             assert len(blocks) == -(-pixels.shape[0] // block_rows)
             row = 0
             for block, shape, dtype, dead in blocks:
-                assert dead == [True, True]
+                assert dead == [True] * len(refs)
                 assert np.shares_memory(block, pixels)
                 start = (block.ctypes.data - pixels.ctypes.data) // pixels.strides[0]
                 assert start == row  # in order, no row skipped or scaled twice

@@ -25,10 +25,8 @@ from rwwce import (
     loss_value,
     train,
 )
+from rwwce.experiments import BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY
 from rwwce.nn import EVAL_BLOCK_ROWS, flat_layers, network_input, outputs
-
-BINARY_TOPOLOGY = [(784, 10, "relu"), (10, 1, "sigmoid")]
-CATEGORICAL_TOPOLOGY = [(784, 50, "relu"), (50, 20, "relu"), (20, 10, "softmax")]
 
 
 # --- init ---------------------------------------------------------------------
@@ -322,13 +320,13 @@ def binary_toy_set():
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(-2.0, 0.3, size=(16, 2)), rng.normal(2.0, 0.3, size=(16, 2))])
     y = np.concatenate([np.zeros(16), np.ones(16)])
-    return Dataset("binary", x, y)
+    return Dataset(x, y)
 
 
 def categorical_toy_set():
     x = np.tile(np.eye(3), (8, 1))
     y = np.tile(np.eye(3), (8, 1))
-    return Dataset("categorical", x, y)
+    return Dataset(x, y)
 
 
 def test_train_decreases_loss_on_separable_binary_set():
@@ -421,11 +419,11 @@ def test_train_is_bit_identical_to_the_reference_loop(kind):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(53, 6))  # batch_size 8 leaves a final batch of 5
     if kind == "binary":
-        data = Dataset("binary", x, (rng.random(53) < 0.3).astype(np.float64))
+        data = Dataset(x, (rng.random(53) < 0.3).astype(np.float64))
         mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=12)
         spec = LossSpec.rwwce_binary(20.0, 3.0)
     else:
-        data = Dataset("categorical", x, np.eye(4)[rng.integers(0, 4, size=53)])
+        data = Dataset(x, np.eye(4)[rng.integers(0, 4, size=53)])
         mlp = init_mlp([(6, 7, "relu"), (7, 5, "sigmoid"), (5, 4, "softmax")], seed=12)
         spec = LossSpec.rwwce_categorical(rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 3.0, (4, 4)))
     config = TrainConfig(epochs=6, batch_size=8, learning_rate=0.01, seed=13)
@@ -447,8 +445,8 @@ def test_train_on_pixel_bytes_equals_train_on_scaled_floats(kind):
         y = np.eye(10)[rng.integers(0, 10, size=61)]
         mlp, spec = init_mlp(CATEGORICAL_TOPOLOGY, seed=2), LossSpec.cce()
     config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=6)
-    as_bytes = Dataset(kind, pixels, y)
-    as_floats = Dataset(kind, pixels / 255.0, y)
+    as_bytes = Dataset(pixels, y)
+    as_floats = Dataset(pixels / 255.0, y)
     assert as_bytes.X.dtype == np.uint8 and as_floats.X.dtype == np.float64
     a, history_a = train(mlp, as_bytes, spec, config)
     b, history_b = train(mlp, as_floats, spec, config)
@@ -481,13 +479,10 @@ def _entry_cases():
     softmax_head = [(3, 4, "relu"), (4, 3, "softmax")]
     wide_cost = LossSpec.rwwce_categorical(np.ones(4), np.zeros((4, 4)))
     return [
-        ("binary", sigmoid_head, x, binary_y, LossSpec.bce(), "binary labels must be exactly 0 or 1"),
-        ("categorical", softmax_head, x, not_one_hot, LossSpec.cce(), "labels must be exact one-hot rows"),
-        (
-            "categorical", softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]),
-            "per_class has 2 entries for 3 classes",
-        ),
-        ("categorical", softmax_head, x, good_y, wide_cost, "cost model has 4 classes, batch has 3"),
+        (sigmoid_head, x, binary_y, LossSpec.bce(), "binary labels must be exactly 0 or 1"),
+        (softmax_head, x, not_one_hot, LossSpec.cce(), "labels must be exact one-hot rows"),
+        (softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]), "per_class has 2 entries for 3 classes"),
+        (softmax_head, x, good_y, wide_cost, "cost model has 4 classes, batch has 3"),
     ]
 
 
@@ -495,7 +490,7 @@ def _entry_cases():
 def test_train_rejects_bad_labels_before_the_first_step(case, monkeypatch):
     import rwwce.nn as nn_module
 
-    kind, topology, x, y, spec, message = _entry_cases()[case]
+    topology, x, y, spec, message = _entry_cases()[case]
     mlp = init_mlp(topology, seed=0)
     h = forward(mlp, x[-4:])[-1]
     with pytest.raises(ValueError) as expected:
@@ -506,7 +501,7 @@ def test_train_rejects_bad_labels_before_the_first_step(case, monkeypatch):
     monkeypatch.setattr(nn_module, "forward", lambda *a: steps.append(a) or forward(*a))
 
     with pytest.raises(ValueError) as got:
-        train(mlp, Dataset(kind, x, y), spec, TrainConfig(epochs=1, batch_size=4))
+        train(mlp, Dataset(x, y), spec, TrainConfig(epochs=1, batch_size=4))
     assert str(got.value) == str(expected.value)
     assert steps == []
 
