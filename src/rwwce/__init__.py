@@ -45,7 +45,6 @@ from .metrics import (
 from .nn import (
     AdamState,
     DenseLayer,
-    GradCheckReport,
     Mlp,
     TrainConfig,
     adam_step,

@@ -396,7 +396,9 @@ def _run_many(runner, configs, raw, jobs: int) -> tuple[SuiteSummary, list[RunRe
     """Run one trial per config, then summarize the suite's records."""
     if not configs:
         raise ValueError("no trials requested")
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    if jobs == 1:
         nested = [runner(cfg, raw) for cfg in configs]
     else:
         # Threads, not processes, because every trial reads the one corpus

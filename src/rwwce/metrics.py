@@ -93,15 +93,10 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     fp = neg_sorted.size - np.searchsorted(neg_sorted, candidates, side="right")
     fn = n_pos - tp
 
-    best_threshold = float(candidates[0])
-    best_f1 = 0.0
-    for t, tp_i, fp_i, fn_i in zip(candidates, tp, fp, fn):
-        denom = 2 * tp_i + fp_i + fn_i
-        f1 = 0.0 if denom == 0 else 2.0 * tp_i / denom
-        if f1 > best_f1:  # strict: first (largest) threshold wins ties
-            best_f1 = float(f1)
-            best_threshold = float(t)
-    return best_threshold, best_f1
+    denom = 2 * tp + fp + fn
+    f1 = np.divide(2.0 * tp, denom, out=np.zeros(candidates.size), where=denom > 0)
+    best = int(np.argmax(f1))  # the first maximum: the largest threshold wins ties
+    return float(candidates[best]), float(f1[best])
 
 
 def real_world_cost_binary(fn, fp, n, cost) -> float:

@@ -123,6 +123,14 @@ def flat_layers(flat: np.ndarray, layers) -> list[DenseLayer]:
     return views
 
 
+def _flat_copy(mlp: Mlp) -> tuple[np.ndarray, Mlp]:
+    """A copy of mlp's parameters as one flat float64 vector, in the
+    flat_layers layout, and a model whose layers are views into it."""
+    params = [p.ravel() for l in mlp.layers for p in (l.weights, l.bias)]
+    theta = np.concatenate(params, dtype=np.float64)
+    return theta, Mlp(flat_layers(theta, mlp.layers))
+
+
 def init_mlp(topology, seed: int) -> Mlp:
     """Build a network with Glorot-uniform weights and zero biases.
 
@@ -372,9 +380,7 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     _check_pairing(mlp, loss_spec)
     y, weights = checked_targets(loss_spec, y, (m, mlp.layers[-1].out_dim))
 
-    params = [p.ravel() for l in mlp.layers for p in (l.weights, l.bias)]
-    theta = np.concatenate(params, dtype=np.float64)
-    model = Mlp(flat_layers(theta, mlp.layers))
+    theta, model = _flat_copy(mlp)
     grad = np.zeros_like(theta)
     grads = [(l.weights, l.bias) for l in flat_layers(grad, mlp.layers)]
     state = AdamState.zeros(theta.size)
@@ -397,21 +403,11 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     return model, history
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    parameter_count: int
+def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float:
+    """The worst relative error of backprop against central finite differences.
 
-
-def gradcheck(
-    mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5, tolerance: float = 1e-5
-) -> GradCheckReport:
-    """Compare backprop gradients against central finite differences.
-
-    Perturbs every weight and bias entry by +-step, differences the composed
-    loss, and reports the worst relative error
+    Perturbs every weight and bias entry by +-step, in the flat layout
+    train() uses, differences the composed loss, and returns the largest
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     Entries whose true magnitude sits near that floor are dominated by
     finite-difference cancellation noise, so keep the probe networks small
@@ -424,42 +420,25 @@ def gradcheck(
     x = np.asarray(x, dtype=np.float64)
     acts = forward(mlp, x)
     y, weights = checked_targets(loss_spec, y, acts[-1].shape)
-    analytic = backward(mlp, acts, loss_and_gradient(loss_spec, weights, acts[-1], y)[1])
-
-    work = mlp.copy()
+    theta, work = _flat_copy(mlp)
+    analytic = np.zeros_like(theta)
+    grads = [(l.weights, l.bias) for l in flat_layers(analytic, mlp.layers)]
+    backward(mlp, acts, loss_and_gradient(loss_spec, weights, acts[-1], y)[1], out=grads)
 
     def probe_loss() -> float:
         return loss_and_gradient(loss_spec, weights, forward(work, x)[-1], y)[0]
 
     worst = 0.0
-    count = 0
-    for layer_index, layer in enumerate(work.layers):
-        for which, arr in enumerate((layer.weights, layer.bias)):
-            flat = arr.reshape(-1)
-            ref = analytic[layer_index][which].reshape(-1)
-            for j in range(flat.shape[0]):
-                original = flat[j]
-                flat[j] = original + step
-                plus = probe_loss()
-                flat[j] = original - step
-                minus = probe_loss()
-                flat[j] = original
-                numeric = (plus - minus) / (2.0 * step)
-                a = ref[j]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-                worst = max(worst, rel)
-                count += 1
-    return GradCheckReport(
-        max_rel_error=worst, tolerance=tolerance, passed=worst < tolerance, parameter_count=count
-    )
-
-
-@dataclass
-class GradCheckMatrixReport:
-    worst_by_variant: dict[str, float]
-    instances_per_variant: int
-    tolerance: float
-    passed: bool
+    for j, a in enumerate(analytic):
+        original = theta[j]
+        theta[j] = original + step
+        plus = probe_loss()
+        theta[j] = original - step
+        minus = probe_loss()
+        theta[j] = original
+        numeric = (plus - minus) / (2.0 * step)
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
+    return float(worst)
 
 
 def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
@@ -509,20 +488,13 @@ def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
                     rng.uniform(0.5, 3.0, size=k), rng.uniform(0.5, 3.0, size=(k, k))
                 )
 
-        ok = True
-        a = x
-        for layer in mlp.layers:
-            z = a @ layer.weights + layer.bias
-            if layer.activation == "relu" and np.abs(z).min() < 1e-3:
-                ok = False
-                break
-            if np.abs(z).max() > 12.0:
-                ok = False
-                break
-            a = _apply_activation(layer.activation, z)
-        if not ok:
-            continue
         acts = forward(mlp, x)
+        pre_activations = [a @ l.weights + l.bias for a, l in zip(acts, mlp.layers)]
+        if any(
+            (l.activation == "relu" and np.abs(z).min() < 1e-3) or np.abs(z).max() > 12.0
+            for l, z in zip(mlp.layers, pre_activations)
+        ):
+            continue
         grads = backward(mlp, acts, fused_gradient_from_probs(spec, acts[-1], y))
         smallest = min(float(np.abs(g).min()) for pair in grads for g in pair)
         if smallest < 1e-5:
@@ -532,31 +504,20 @@ def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
 
 
 def gradcheck_matrix(
-    seed: int = 0,
-    instances_per_variant: int = 4,
-    step: float = 1e-5,
-    tolerance: float = 1e-5,
-) -> GradCheckMatrixReport:
+    seed: int = 0, instances_per_variant: int = 4, step: float = 1e-5
+) -> dict[str, float]:
     """Gradient-check every loss variant on fresh random instances.
 
-    Records the worst relative error seen per variant; passes only if every
-    instance of every variant stays under tolerance.
+    Returns {variant: worst relative error over its instances}, in VARIANTS
+    order; the caller decides what error passes.
     """
     if instances_per_variant < 1:
         raise ValueError("instances_per_variant must be >= 1")
     rng = np.random.default_rng(seed)
-    worst_by_variant: dict[str, float] = {}
-    for variant in VARIANTS:
-        worst = 0.0
-        for _ in range(instances_per_variant):
-            mlp, batch, spec = _sample_gradcheck_instance(variant, rng)
-            report = gradcheck(mlp, batch, spec, step=step, tolerance=tolerance)
-            worst = max(worst, report.max_rel_error)
-        worst_by_variant[variant] = worst
-    passed = all(w < tolerance for w in worst_by_variant.values())
-    return GradCheckMatrixReport(
-        worst_by_variant=worst_by_variant,
-        instances_per_variant=instances_per_variant,
-        tolerance=tolerance,
-        passed=passed,
-    )
+    return {
+        variant: max(
+            gradcheck(*_sample_gradcheck_instance(variant, rng), step=step)
+            for _ in range(instances_per_variant)
+        )
+        for variant in VARIANTS
+    }

@@ -57,10 +57,9 @@ def categorical_suite(full_pool):
 
 
 def test_criterion_1_gradient_correctness():
-    report = gradcheck_matrix(seed=0, instances_per_variant=100, step=1e-5, tolerance=1e-5)
-    assert len(report.worst_by_variant) == 6
-    assert all(worst < 1e-5 for worst in report.worst_by_variant.values()), report.worst_by_variant
-    assert report.passed
+    worst_by_variant = gradcheck_matrix(seed=0, instances_per_variant=100, step=1e-5)
+    assert len(worst_by_variant) == 6
+    assert all(worst < 1e-5 for worst in worst_by_variant.values()), worst_by_variant
     passed(1, "gradient correctness")
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +409,23 @@ def test_config_scale_must_be_a_preset(tmp_path, capsys, command):
     assert ECHO_PREFIX not in captured.out
 
 
+@pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jobs_below_one_is_an_error(tmp_path, capsys, command, source):
+    if source == "flag":
+        argv = [command, "--jobs", "0"]
+        value = 0
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"jobs": -3}))
+        argv = ["--config", str(path), command]
+        value = -3
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"config key 'jobs' expects an integer >= 1, got {value}" in captured.err
+    assert ECHO_PREFIX not in captured.out  # rejected before the echo and any data source
+
+
 def test_malformed_config_file_is_an_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{oops")
@@ -501,3 +519,21 @@ def test_bernoulli_rejects_tiny_curve(tmp_path, capsys):
     rc = main(["bernoulli", "--curve", str(tmp_path / "c.csv"), "--curve-points", "1"])
     assert rc == 1
     assert "curve_points" in capsys.readouterr().err
+
+
+# --- README examples -------------------------------------------------------------
+
+
+def readme_block(command: str) -> list[str]:
+    """The output lines the README shows under "$ <command>" in a text block."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(f"$ {command}") + 1
+    return lines[start : lines.index("```", start)]
+
+
+@pytest.mark.parametrize(
+    "argv", [["gradcheck", "--instances", "2"], ["bernoulli"]], ids=["gradcheck", "bernoulli"]
+)
+def test_readme_quick_look_matches_the_output(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == readme_block(" ".join(["rwwce", *argv]))

@@ -415,6 +415,13 @@ def test_suites_reject_empty_plans(small_pool):
         run_categorical_suite(small_pool, [], base_seed=0)
 
 
+def test_suites_reject_jobs_below_one(small_pool):
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        run_categorical_suite(small_pool, [(0, 1)], base_seed=0, jobs=0)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got -3"):
+        run_binary_suite(small_pool, digits=[0], slices=[0], base_seed=0, jobs=-3)
+
+
 # --- rendering -------------------------------------------------------------------
 
 
