@@ -15,6 +15,8 @@ echoed object back via --config reproduces the run.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 failure (including a failed gradient check or a failed numeric cross-check).
+User input is checked at this boundary, so any other ValueError is a fault
+in the program and exits 2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import zlib
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -33,13 +36,17 @@ from .data import (
     MNIST_TOTAL_EXAMPLES,
     concat_corpora,
     load_idx,
+    positive_rows,
     read_idx_file,
+    split_sizes,
 )
 from .experiments import (
     DEFAULT_BINARY_COST,
     DEFAULT_OFF_PAIR_COST,
     DEFAULT_PAIR_WEIGHT,
     all_ordered_pairs,
+    binary_trial_configs,
+    categorical_trial_configs,
     run_binary_suite,
     run_categorical_suite,
     sample_pairs,
@@ -62,6 +69,15 @@ SCALES = ("desk", "full")
 
 class CliError(Exception):
     """A user-facing validation or configuration problem."""
+
+
+@contextmanager
+def _user_input():
+    """Report a ValueError from checking user settings as a CliError (exit 1)."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(str(e)) from e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,35 +250,61 @@ def _train_defaults() -> dict:
     return {f.name: getattr(base, f.name) for f in fields(TrainConfig) if f.name != "seed"}
 
 
-def _suite_defaults(**specific) -> dict:
-    """The settings both suites share, plus one suite's selection, costs and out_dir."""
-    return {
-        "scale": "desk",
-        "base_seed": 0,
-        "jobs": 1,
-        "images": None,
-        "labels": None,
-        "data_dir": None,
-        **_train_defaults(),
-        **specific,
-    }
+def _check_least(resolved: dict, **least) -> None:
+    for key, low in least.items():
+        if resolved[key] < low:
+            raise CliError(f"config key {key!r} expects an integer >= {low}, got {resolved[key]!r}")
 
 
-def _run_suite(resolved: dict, command: str, suite, *selection, **costs) -> int:
-    """Echo the settings, load the pool, run one suite and write its outputs."""
+def _resolve_suite(args, **specific) -> dict:
+    """Resolve the settings both suites share, plus one suite's selection,
+    costs and out_dir, and range-check the shared ones."""
+    resolved = _resolve(
+        args,
+        {
+            "scale": "desk",
+            "base_seed": 0,
+            "jobs": 1,
+            "images": None,
+            "labels": None,
+            "data_dir": None,
+            **_train_defaults(),
+            **specific,
+        },
+    )
     if resolved["scale"] not in SCALES:
         raise CliError(f"config key 'scale' expects one of {SCALES}, got {resolved['scale']!r}")
-    if resolved["jobs"] < 1:
-        raise CliError(f"config key 'jobs' expects an integer >= 1, got {resolved['jobs']!r}")
+    _check_least(resolved, jobs=1, base_seed=0)
+    return resolved
+
+
+def _run_suite(
+    resolved: dict, command: str, suite, trial_configs, pool_check, *selection, **costs
+) -> int:
+    """Check the trials, echo the settings, load the pool, run one suite and write its outputs.
+
+    trial_configs(*selection, base_seed, train_template, **costs) lists the
+    suite's trials before anything is loaded; pool_check(pool, config) raises
+    ValueError for a trial the loaded pool cannot supply.
+    """
+    with _user_input():
+        template = TrainConfig(
+            **{key: resolved[key] for key in _train_defaults()}, seed=resolved["base_seed"]
+        )
+        configs = trial_configs(
+            *selection, base_seed=resolved["base_seed"], train_template=template, **costs
+        )
+    if not configs:
+        raise CliError("no trials requested")
     _resolve_data(resolved)
     resolved["command"] = command
-    template = TrainConfig(
-        **{key: resolved[key] for key in _train_defaults()}, seed=resolved["base_seed"]
-    )
     _echo(resolved)
 
     pool = _load_pool(resolved["images"], resolved["labels"])
     print(f"loaded {pool.size} examples from {len(resolved['images'])} file pair(s)")
+    with _user_input():
+        for cfg in configs:
+            pool_check(pool, cfg)
     summary, records = suite(
         pool,
         *selection,
@@ -318,34 +360,38 @@ def cmd_verify_data(args) -> int:
 
 
 def cmd_run_binary(args) -> int:
-    resolved = _resolve(
+    resolved = _resolve_suite(
         args,
-        _suite_defaults(
-            digits=None,
-            slices=None,
-            w_mcfn=DEFAULT_BINARY_COST.fn_cost,
-            w_mcfp=DEFAULT_BINARY_COST.fp_cost,
-            out_dir="runs/binary",
-        ),
+        digits=None,
+        slices=None,
+        w_mcfn=DEFAULT_BINARY_COST.fn_cost,
+        w_mcfp=DEFAULT_BINARY_COST.fp_cost,
+        out_dir="runs/binary",
     )
     presets = {"digits": range(10), "slices": range(10 if resolved["scale"] == "full" else 1)}
     for key, preset in presets.items():
         resolved[key] = _int_list(key, list(preset) if resolved[key] is None else resolved[key])
-    cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
+    with _user_input():
+        cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
     return _run_suite(
-        resolved, "run-binary", run_binary_suite, resolved["digits"], resolved["slices"], cost=cost
+        resolved,
+        "run-binary",
+        run_binary_suite,
+        binary_trial_configs,
+        lambda pool, cfg: positive_rows(pool, cfg.digit, cfg.slice_index),
+        resolved["digits"],
+        resolved["slices"],
+        cost=cost,
     )
 
 
 def cmd_run_categorical(args) -> int:
-    resolved = _resolve(
+    resolved = _resolve_suite(
         args,
-        _suite_defaults(
-            pairs=None,
-            pair_weight=DEFAULT_PAIR_WEIGHT,
-            off_pair_cost=DEFAULT_OFF_PAIR_COST,
-            out_dir="runs/categorical",
-        ),
+        pairs=None,
+        pair_weight=DEFAULT_PAIR_WEIGHT,
+        off_pair_cost=DEFAULT_OFF_PAIR_COST,
+        out_dir="runs/categorical",
     )
     pairs = resolved["pairs"]
     if pairs is None or pairs == "all":
@@ -358,6 +404,8 @@ def cmd_run_categorical(args) -> int:
         resolved,
         "run-categorical",
         run_categorical_suite,
+        categorical_trial_configs,
+        lambda pool, cfg: split_sizes(pool.size),
         resolved["pairs"],
         pair_weight=resolved["pair_weight"],
         off_pair_cost=resolved["off_pair_cost"],
@@ -380,13 +428,14 @@ def cmd_bernoulli(args) -> int:
     resolved["command"] = "bernoulli"
     _echo(resolved)
 
-    scenario = BernoulliScenario(
-        resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
-    )
+    with _user_input():
+        scenario = BernoulliScenario(
+            resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
+        )
+        descended = descend(
+            scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
+        )
     closed_form = analytic_minimizer(scenario)
-    descended = descend(
-        scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
-    )
     likelihood_argmax, _ = likelihood_check(scenario)
     print(f"closed-form minimizer: {closed_form!r}")
     print(f"gradient descent result: {descended!r} (|diff| = {abs(descended - closed_form):.3e})")
@@ -416,6 +465,9 @@ def cmd_bernoulli(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     resolved = _resolve(args, {"seed": 0, "instances": 4, "step": 1e-5, "tolerance": 1e-5})
+    _check_least(resolved, seed=0, instances=1)
+    if not resolved["step"] > 0:
+        raise CliError(f"config key 'step' expects a number > 0, got {resolved['step']!r}")
     resolved["command"] = "gradcheck"
     _echo(resolved)
 
@@ -503,10 +555,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (CliError, ValueError, OSError) as e:
+    except (CliError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # genuine runtime failure
+    except Exception as e:  # a fault in the program, not in its input
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

@@ -199,13 +199,12 @@ class Dataset:
         return self.X.shape[0]
 
 
-def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
-    """One imbalanced digit-detection dataset.
+def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:
+    """Row indices of one positive slice of a digit.
 
-    Positives are occurrences [slice_index*630, (slice_index+1)*630) of the
-    chosen digit, counted in file order; negatives are every example of all
-    other digits.  Example order follows the source corpus.  Raises when the
-    corpus has too few occurrences of the digit for the requested slice.
+    The slice is occurrences [slice_index*630, (slice_index+1)*630) of the
+    digit, counted in file order.  Raises when the corpus has too few
+    occurrences of the digit for the requested slice.
     """
     if not 0 <= digit <= 9:
         raise ValueError(f"digit must be 0..9, got {digit}")
@@ -219,9 +218,17 @@ def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
             f"digit {digit} has {occurrences.size} occurrences, "
             f"slice {slice_index} needs at least {hi}"
         )
-    keep = np.zeros(raw.size, dtype=bool)
-    keep[raw.labels != digit] = True
-    keep[occurrences[lo:hi]] = True
+    return occurrences[lo:hi]
+
+
+def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
+    """One imbalanced digit-detection dataset.
+
+    Positives are the digit's positive_rows slice; negatives are every
+    example of all other digits.  Example order follows the source corpus.
+    """
+    keep = raw.labels != digit
+    keep[positive_rows(raw, digit, slice_index)] = True
     rows = np.flatnonzero(keep)
     x = raw.images[rows]
     y = (raw.labels[rows] == digit).astype(np.float64)
@@ -242,19 +249,23 @@ class SplitDataset:
     test: Dataset
 
 
+def split_sizes(m: int) -> tuple[int, int]:
+    """(n_test, n_val) of an m-example split: exact integer floors M // 4 and
+    3 * M // 40, computed without float rounding.  Raises below 40 examples."""
+    if m < 40:
+        raise ValueError(f"dataset of {m} examples is too small to split (need >= 40)")
+    return m // 4, (3 * m) // 40
+
+
 def split(dataset: Dataset, seed: int) -> SplitDataset:
     """Shuffle and split: 25% test, 7.5% validation, remainder train.
 
-    Sizes are exact integer floors (n_test = M // 4, n_val = 3 * M // 40),
-    computed without float rounding; the three parts are disjoint and
-    exhaustive.  The shuffle is a seeded permutation, so a (dataset, seed)
-    pair always produces the same split.
+    Sizes are split_sizes(M); the three parts are disjoint and exhaustive.
+    The shuffle is a seeded permutation, so a (dataset, seed) pair always
+    produces the same split.
     """
     m = dataset.size
-    if m < 40:
-        raise ValueError(f"dataset of {m} examples is too small to split (need >= 40)")
-    n_test = m // 4
-    n_val = (3 * m) // 40
+    n_test, n_val = split_sizes(m)
     order = np.random.default_rng(seed).permutation(m)
     test_rows = order[:n_test]
     val_rows = order[n_test : n_test + n_val]

@@ -114,6 +114,8 @@ class CategoricalTrialConfig:
             raise ValueError("classes must be 0..9")
         if self.fn_class == self.fp_class:
             raise ValueError("the expensive confusion must involve two distinct classes")
+        if not (np.isfinite(self.pair_weight) and np.isfinite(self.off_pair_cost)):
+            raise ValueError("costs must be finite")
         if self.pair_weight < 0 or self.off_pair_cost < 0:
             raise ValueError("costs must be nonnegative")
 
@@ -420,11 +422,16 @@ def run_binary_suite(
     jobs: int = 1,
 ) -> tuple[SuiteSummary, list[RunRecord]]:
     """One binary trial per (digit, slice) pair, seeded base_seed + index."""
-    configs = [
+    configs = binary_trial_configs(digits, slices, base_seed, cost, train_template)
+    return _run_many(run_binary_trial, configs, raw, jobs)
+
+
+def binary_trial_configs(digits, slices, base_seed, cost, train_template) -> list[BinaryTrialConfig]:
+    """run_binary_suite's trials, in order: each digit's slices, seeded base_seed + index."""
+    return [
         BinaryTrialConfig.make(d, s, base_seed + i, cost=cost, train_template=train_template)
         for i, (d, s) in enumerate((d, s) for d in digits for s in slices)
     ]
-    return _run_many(run_binary_trial, configs, raw, jobs)
 
 
 def all_ordered_pairs() -> list[tuple[int, int]]:
@@ -451,7 +458,17 @@ def run_categorical_suite(
     jobs: int = 1,
 ) -> tuple[SuiteSummary, list[RunRecord]]:
     """One categorical trial per expensive (k, k') pair, seeded base_seed + index."""
-    configs = [
+    configs = categorical_trial_configs(
+        pairs, base_seed, pair_weight, off_pair_cost, train_template
+    )
+    return _run_many(run_categorical_trial, configs, raw, jobs)
+
+
+def categorical_trial_configs(
+    pairs, base_seed, pair_weight, off_pair_cost, train_template
+) -> list[CategoricalTrialConfig]:
+    """run_categorical_suite's trials, in pair order, seeded base_seed + index."""
+    return [
         CategoricalTrialConfig.make(
             k, k2, base_seed + i,
             pair_weight=pair_weight,
@@ -460,7 +477,6 @@ def run_categorical_suite(
         )
         for i, (k, k2) in enumerate(pairs)
     ]
-    return _run_many(run_categorical_trial, configs, raw, jobs)
 
 
 def save_records(records: list[RunRecord], path) -> None:

@@ -12,13 +12,14 @@ saturated probability yields a large finite penalty instead of an infinity.
 Each variant is a choice of term weights: (a, b) on the positive and negative
 log terms for binary variants, (a, FP) on the true-class and wrong-class terms
 for categorical ones.  A LossSpec is a variant name plus those weights,
-resolved and validated once by the classmethod named after the variant.  One
-unchecked kernel, loss_and_gradient, evaluates every variant's loss and logit
-gradient together from them, so the weighted variants degenerate to the
-unweighted ones exactly when their weights are 1 (and FP is 0); tests hold
-them to that.  loss_value and fused_gradient_from_probs validate a batch and
-call it; train() validates its labels once through checked_targets and calls
-it per batch.
+resolved and validated once by the classmethod named after the variant.
+checked_targets validates labels and weighs each example's log h and
+log(1 - h) terms as (pos, neg); from those, one unchecked kernel,
+loss_and_gradient, evaluates one loss expression for every variant and its
+logit gradient, so the weighted variants degenerate to the unweighted ones
+exactly when their weights are 1 (and FP is 0); tests hold them to that.
+loss_value and fused_gradient_from_probs validate a batch and call it;
+train() weighs its labels once and calls it per batch.
 """
 
 from __future__ import annotations
@@ -209,26 +210,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _categorical_term_weights(spec: LossSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(true-class vector, off-diagonal fp matrix) multipliers for a batch of k classes."""
-    if spec.terms is None:
-        return np.ones(k), np.zeros((k, k))
-    n = spec.terms[0].shape[0]
-    if n != k:
-        if spec.variant == "wcce":
-            raise ValueError(f"per_class has {n} entries for {k} classes")
-        raise ValueError(f"cost model has {n} classes, batch has {k}")
-    return spec.terms
-
-
-def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, tuple]:
-    """Validate labels for probabilities of shape h_shape and resolve the term weights.
+def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, np.ndarray]:
+    """Validate labels for probabilities of shape h_shape and weigh each example's terms.
 
     Binary labels and probabilities may each be (M,) or a single column
     (M, 1); categorical ones are (M, K) with one-hot label rows.  These are
-    loss_value's label checks and messages.  Returns (labels, weights) as
-    loss_and_gradient takes them, binary labels flattened; train() calls
-    this once for its whole training set.
+    loss_value's label checks and messages.  Returns (pos, neg), the weights
+    of each example's log h and log(1 - h) terms: a * y and b * (1 - y) as
+    (M, 1) columns for binary (a, b), a * y and y @ FP as (M, K) arrays for
+    categorical (a, FP).  train() calls this once for its whole training set.
     """
     y = np.asarray(y, dtype=np.float64)
     if spec.is_binary:
@@ -247,61 +237,60 @@ def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, tuple]:
     if spec.is_binary:
         if np.any((y != 0.0) & (y != 1.0)):
             raise ValueError("binary labels must be exactly 0 or 1")
-        return y, spec.terms
-    if h_shape[1] < 2:
+        a, b = spec.terms
+        y = y[:, None]
+        return a * y, b * (1.0 - y)
+    k = h_shape[1]
+    if k < 2:
         raise ValueError("categorical batch needs at least two classes")
     if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
         raise ValueError("labels must be exact one-hot rows")
-    return y, _categorical_term_weights(spec, h_shape[1])
+    if spec.terms is None:
+        a, fp = np.ones(k), np.zeros((k, k))
+    else:
+        a, fp = spec.terms
+        if a.size != k:
+            if spec.variant == "wcce":
+                raise ValueError(f"per_class has {a.size} entries for {k} classes")
+            raise ValueError(f"cost model has {a.size} classes, batch has {k}")
+    return a * y, y @ fp
 
 
-def _checked(spec: LossSpec, h, y) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(weights, probabilities, labels) of one batch, validated for loss_and_gradient."""
+def _checked(spec: LossSpec, h, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probabilities, pos, neg) of one batch, validated for loss_and_gradient;
+    binary probabilities come back as a column."""
     h = np.asarray(h, dtype=np.float64)
-    y, weights = checked_targets(spec, y, h.shape)
+    pos, neg = checked_targets(spec, y, h.shape)
     if np.any(h < 0.0) or np.any(h > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     if not spec.is_binary and np.any(np.abs(h.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE):
         raise ValueError("probability rows must sum to 1")
-    return weights, h, y
+    return h.reshape(pos.shape), pos, neg
 
 
-def loss_and_gradient(
-    spec: LossSpec, weights, h: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
+def loss_and_gradient(h: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[float, np.ndarray]:
     """The batch loss and its gradient with respect to the final-layer logits.
 
-    Unchecked: h holds float64 probabilities and (y, weights) are what
-    checked_targets returns for them.  With each log argument clipped below
-    at EPSILON, and u_t = -a_t on a row's true class t, u_j = (y @ FP)_j *
-    h_j / (1 - h_j) elsewhere:
+    Unchecked: h holds float64 probabilities, one sigmoid unit as an (M, 1)
+    column or softmax rows as (M, K), and (pos, neg) are what checked_targets
+    returns for them.  With each log argument clipped below at EPSILON, every
+    variant has one loss, and only its gradient depends on the activation,
+    with u = -pos + neg * h / (1 - h):
 
-      binary       loss = -mean(a * y * log h + b * (1 - y) * log(1 - h))
-                   dJ/dz = (a * y * (h - 1) + b * (1 - y) * h) / M
-      categorical  loss = -mean over rows of sum(a * y * log h) + sum((y @ FP) * log(1 - h))
-                   dJ/dz_i = (u_i - h_i * sum_j u_j) / M
+      loss = -mean over rows of sum(pos * log h) + sum(neg * log(1 - h))
+      sigmoid unit  dJ/dz = (pos * (h - 1) + neg * h) / M
+      softmax rows  dJ/dz_i = (u_i - h_i * sum_j u_j) / M
 
-    The sigmoid/softmax Jacobian is folded in analytically, which keeps the
+    The activation's Jacobian is folded in analytically, which keeps the
     gradient free of the 1/h and 1/(1-h) blowups a chain through the raw
     probability gradient would hit.  The gradient has h's shape.
     """
-    if spec.is_binary:
-        a, b = weights
-        hv = h.reshape(y.shape)
-        pos = a * y
-        neg = b * (1.0 - y)
-        log_h = np.log(np.maximum(hv, EPSILON))
-        log_not_h = np.log(np.maximum(1.0 - hv, EPSILON))
-        loss = float(-np.mean(pos * log_h + neg * log_not_h))
-        dz = (pos * (hv - 1.0) + neg * hv) / hv.shape[0]
-        return loss, dz.reshape(h.shape)
-    a, fp = weights
-    pos = a * y
-    wrong = y @ fp
     not_h = np.maximum(1.0 - h, EPSILON)
     log_h = np.log(np.maximum(h, EPSILON))
-    loss = float(-np.mean((pos * log_h).sum(axis=1) + (wrong * np.log(not_h)).sum(axis=1)))
-    u = -pos + wrong * (h / not_h)
+    loss = float(-np.mean((pos * log_h).sum(axis=1) + (neg * np.log(not_h)).sum(axis=1)))
+    if h.shape[1] == 1:
+        return loss, (pos * (h - 1.0) + neg * h) / h.shape[0]
+    u = -pos + neg * (h / not_h)
     s = u.sum(axis=1, keepdims=True)
     return loss, (u - h * s) / h.shape[0]
 
@@ -309,10 +298,10 @@ def loss_and_gradient(
 def loss_value(spec: LossSpec, h, y) -> float:
     """Evaluate the loss named by spec on a batch of predictions.
 
-    Validates the batch, then evaluates loss_and_gradient's formula with
-    (a, b) or (a, FP) taken from the variant's term weights.
+    Validates the batch, weighs each example's log terms with
+    checked_targets, and evaluates loss_and_gradient's one loss expression.
     """
-    return loss_and_gradient(spec, *_checked(spec, h, y))[0]
+    return loss_and_gradient(*_checked(spec, h, y))[0]
 
 
 def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
@@ -322,5 +311,4 @@ def fused_gradient_from_probs(spec: LossSpec, h, y) -> np.ndarray:
     Returns an array shaped like h, already carrying the 1/M batch-mean
     factor; see loss_and_gradient for the formulas.
     """
-    return loss_and_gradient(spec, *_checked(spec, h, y))[1]
-
+    return loss_and_gradient(*_checked(spec, h, y))[1].reshape(np.shape(h))

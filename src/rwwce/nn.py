@@ -362,13 +362,14 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
 
     train_set provides arrays X (M, d) and Y (labels: (M,) binary or (M, K)
     one-hot); a uint8 X stays uint8 and each gathered batch is scaled by
-    forward().  The labels are checked once, with loss_value's rules, before
-    the first step.  Each epoch reshuffles with a generator seeded once from
-    config.seed, walks the permutation in batch_size slices (final short
-    batch included), and applies one in-place Adam update per batch to a
-    flat copy of mlp's parameters; mlp itself is left untouched.  Returns the
-    trained model and the per-epoch mean training loss (example-weighted, as
-    observed during the epoch).  Bit-deterministic for fixed inputs.
+    forward().  The labels are checked and weighed once, by checked_targets,
+    before the first step, and each batch gathers its rows of those weights.
+    Each epoch reshuffles with a generator seeded once from config.seed,
+    walks the permutation in batch_size slices (final short batch included),
+    and applies one in-place Adam update per batch to a flat copy of mlp's
+    parameters; mlp itself is left untouched.  Returns the trained model and
+    the per-epoch mean training loss (example-weighted, as observed during
+    the epoch).  Bit-deterministic for fixed inputs.
     """
     x = np.asarray(train_set.X)
     y = np.asarray(train_set.Y, dtype=np.float64)
@@ -378,7 +379,7 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     if y.shape[0] != m:
         raise ValueError(f"X has {m} rows but Y has {y.shape[0]}")
     _check_pairing(mlp, loss_spec)
-    y, weights = checked_targets(loss_spec, y, (m, mlp.layers[-1].out_dim))
+    pos, neg = checked_targets(loss_spec, y, (m, mlp.layers[-1].out_dim))
 
     theta, model = _flat_copy(mlp)
     grad = np.zeros_like(theta)
@@ -392,7 +393,7 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
         for start in range(0, m, config.batch_size):
             idx = order[start : start + config.batch_size]
             acts = forward(model, x[idx])
-            batch_loss, dz = loss_and_gradient(loss_spec, weights, acts[-1], y[idx])
+            batch_loss, dz = loss_and_gradient(acts[-1], pos[idx], neg[idx])
             backward(model, acts, dz, out=grads)
             adam_step(theta, grad, state, config)
             weighted_total += batch_loss * idx.shape[0]
@@ -412,21 +413,21 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
     Entries whose true magnitude sits near that floor are dominated by
     finite-difference cancellation noise, so keep the probe networks small
     and the batches moderate.  The output layer is checked against the loss
-    as train() checks it, and the labels are validated once; the analytic
-    gradient and every probe run the unchecked loss kernel.
+    as train() checks it, and the labels are checked and weighed once; the
+    analytic gradient and every probe run the unchecked loss kernel.
     """
     _check_pairing(mlp, loss_spec)
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     acts = forward(mlp, x)
-    y, weights = checked_targets(loss_spec, y, acts[-1].shape)
+    pos, neg = checked_targets(loss_spec, y, acts[-1].shape)
     theta, work = _flat_copy(mlp)
     analytic = np.zeros_like(theta)
     grads = [(l.weights, l.bias) for l in flat_layers(analytic, mlp.layers)]
-    backward(mlp, acts, loss_and_gradient(loss_spec, weights, acts[-1], y)[1], out=grads)
+    backward(mlp, acts, loss_and_gradient(acts[-1], pos, neg)[1], out=grads)
 
     def probe_loss() -> float:
-        return loss_and_gradient(loss_spec, weights, forward(work, x)[-1], y)[0]
+        return loss_and_gradient(forward(work, x)[-1], pos, neg)[0]
 
     worst = 0.0
     for j, a in enumerate(analytic):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from rwwce import load_records, records_match, sample_pairs
+import corpus
+from rwwce import cli, load_records, records_match, sample_pairs
 from rwwce.cli import DATA_DIR_ENV, main
 
 ECHO_PREFIX = "resolved config: "
@@ -362,6 +363,98 @@ def test_run_categorical_rejects_self_pair(small_dir, tmp_path, capsys):
 def test_run_categorical_rejects_bad_pair_text(capsys):
     assert main(["run-categorical", "--pairs", "4-9"]) == 1
     assert "bad pair" in capsys.readouterr().err
+
+
+# --- exit codes -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, name, selection",
+    [
+        ("run-binary", "run_binary_suite", ["--digits", "3"]),
+        ("run-categorical", "run_categorical_suite", ["--pairs", "4:9"]),
+    ],
+)
+def test_an_internal_value_error_exits_2(
+    small_dir, tmp_path, capsys, monkeypatch, command, name, selection
+):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    argv = [command, "--data-dir", str(small_dir), *selection, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "runtime failure: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run-binary", "--digits", "11"], "digit must be 0..9, got 11"),
+        (["run-categorical", "--pairs", "3:3"], "distinct classes"),
+        (["run-categorical", "--pairs", "4:9", "--pair-weight", "-1"], "costs must be nonnegative"),
+        (["run-categorical", "--pairs", "4:9", "--off-pair-cost", "inf"], "costs must be finite"),
+        (["run-binary", "--epochs", "0"], "epochs must be >= 1"),
+        (["run-binary", "--w-fn", "-1"], "fn_cost must be finite and nonnegative"),
+        (["run-binary", "--seed", "-1"], "config key 'base_seed' expects an integer >= 0, got -1"),
+        (["run-categorical", "--seed", "-2"], "config key 'base_seed' expects an integer >= 0, got -2"),
+    ],
+)
+def test_selection_and_cost_errors_exit_1_before_loading(small_dir, tmp_path, capsys, argv, message):
+    rc = main([*argv, "--data-dir", str(small_dir), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "loaded" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("run-binary", "digits"), ("run-categorical", "pairs")])
+def test_an_empty_selection_exits_1(small_dir, tmp_path, capsys, command, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: [], "data_dir": str(small_dir)}))
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert "no trials requested" in captured.err
+    assert "loaded" not in captured.out
+
+
+def test_a_slice_the_pool_cannot_fill_exits_1_before_any_trial(small_dir, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_binary_suite", lambda *a, **k: calls.append(a))
+    rc = main(["run-binary", "--data-dir", str(small_dir), "--digits", "3", "--slices", "0,1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "slice 1 needs at least 1260" in captured.err
+    assert "loaded 7000 examples" in captured.out
+    assert calls == []
+
+
+def test_a_pool_too_small_to_split_exits_1(tmp_path, capsys):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    for path, payload in zip((images, labels), corpus.synthetic_idx_pair(3)):
+        path.write_bytes(payload)
+    argv = ["run-categorical", "--images", str(images), "--labels", str(labels), "--pairs", "4:9"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "dataset of 30 examples is too small to split" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bernoulli", "--n-pos", "-1"], "counts must be nonnegative"),
+        (["bernoulli", "--w-neg", "0"], "w_neg must be finite and > 0"),
+        (["bernoulli", "--p0", "1.5"], "p0 must lie strictly inside (0, 1)"),
+        (["bernoulli", "--iterations", "0"], "iterations must be >= 1"),
+        (["gradcheck", "--instances", "0"], "config key 'instances' expects an integer >= 1, got 0"),
+        (["gradcheck", "--seed", "-1"], "config key 'seed' expects an integer >= 0, got -1"),
+        (["gradcheck", "--step", "0"], "config key 'step' expects a number > 0, got 0.0"),
+    ],
+)
+def test_demo_argument_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 # --- config files ----------------------------------------------------------------

@@ -67,6 +67,9 @@ def test_categorical_trial_config_validation():
         CategoricalTrialConfig.make(0, 10, seed=0)
     with pytest.raises(ValueError):
         CategoricalTrialConfig.make(0, 1, seed=0, pair_weight=-1.0)
+    for cost in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="costs must be finite"):
+            CategoricalTrialConfig.make(0, 1, seed=0, off_pair_cost=cost)
 
 
 def test_pair_cost_matrix_values():

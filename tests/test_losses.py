@@ -471,8 +471,8 @@ def test_unchecked_kernel_matches_the_checked_calls_bit_for_bit():
         h, y = random_binary_batch(rng)
         h = _saturate(h, rng)[:, None]  # as the network emits it, (M, 1)
         for spec in binary:
-            labels, weights = checked_targets(spec, y, h.shape)
-            loss, dz = loss_and_gradient(spec, weights, h, labels)
+            pos, neg = checked_targets(spec, y, h.shape)
+            loss, dz = loss_and_gradient(h, pos, neg)
             assert loss == loss_value(spec, h, y)
             assert np.array_equal(dz, fused_gradient_from_probs(spec, h, y))
             assert dz.shape == h.shape
@@ -487,7 +487,64 @@ def test_unchecked_kernel_matches_the_checked_calls_bit_for_bit():
             LossSpec.rwwce_categorical(rng.uniform(0.5, 3.0, k), rng.uniform(0.0, 5.0, (k, k))),
         ]
         for spec in categorical:
-            labels, weights = checked_targets(spec, y, h.shape)
-            loss, dz = loss_and_gradient(spec, weights, h, labels)
+            pos, neg = checked_targets(spec, y, h.shape)
+            loss, dz = loss_and_gradient(h, pos, neg)
             assert loss == loss_value(spec, h, y)
             assert np.array_equal(dz, fused_gradient_from_probs(spec, h, y))
+
+
+def _per_kind_kernels(spec, h, y):
+    """The binary and categorical kernels that loss_and_gradient replaced, as
+    they were written, from a spec and labels; the reference for its bits."""
+    h = np.asarray(h, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if spec.is_binary:
+        a, b = spec.terms
+        y = y.reshape(-1)
+        hv = h.reshape(y.shape)
+        pos = a * y
+        neg = b * (1.0 - y)
+        log_h = np.log(np.maximum(hv, EPSILON))
+        log_not_h = np.log(np.maximum(1.0 - hv, EPSILON))
+        loss = float(-np.mean(pos * log_h + neg * log_not_h))
+        dz = (pos * (hv - 1.0) + neg * hv) / hv.shape[0]
+        return loss, dz.reshape(h.shape)
+    k = h.shape[1]
+    a, fp = (np.ones(k), np.zeros((k, k))) if spec.terms is None else spec.terms
+    pos = a * y
+    wrong = y @ fp
+    not_h = np.maximum(1.0 - h, EPSILON)
+    log_h = np.log(np.maximum(h, EPSILON))
+    loss = float(-np.mean((pos * log_h).sum(axis=1) + (wrong * np.log(not_h)).sum(axis=1)))
+    u = -pos + wrong * (h / not_h)
+    s = u.sum(axis=1, keepdims=True)
+    return loss, (u - h * s) / h.shape[0]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_one_kernel_is_bit_identical_to_the_per_kind_kernels():
+    rng = np.random.default_rng(2020)
+    zero_cost = [LossSpec.rwwce_binary(0.0, 3.0), LossSpec.rwwce_binary(3.0, 0.0)]
+    for trial in range(100):
+        k = int(rng.integers(2, 11))
+        h, y = random_binary_batch(rng)
+        hc, yc = random_categorical_batch(rng, k=k)
+        if trial % 2:
+            h = _saturate(h, rng)
+            hc = softmax(rng.normal(0.0, 40.0, size=hc.shape))  # wide logits saturate whole rows
+        for spec in all_variant_specs(rng, k) + zero_cost:
+            if spec.is_binary:
+                cases = [(h, y), (h[:, None], y), (h[:, None], y[:, None])]
+            else:
+                cases = [(hc, yc)]
+            for hb, yb in cases:
+                want_loss, want_dz = _per_kind_kernels(spec, hb, yb)
+                assert same_bits(loss_value(spec, hb, yb), want_loss), spec.variant
+                assert same_bits(fused_gradient_from_probs(spec, hb, yb), want_dz), spec.variant
+                if hb.ndim == 2:  # the network's own output shape
+                    loss, dz = loss_and_gradient(hb, *checked_targets(spec, yb, hb.shape))
+                    assert same_bits(loss, want_loss) and same_bits(dz, want_dz), spec.variant

@@ -26,6 +26,7 @@ from rwwce import (
     train,
 )
 from rwwce.experiments import BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY
+from rwwce.losses import BINARY_VARIANTS, VARIANTS
 from rwwce.nn import EVAL_BLOCK_ROWS, flat_layers, network_input, outputs
 
 
@@ -414,18 +415,30 @@ def reference_train(mlp, data, spec, config):
     return params, history
 
 
-@pytest.mark.parametrize("kind", ["binary", "categorical"])
-def test_train_is_bit_identical_to_the_reference_loop(kind):
+# One spec per variant for four classes, built from the test's generator.
+REFERENCE_LOOP_SPECS = {
+    "bce": lambda rng: LossSpec.bce(),
+    "wbce": lambda rng: LossSpec.wbce(7.0),
+    "rwwce_binary": lambda rng: LossSpec.rwwce_binary(20.0, 3.0),
+    "cce": lambda rng: LossSpec.cce(),
+    "wcce": lambda rng: LossSpec.wcce(rng.uniform(0.5, 2.0, 4)),
+    "rwwce_categorical": lambda rng: LossSpec.rwwce_categorical(
+        rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 3.0, (4, 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_is_bit_identical_to_the_reference_loop(variant):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(53, 6))  # batch_size 8 leaves a final batch of 5
-    if kind == "binary":
+    if variant in BINARY_VARIANTS:
         data = Dataset(x, (rng.random(53) < 0.3).astype(np.float64))
         mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=12)
-        spec = LossSpec.rwwce_binary(20.0, 3.0)
     else:
         data = Dataset(x, np.eye(4)[rng.integers(0, 4, size=53)])
         mlp = init_mlp([(6, 7, "relu"), (7, 5, "sigmoid"), (5, 4, "softmax")], seed=12)
-        spec = LossSpec.rwwce_categorical(rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 3.0, (4, 4)))
+    spec = REFERENCE_LOOP_SPECS[variant](rng)
     config = TrainConfig(epochs=6, batch_size=8, learning_rate=0.01, seed=13)
     trained, history = train(mlp, data, spec, config)
     params, expected_history = reference_train(mlp, data, spec, config)
