@@ -100,6 +100,8 @@ def descend(
         raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0}")
     if step <= 0:
         raise ValueError("step must be > 0")
+    if not math.isfinite(step):
+        raise ValueError("step must be finite")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     a = scenario.weighted_pos

@@ -8,21 +8,25 @@ gradcheck (finite-difference validation of every loss gradient).
 Settings resolve in three layers: built-in defaults, then a JSON config file
 given with --config, then explicit flags.  Each flag is stored under its
 config key (on the suites --seed is base_seed, --w-fn is w_mcfn and --w-fp
-is w_mcfp), and every value takes the type of its default, so a wrongly
-typed config value is a configuration error.  Every command echoes its fully
+is w_mcfp), and every value takes the type of its default, or str (a list
+of str for images and labels) for a path key whose default is None, so a
+wrongly typed config value is a configuration error.  Every command echoes its fully
 resolved configuration as one JSON line before doing any work; feeding that
 echoed object back via --config reproduces the run.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 failure (including a failed gradient check or a failed numeric cross-check).
 User input is checked at this boundary, so any other ValueError is a fault
-in the program and exits 2.
+in the program and exits 2.  A suite command builds its list of trial
+configs once from the settings, checks each config against the loaded pool,
+and runs that same list with experiments.run_trials.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import zlib
@@ -31,15 +35,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bernoulli import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
-from .data import (
-    MNIST_FILE_BYTES,
-    MNIST_TOTAL_EXAMPLES,
-    concat_corpora,
-    load_idx,
-    positive_rows,
-    read_idx_file,
-    split_sizes,
-)
+from .data import MNIST_FILE_BYTES, MNIST_TOTAL_EXAMPLES, concat_corpora, load_idx, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
     DEFAULT_OFF_PAIR_COST,
@@ -47,8 +43,9 @@ from .experiments import (
     all_ordered_pairs,
     binary_trial_configs,
     categorical_trial_configs,
-    run_binary_suite,
-    run_categorical_suite,
+    run_binary_trial,
+    run_categorical_trial,
+    run_trials,
     sample_pairs,
     save_records,
     summary_table,
@@ -65,6 +62,11 @@ STANDARD_FILES = (
 )
 
 SCALES = ("desk", "full")
+
+# Keys whose default is None that take a path (str) or a list of paths when
+# given; the suites' selections are typed once their presets are filled in.
+PATH_KEYS = ("data_dir", "curve")
+PATH_LIST_KEYS = ("images", "labels")
 
 
 class CliError(Exception):
@@ -154,14 +156,14 @@ def _cast(key: str, value, kind):
     return cast
 
 
-def _int_list(key: str, value) -> list[int]:
-    """value as a list of ints; a bad item is reported with the whole list."""
+def _list_of(key: str, value, kind) -> list:
+    """value as a list of kind; a bad item is reported with the whole list."""
     if not isinstance(value, (list, tuple)):
         raise CliError(f"config key {key!r} expects list, got {value!r}")
     try:
-        return [_cast(key, item, int) for item in value]
+        return [_cast(key, item, kind) for item in value]
     except CliError:
-        raise CliError(f"config key {key!r} expects int, got {value!r}") from None
+        raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
 
 
 def _resolve(args, defaults: dict) -> dict:
@@ -183,6 +185,10 @@ def _resolve(args, defaults: dict) -> dict:
             resolved[key] = flag
         if default is not None:
             resolved[key] = _cast(key, resolved[key], type(default))
+        elif resolved[key] is not None and key in PATH_KEYS:
+            resolved[key] = _cast(key, resolved[key], str)
+        elif resolved[key] is not None and key in PATH_LIST_KEYS:
+            resolved[key] = _list_of(key, resolved[key], str)
     return resolved
 
 
@@ -220,8 +226,7 @@ def _resolve_data(resolved: dict) -> None:
                 f"no data source: pass --images/--labels, --data-dir, or set ${DATA_DIR_ENV}"
             )
         images, labels = _standard_paths(data_dir)
-    resolved["images"] = [str(p) for p in images]
-    resolved["labels"] = [str(p) for p in labels]
+    resolved["images"], resolved["labels"] = images, labels
     resolved.pop("data_dir", None)
 
 
@@ -256,9 +261,10 @@ def _check_least(resolved: dict, **least) -> None:
             raise CliError(f"config key {key!r} expects an integer >= {low}, got {resolved[key]!r}")
 
 
-def _resolve_suite(args, **specific) -> dict:
+def _resolve_suite(args, **specific) -> tuple[dict, TrainConfig]:
     """Resolve the settings both suites share, plus one suite's selection,
-    costs and out_dir, and range-check the shared ones."""
+    costs and out_dir; range-check the shared ones and return them with the
+    TrainConfig template every trial's seed is set in."""
     resolved = _resolve(
         args,
         {
@@ -275,25 +281,21 @@ def _resolve_suite(args, **specific) -> dict:
     if resolved["scale"] not in SCALES:
         raise CliError(f"config key 'scale' expects one of {SCALES}, got {resolved['scale']!r}")
     _check_least(resolved, jobs=1, base_seed=0)
-    return resolved
-
-
-def _run_suite(
-    resolved: dict, command: str, suite, trial_configs, pool_check, *selection, **costs
-) -> int:
-    """Check the trials, echo the settings, load the pool, run one suite and write its outputs.
-
-    trial_configs(*selection, base_seed, train_template, **costs) lists the
-    suite's trials before anything is loaded; pool_check(pool, config) raises
-    ValueError for a trial the loaded pool cannot supply.
-    """
     with _user_input():
         template = TrainConfig(
             **{key: resolved[key] for key in _train_defaults()}, seed=resolved["base_seed"]
         )
-        configs = trial_configs(
-            *selection, base_seed=resolved["base_seed"], train_template=template, **costs
-        )
+    return resolved, template
+
+
+def _run_suite(resolved: dict, command: str, runner, configs) -> int:
+    """Echo the settings, load the pool, run the suite's trials and write its outputs.
+
+    configs is the suite's whole trial list, built from the settings before
+    this call.  Each config's check_pool(pool) raises ValueError for a trial
+    the loaded pool cannot supply, so every trial is checked before the
+    first one runs; run_trials then runs runner on that same list.
+    """
     if not configs:
         raise CliError("no trials requested")
     _resolve_data(resolved)
@@ -304,15 +306,8 @@ def _run_suite(
     print(f"loaded {pool.size} examples from {len(resolved['images'])} file pair(s)")
     with _user_input():
         for cfg in configs:
-            pool_check(pool, cfg)
-    summary, records = suite(
-        pool,
-        *selection,
-        base_seed=resolved["base_seed"],
-        train_template=template,
-        jobs=resolved["jobs"],
-        **costs,
-    )
+            cfg.check_pool(pool)
+    summary, records = run_trials(runner, configs, pool, resolved["jobs"])
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.jsonl"
@@ -329,7 +324,7 @@ def cmd_verify_data(args) -> int:
     data_dir = resolved["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
         raise CliError(f"pass --data-dir or set ${DATA_DIR_ENV}")
-    resolved["data_dir"] = str(data_dir)
+    resolved["data_dir"] = data_dir
     _echo(resolved)
 
     images, labels = _standard_paths(data_dir)
@@ -360,7 +355,7 @@ def cmd_verify_data(args) -> int:
 
 
 def cmd_run_binary(args) -> int:
-    resolved = _resolve_suite(
+    resolved, template = _resolve_suite(
         args,
         digits=None,
         slices=None,
@@ -370,23 +365,17 @@ def cmd_run_binary(args) -> int:
     )
     presets = {"digits": range(10), "slices": range(10 if resolved["scale"] == "full" else 1)}
     for key, preset in presets.items():
-        resolved[key] = _int_list(key, list(preset) if resolved[key] is None else resolved[key])
+        resolved[key] = _list_of(key, list(preset) if resolved[key] is None else resolved[key], int)
     with _user_input():
         cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
-    return _run_suite(
-        resolved,
-        "run-binary",
-        run_binary_suite,
-        binary_trial_configs,
-        lambda pool, cfg: positive_rows(pool, cfg.digit, cfg.slice_index),
-        resolved["digits"],
-        resolved["slices"],
-        cost=cost,
-    )
+        configs = binary_trial_configs(
+            resolved["digits"], resolved["slices"], resolved["base_seed"], cost, template
+        )
+    return _run_suite(resolved, "run-binary", run_binary_trial, configs)
 
 
 def cmd_run_categorical(args) -> int:
-    resolved = _resolve_suite(
+    resolved, template = _resolve_suite(
         args,
         pairs=None,
         pair_weight=DEFAULT_PAIR_WEIGHT,
@@ -399,17 +388,13 @@ def cmd_run_categorical(args) -> int:
             pairs = all_ordered_pairs()
         else:
             pairs = sample_pairs(10, resolved["base_seed"])
-    resolved["pairs"] = [_int_list("pairs", pair) for pair in _cast("pairs", pairs, list)]
-    return _run_suite(
-        resolved,
-        "run-categorical",
-        run_categorical_suite,
-        categorical_trial_configs,
-        lambda pool, cfg: split_sizes(pool.size),
-        resolved["pairs"],
-        pair_weight=resolved["pair_weight"],
-        off_pair_cost=resolved["off_pair_cost"],
-    )
+    resolved["pairs"] = [_list_of("pairs", pair, int) for pair in _cast("pairs", pairs, list)]
+    with _user_input():
+        configs = categorical_trial_configs(
+            resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
+            resolved["off_pair_cost"], template,
+        )
+    return _run_suite(resolved, "run-categorical", run_categorical_trial, configs)
 
 
 def cmd_bernoulli(args) -> int:
@@ -466,6 +451,9 @@ def cmd_bernoulli(args) -> int:
 def cmd_gradcheck(args) -> int:
     resolved = _resolve(args, {"seed": 0, "instances": 4, "step": 1e-5, "tolerance": 1e-5})
     _check_least(resolved, seed=0, instances=1)
+    for key in ("step", "tolerance"):
+        if not math.isfinite(resolved[key]):
+            raise CliError(f"config key {key!r} expects a finite number, got {resolved[key]!r}")
     if not resolved["step"] > 0:
         raise CliError(f"config key 'step' expects a number > 0, got {resolved['step']!r}")
     resolved["command"] = "gradcheck"

@@ -29,12 +29,14 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    FEATURES, NUM_CLASSES, RawMnist, make_binary_dataset, make_categorical_dataset, split
+    FEATURES, NUM_CLASSES, RawMnist, make_binary_dataset, make_categorical_dataset, positive_rows,
+    split, split_sizes,
 )
 from .losses import BinaryCostModel, LossSpec
 from .metrics import (
@@ -87,6 +89,10 @@ class BinaryTrialConfig:
         if self.slice_index < 0:
             raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
 
+    def check_pool(self, raw: RawMnist) -> None:
+        """Raise ValueError when raw has too few of the digit for this trial's positive slice."""
+        positive_rows(raw, self.digit, self.slice_index)
+
     @classmethod
     def make(
         cls,
@@ -118,6 +124,10 @@ class CategoricalTrialConfig:
             raise ValueError("costs must be finite")
         if self.pair_weight < 0 or self.off_pair_cost < 0:
             raise ValueError("costs must be nonnegative")
+
+    def check_pool(self, raw: RawMnist) -> None:
+        """Raise ValueError when raw is too small to split into this trial's three parts."""
+        split_sizes(raw.size)
 
     @classmethod
     def make(
@@ -394,8 +404,13 @@ def summarize(records: list[RunRecord]) -> SuiteSummary:
     return SuiteSummary(kind=kind, trials=trials, means=means, comparisons=comparisons)
 
 
-def _run_many(runner, configs, raw, jobs: int) -> tuple[SuiteSummary, list[RunRecord]]:
-    """Run one trial per config, then summarize the suite's records."""
+def run_trials(runner, configs, raw, jobs: int = 1) -> tuple[SuiteSummary, list[RunRecord]]:
+    """Run runner(cfg, raw) once per config, in config order, then summarize the records.
+
+    configs is a suite's whole trial list, as binary_trial_configs or
+    categorical_trial_configs build it, and runner is the matching trial
+    function.  jobs > 1 runs the trials on that many threads.
+    """
     if not configs:
         raise ValueError("no trials requested")
     if jobs < 1:
@@ -405,9 +420,10 @@ def _run_many(runner, configs, raw, jobs: int) -> tuple[SuiteSummary, list[RunRe
     else:
         # Threads, not processes, because every trial reads the one corpus
         # in place.  map() keeps results in config order, so the records and
-        # their summary do not depend on scheduling.
+        # their summary do not depend on scheduling.  raw goes in through
+        # map, not a closure, so a process pool could map the same runner.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(lambda cfg: runner(cfg, raw), configs))
+            nested = list(pool.map(runner, configs, repeat(raw)))
     records = [record for trial in nested for record in trial]
     return summarize(records), records
 
@@ -423,7 +439,7 @@ def run_binary_suite(
 ) -> tuple[SuiteSummary, list[RunRecord]]:
     """One binary trial per (digit, slice) pair, seeded base_seed + index."""
     configs = binary_trial_configs(digits, slices, base_seed, cost, train_template)
-    return _run_many(run_binary_trial, configs, raw, jobs)
+    return run_trials(run_binary_trial, configs, raw, jobs)
 
 
 def binary_trial_configs(digits, slices, base_seed, cost, train_template) -> list[BinaryTrialConfig]:
@@ -461,7 +477,7 @@ def run_categorical_suite(
     configs = categorical_trial_configs(
         pairs, base_seed, pair_weight, off_pair_cost, train_template
     )
-    return _run_many(run_categorical_trial, configs, raw, jobs)
+    return run_trials(run_categorical_trial, configs, raw, jobs)
 
 
 def categorical_trial_configs(

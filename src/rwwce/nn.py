@@ -32,7 +32,7 @@ from .losses import (
     softmax,
 )
 
-ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
+ACTIVATIONS = ("relu", "sigmoid", "softmax")
 
 # The most rows outputs() scales at once: 4,096 x 784 float64 pixels is 25.7 MB.
 EVAL_BLOCK_ROWS = 4096
@@ -57,19 +57,6 @@ class DenseLayer:
 class Mlp:
     layers: list[DenseLayer]
 
-    @property
-    def weight_count(self) -> int:
-        return sum(layer.weights.size for layer in self.layers)
-
-    @property
-    def bias_count(self) -> int:
-        return sum(layer.bias.size for layer in self.layers)
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -92,6 +79,9 @@ class TrainConfig:
             raise ValueError("adam betas must lie in [0, 1)")
         if not self.adam_epsilon > 0:
             raise ValueError("adam_epsilon must be > 0")
+        for name in ("learning_rate", "adam_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -175,7 +165,7 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
         return sigmoid(z)
     if name == "softmax":
         return softmax(z)
-    return z  # identity
+    raise ValueError(f"unknown activation {name!r}")
 
 
 def network_input(x) -> np.ndarray:
@@ -270,8 +260,6 @@ def _activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
         return a > 0.0  # multiplies as 1.0 / 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(a)
     raise ValueError(f"cannot differentiate hidden activation {name!r}")
 
 

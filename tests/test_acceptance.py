@@ -6,6 +6,7 @@ suite-backed criteria train on the full synthetic pool and take a couple of
 minutes of CPU; everything else finishes in seconds.
 
 Run just this gate with:  pytest tests/test_acceptance.py -v -s
+The module is marked slow, so pytest -m "not slow" runs every other test.
 """
 
 import json
@@ -36,6 +37,8 @@ from rwwce import (
 from rwwce.experiments import _without_wall_time
 
 from test_metrics import TTEST_REFERENCE, brute_force_best_f1
+
+pytestmark = pytest.mark.slow
 
 FAST_BINARY = TrainConfig(epochs=2, batch_size=100, seed=0)
 FAST_CATEGORICAL = TrainConfig(epochs=1, batch_size=100, seed=0)

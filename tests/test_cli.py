@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import corpus
-from rwwce import cli, load_records, records_match, sample_pairs
+from rwwce import (
+    BinaryTrialConfig,
+    CategoricalTrialConfig,
+    cli,
+    experiments,
+    load_records,
+    records_match,
+    sample_pairs,
+)
 from rwwce.cli import DATA_DIR_ENV, main
 
 ECHO_PREFIX = "resolved config: "
@@ -365,23 +373,60 @@ def test_run_categorical_rejects_bad_pair_text(capsys):
     assert "bad pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, builder, selection",
+    [
+        ("run-binary", "binary_trial_configs", ["--digits", "3,5"]),
+        ("run-categorical", "categorical_trial_configs", ["--pairs", "4:9,1:7"]),
+    ],
+)
+def test_a_suite_runs_the_very_configs_it_checked_against_the_pool(
+    small_dir, tmp_path, monkeypatch, command, builder, selection
+):
+    built, checked, ran = [], [], []
+    real_build, real_run = getattr(experiments, builder), cli.run_trials
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def run(runner, configs, raw, jobs=1):
+        ran.extend(configs)
+        return real_run(runner, configs, raw, jobs)
+
+    def recording(check_pool):
+        def check(cfg, raw):
+            checked.append(cfg)
+            return check_pool(cfg, raw)
+
+        return check
+
+    for module in (cli, experiments):  # the suite functions look the builders up in experiments
+        monkeypatch.setattr(module, builder, build)
+    monkeypatch.setattr(cli, "run_trials", run)
+    for cls in (BinaryTrialConfig, CategoricalTrialConfig):
+        monkeypatch.setattr(cls, "check_pool", recording(cls.check_pool))
+    argv = [command, "--data-dir", str(small_dir), *selection, "--epochs", "1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 1 and len(built[0]) == 2
+    assert len(checked) == len(ran) == 2
+    assert all(a is b is c for a, b, c in zip(built[0], checked, ran))
+
+
 # --- exit codes -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "command, name, selection",
-    [
-        ("run-binary", "run_binary_suite", ["--digits", "3"]),
-        ("run-categorical", "run_categorical_suite", ["--pairs", "4:9"]),
-    ],
+    "command, selection",
+    [("run-binary", ["--digits", "3"]), ("run-categorical", ["--pairs", "4:9"])],
 )
 def test_an_internal_value_error_exits_2(
-    small_dir, tmp_path, capsys, monkeypatch, command, name, selection
+    small_dir, tmp_path, capsys, monkeypatch, command, selection
 ):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, name, boom)
+    monkeypatch.setattr(cli, "run_trials", boom)
     argv = [command, "--data-dir", str(small_dir), *selection, "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "runtime failure: boom" in capsys.readouterr().err
@@ -398,6 +443,7 @@ def test_an_internal_value_error_exits_2(
         (["run-binary", "--w-fn", "-1"], "fn_cost must be finite and nonnegative"),
         (["run-binary", "--seed", "-1"], "config key 'base_seed' expects an integer >= 0, got -1"),
         (["run-categorical", "--seed", "-2"], "config key 'base_seed' expects an integer >= 0, got -2"),
+        (["run-binary", "--learning-rate", "inf"], "learning_rate must be finite"),
     ],
 )
 def test_selection_and_cost_errors_exit_1_before_loading(small_dir, tmp_path, capsys, argv, message):
@@ -406,6 +452,7 @@ def test_selection_and_cost_errors_exit_1_before_loading(small_dir, tmp_path, ca
     captured = capsys.readouterr()
     assert message in captured.err
     assert "loaded" not in captured.out
+    assert ECHO_PREFIX not in captured.out
     assert not (tmp_path / "out").exists()
 
 
@@ -421,7 +468,7 @@ def test_an_empty_selection_exits_1(small_dir, tmp_path, capsys, command, key):
 
 def test_a_slice_the_pool_cannot_fill_exits_1_before_any_trial(small_dir, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_binary_suite", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "run_trials", lambda *a, **k: calls.append(a))
     rc = main(["run-binary", "--data-dir", str(small_dir), "--digits", "3", "--slices", "0,1"])
     assert rc == 1
     captured = capsys.readouterr()
@@ -450,6 +497,9 @@ def test_a_pool_too_small_to_split_exits_1(tmp_path, capsys):
         (["gradcheck", "--instances", "0"], "config key 'instances' expects an integer >= 1, got 0"),
         (["gradcheck", "--seed", "-1"], "config key 'seed' expects an integer >= 0, got -1"),
         (["gradcheck", "--step", "0"], "config key 'step' expects a number > 0, got 0.0"),
+        (["gradcheck", "--step", "inf"], "config key 'step' expects a finite number, got inf"),
+        (["gradcheck", "--tolerance", "inf"], "config key 'tolerance' expects a finite number, got inf"),
+        (["bernoulli", "--step", "inf"], "step must be finite"),
     ],
 )
 def test_demo_argument_errors_exit_1(capsys, argv, message):
@@ -481,6 +531,12 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
         ("gradcheck", "instances", True, "int"),
         ("run-binary", "w_mcfn", False, "float"),
         ("run-binary", "digits", [True], "int"),
+        ("run-binary", "data_dir", 5, "str"),
+        ("verify-data", "data_dir", 5, "str"),
+        ("bernoulli", "curve", 5, "str"),
+        ("run-categorical", "images", "ab", "list"),
+        ("run-binary", "labels", "cd", "list"),
+        ("run-binary", "images", ["a", 5], "str"),
     ],
 )
 def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, kind):

@@ -54,12 +54,11 @@ def test_init_shapes_bounds_and_zero_bias():
 
 def test_parameter_counts():
     # 784*50 + 50*20 + 20*10 weights and 50 + 20 + 10 biases, counted by hand.
-    mlp = init_mlp(CATEGORICAL_TOPOLOGY, seed=0)
-    assert mlp.weight_count == 40_400
-    assert mlp.bias_count == 80
-    small = init_mlp(BINARY_TOPOLOGY, seed=0)
-    assert small.weight_count == 7_840 + 10
-    assert small.bias_count == 11
+    def counts(mlp):
+        return sum(l.weights.size for l in mlp.layers), sum(l.bias.size for l in mlp.layers)
+
+    assert counts(init_mlp(CATEGORICAL_TOPOLOGY, seed=0)) == (40_400, 80)
+    assert counts(init_mlp(BINARY_TOPOLOGY, seed=0)) == (7_840 + 10, 11)
 
 
 def test_init_rejects_bad_topologies():
@@ -80,12 +79,12 @@ def test_init_rejects_bad_topologies():
 # --- forward ------------------------------------------------------------------
 
 
-def test_forward_identity_layer_passes_input_through():
-    layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-    x = np.arange(6.0).reshape(2, 3)
-    acts = forward(Mlp([layer]), x)
-    assert len(acts) == 2
-    assert np.array_equal(acts[-1], x)
+def test_forward_refuses_a_layer_with_an_unknown_activation():
+    mlp = Mlp([DenseLayer(np.eye(3), np.zeros(3), "tanh")])
+    with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+        forward(mlp, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+        outputs([mlp], np.ones((2, 3)))
 
 
 def test_forward_softmax_symmetry():
@@ -95,12 +94,13 @@ def test_forward_softmax_symmetry():
 
 
 def test_forward_matches_hand_computation():
-    # One relu layer then identity, all values chosen to be exact in floats.
+    # Two relu layers, all values chosen to be exact in floats; the output is
+    # positive, so the last relu passes it through.
     w1 = np.array([[1.0, -1.0], [0.5, 2.0]])
     b1 = np.array([0.25, -0.5])
     w2 = np.array([[2.0], [1.0]])
     b2 = np.array([1.0])
-    mlp = Mlp([DenseLayer(w1, b1, "relu"), DenseLayer(w2, b2, "identity")])
+    mlp = Mlp([DenseLayer(w1, b1, "relu"), DenseLayer(w2, b2, "relu")])
     x = np.array([[2.0, 1.0]])
     # z1 = (2*1 + 1*0.5 + 0.25, 2*-1 + 1*2 - 0.5) = (2.75, -0.5); relu -> (2.75, 0)
     # z2 = 2.75*2 + 0*1 + 1 = 6.5
@@ -312,6 +312,10 @@ def test_train_config_validation():
         TrainConfig(adam_beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(adam_epsilon=0.0)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate=math.inf)
+    with pytest.raises(ValueError, match="adam_epsilon must be finite"):
+        TrainConfig(adam_epsilon=math.inf)
 
 
 # --- training loop ------------------------------------------------------------
@@ -472,11 +476,11 @@ def test_train_on_pixel_bytes_equals_train_on_scaled_floats(kind):
 def test_train_leaves_the_input_model_untouched():
     data = binary_toy_set()
     mlp = init_mlp([(2, 4, "relu"), (4, 1, "sigmoid")], seed=3)
-    before = mlp.copy()
+    before = [(l.weights.copy(), l.bias.copy()) for l in mlp.layers]
     trained, _ = train(mlp, data, LossSpec.bce(), TrainConfig(epochs=2, batch_size=8))
-    for la, lb, lt in zip(mlp.layers, before.layers, trained.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
+    for la, (weights, bias), lt in zip(mlp.layers, before, trained.layers):
+        assert np.array_equal(la.weights, weights)
+        assert np.array_equal(la.bias, bias)
         assert not np.shares_memory(la.weights, lt.weights)
 
 
@@ -618,7 +622,7 @@ def test_gradcheck_detects_a_corrupted_gradient(monkeypatch):
 @pytest.mark.parametrize(
     "topology, spec, message",
     [
-        ([(3, 2, "relu"), (2, 1, "identity")], LossSpec.bce(), "bce needs a 1-unit sigmoid"),
+        ([(3, 2, "relu"), (2, 1, "relu")], LossSpec.bce(), "bce needs a 1-unit sigmoid"),
         ([(3, 2, "relu"), (2, 3, "sigmoid")], LossSpec.cce(), "cce needs a softmax output"),
     ],
 )
