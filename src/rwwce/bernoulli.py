@@ -10,8 +10,8 @@ is strictly convex with the closed-form minimizer
 p* = w_pos*n_pos / (w_pos*n_pos + w_neg*n_neg), which is also the maximum
 likelihood estimate when each observation is replicated in proportion to its
 weight.  The module exposes the closed form, a plain gradient descent that
-reaches it from any interior start, the loss curve, and a grid-plus-ternary
-likelihood maximizer that confirms the MLE equivalence numerically.
+reaches it from any interior start, the loss curve, and a likelihood maximizer
+over the logit of p that confirms the MLE equivalence numerically.
 
 Log and clipping conventions match the losses module (natural log, log
 arguments clipped below at EPSILON).
@@ -23,6 +23,10 @@ import math
 from dataclasses import dataclass
 
 from .losses import EPSILON
+
+# The logit range likelihood_check searches: sigmoid(40) rounds to 1.0 and
+# sigmoid(-40) to 4.2e-18 in float64, so it reaches both ends of [0, 1].
+LOGIT_BOUND = 40.0
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ class BernoulliScenario:
             w = getattr(self, name)
             if not math.isfinite(w) or w <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {w!r}")
+        if not math.isfinite(self.total_weight):
+            raise ValueError("total weight w_pos*n_pos + w_neg*n_neg overflows to inf")
 
     @property
     def weighted_pos(self) -> float:
@@ -59,10 +65,7 @@ class BernoulliScenario:
 
 def analytic_minimizer(scenario: BernoulliScenario) -> float:
     """Closed-form argmin of the weighted loss: weighted positives over total weight."""
-    total = scenario.total_weight
-    if total == 0:
-        raise ValueError("total weight is zero; minimizer undefined")
-    return scenario.weighted_pos / total
+    return scenario.weighted_pos / scenario.total_weight
 
 
 def loss(scenario: BernoulliScenario, p: float) -> float:
@@ -84,6 +87,18 @@ def loss_curve(scenario: BernoulliScenario, grid) -> list[tuple[float, float]]:
     return points
 
 
+def check_descend_args(p0: float, step: float, iterations: int) -> None:
+    """Raise ValueError for a start, step or budget descend cannot run with."""
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0}")
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    if not math.isfinite(step):
+        raise ValueError("step must be finite")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+
+
 def descend(
     scenario: BernoulliScenario,
     p0: float = 0.5,
@@ -96,14 +111,7 @@ def descend(
     finite.  With step <= 0.01 the map is a contraction near the optimum and
     the default budget converges far tighter than 1e-4 for moderate weights.
     """
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0}")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if not math.isfinite(step):
-        raise ValueError("step must be finite")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_descend_args(p0, step, iterations)
     a = scenario.weighted_pos
     b = scenario.weighted_neg
     m = scenario.total_weight
@@ -122,50 +130,41 @@ def descend(
 def likelihood_check(scenario: BernoulliScenario) -> tuple[float, float]:
     """(numerical likelihood argmax, analytic loss argmin).
 
-    Maximizes the weighted log-likelihood a*ln(p) + b*ln(1-p) over a dense
-    10^4-point interior grid, refines the bracket around the best grid point
-    with ternary search, then takes one parabolic-vertex step.  The whole
-    procedure only ever evaluates the likelihood: ternary alone stalls near
-    sqrt(double epsilon) because the objective is locally quadratic, and the
-    vertex step through a wider stencil recovers the remaining digits.  The
-    two returned values agree to well under 1e-8, demonstrating that
-    minimizing the weighted loss and maximizing the weighted likelihood pick
-    the same parameter.
+    Maximizes the weighted log-likelihood a*ln(p) + b*ln(1-p) over the logit z
+    of p, where it is a*ln(sigmoid(z)) + b*ln(sigmoid(-z)): concave and finite
+    everywhere, so a ternary search over [-LOGIT_BOUND, LOGIT_BOUND] finds it
+    even at p = 0 or 1.  Ternary stalls near sqrt(double epsilon), as the
+    objective is locally quadratic; one parabolic-vertex step through a wider
+    stencil recovers the rest.  Only the likelihood is evaluated, divided by
+    max(a, b) so that every value stays a normal float.  The two returned
+    values agree to well under 1e-8: minimizing the weighted loss and
+    maximizing the weighted likelihood pick the same parameter.
     """
-    a = scenario.weighted_pos
-    b = scenario.weighted_neg
+    top = max(scenario.weighted_pos, scenario.weighted_neg)
+    a, b = scenario.weighted_pos / top, scenario.weighted_neg / top
 
-    def log_likelihood(p: float) -> float:
-        return a * math.log(p) + b * math.log(1.0 - p)
+    def log_likelihood(z: float) -> float:
+        return -a * math.log1p(math.exp(-z)) - b * math.log1p(math.exp(z))
 
-    n = 10_000
-    best_i = 1
-    best_ll = -math.inf
-    for i in range(1, n):
-        ll = log_likelihood(i / n)
-        if ll > best_ll:
-            best_ll = ll
-            best_i = i
-    lo = max(best_i - 1, 1) / n
-    hi = min(best_i + 1, n - 1) / n
+    lo, hi = -LOGIT_BOUND, LOGIT_BOUND
     for _ in range(200):
         third = (hi - lo) / 3.0
-        left = lo + third
-        right = hi - third
-        if log_likelihood(left) < log_likelihood(right):
-            lo = left
+        if log_likelihood(lo + third) < log_likelihood(hi - third):
+            lo += third
         else:
-            hi = right
-    argmax = (lo + hi) / 2.0
+            hi -= third
+    z = (lo + hi) / 2.0
 
-    h = min(1e-6, argmax / 2.0, (1.0 - argmax) / 2.0)
-    f_minus = log_likelihood(argmax - h)
-    f_zero = log_likelihood(argmax)
-    f_plus = log_likelihood(argmax + h)
+    # The stencil's cubic term moves the vertex by about (1 - 2p) * h**2 / 6 in
+    # z, at most 1.6e-10 in p at this h, while rounding noise grows as h shrinks.
+    h = 1e-4
+    f_minus = log_likelihood(z - h)
+    f_zero = log_likelihood(z)
+    f_plus = log_likelihood(z + h)
     curvature = f_plus - 2.0 * f_zero + f_minus
     if curvature < 0.0:
         offset = 0.5 * h * (f_minus - f_plus) / curvature
         # An offset beyond the stencil means the quadratic fit was noise.
         if abs(offset) < h:
-            argmax += offset
-    return argmax, analytic_minimizer(scenario)
+            z += offset
+    return 1.0 / (1.0 + math.exp(-z)), analytic_minimizer(scenario)

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .bernoulli import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
+from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss_curve
 from .data import MNIST_FILE_BYTES, MNIST_TOTAL_EXAMPLES, concat_corpora, load_idx, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
@@ -389,6 +389,8 @@ def cmd_run_categorical(args) -> int:
         else:
             pairs = sample_pairs(10, resolved["base_seed"])
     resolved["pairs"] = [_list_of("pairs", pair, int) for pair in _cast("pairs", pairs, list)]
+    if any(len(pair) != 2 for pair in resolved["pairs"]):
+        raise CliError(f"config key 'pairs' expects pairs of two int, got {pairs!r}")
     with _user_input():
         configs = categorical_trial_configs(
             resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
@@ -410,18 +412,19 @@ def cmd_bernoulli(args) -> int:
         "curve_points": 99,
     }
     resolved = _resolve(args, defaults)
-    resolved["command"] = "bernoulli"
-    _echo(resolved)
-
+    _check_least(resolved, curve_points=2)
     with _user_input():
         scenario = BernoulliScenario(
             resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
         )
-        descended = descend(
-            scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
-        )
-    closed_form = analytic_minimizer(scenario)
-    likelihood_argmax, _ = likelihood_check(scenario)
+        check_descend_args(resolved["p0"], resolved["step"], resolved["iterations"])
+    resolved["command"] = "bernoulli"
+    _echo(resolved)
+
+    descended = descend(
+        scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
+    )
+    likelihood_argmax, closed_form = likelihood_check(scenario)
     print(f"closed-form minimizer: {closed_form!r}")
     print(f"gradient descent result: {descended!r} (|diff| = {abs(descended - closed_form):.3e})")
     print(
@@ -431,8 +434,6 @@ def cmd_bernoulli(args) -> int:
 
     if resolved["curve"]:
         points = resolved["curve_points"]
-        if points < 2:
-            raise CliError("curve_points must be >= 2")
         grid = [(i + 1) / (points + 1) for i in range(points)]
         rows = loss_curve(scenario, grid)
         path = Path(resolved["curve"])

@@ -88,6 +88,8 @@ class BinaryTrialConfig:
             raise ValueError(f"digit must be 0..9, got {self.digit}")
         if self.slice_index < 0:
             raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
+        if self.train.seed != self.seed:
+            raise ValueError(f"train.seed {self.train.seed} differs from the trial seed {self.seed}")
 
     def check_pool(self, raw: RawMnist) -> None:
         """Raise ValueError when raw has too few of the digit for this trial's positive slice."""
@@ -124,6 +126,8 @@ class CategoricalTrialConfig:
             raise ValueError("costs must be finite")
         if self.pair_weight < 0 or self.off_pair_cost < 0:
             raise ValueError("costs must be nonnegative")
+        if self.train.seed != self.seed:
+            raise ValueError(f"train.seed {self.train.seed} differs from the trial seed {self.seed}")
 
     def check_pool(self, raw: RawMnist) -> None:
         """Raise ValueError when raw is too small to split into this trial's three parts."""

@@ -198,25 +198,20 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and then the odd half-step; convergence is judged after the odd one.
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _BETACF_FPMIN:
+                d = _BETACF_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETACF_FPMIN:
+                c = _BETACF_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")

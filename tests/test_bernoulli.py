@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rwwce import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
-from rwwce.bernoulli import loss
+from rwwce.bernoulli import check_descend_args, loss
 
 
 def test_analytic_minimizer_worked_case():
@@ -58,13 +58,17 @@ def test_descend_reaches_the_closed_form():
 
 
 def test_descend_validation():
-    scenario = BernoulliScenario(1, 1)
-    with pytest.raises(ValueError):
-        descend(scenario, p0=0.0)
-    with pytest.raises(ValueError):
-        descend(scenario, step=0.0)
-    with pytest.raises(ValueError):
-        descend(scenario, iterations=0)
+    # descend runs the same checks the CLI runs before its echo, with the same messages.
+    for arguments, message in [
+        ({"p0": 0.0}, r"p0 must lie strictly inside \(0, 1\), got 0.0"),
+        ({"step": 0.0}, "step must be > 0"),
+        ({"step": math.inf}, "step must be finite"),
+        ({"iterations": 0}, "iterations must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_descend_args(**{"p0": 0.5, "step": 0.01, "iterations": 1, **arguments})
+        with pytest.raises(ValueError, match=message):
+            descend(BernoulliScenario(1, 1), **arguments)
 
 
 def test_likelihood_check_agrees_with_closed_form():
@@ -86,6 +90,34 @@ def test_likelihood_check_random_scenarios():
         assert abs(refined - closed) < 1e-8
 
 
+def test_likelihood_check_reaches_boundary_and_extreme_minimizers():
+    scenarios = [
+        BernoulliScenario(0, 5),
+        BernoulliScenario(9, 0),
+        BernoulliScenario(1, 100_000),
+        BernoulliScenario(100_000, 1),
+        BernoulliScenario(3, 4, w_pos=1e-300, w_neg=1e-300),
+        BernoulliScenario(3, 4, w_pos=1e300, w_neg=1e300),
+        BernoulliScenario(3, 4, w_pos=1e-300, w_neg=1e300),
+        BernoulliScenario(1, 1, w_pos=5e-324, w_neg=5e-324),
+    ]
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n_pos = int(rng.integers(0, 60))
+        scenarios.append(
+            BernoulliScenario(
+                n_pos,
+                int(rng.integers(0 if n_pos else 1, 60)),
+                w_pos=float(10.0 ** rng.uniform(-6, 6)),
+                w_neg=float(10.0 ** rng.uniform(-6, 6)),
+            )
+        )
+    for scenario in scenarios:
+        refined, closed = likelihood_check(scenario)
+        assert closed == analytic_minimizer(scenario)
+        assert abs(refined - closed) < 1e-8, scenario
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         BernoulliScenario(-1, 2)
@@ -95,3 +127,5 @@ def test_scenario_validation():
         BernoulliScenario(1, 1, w_pos=0.0)
     with pytest.raises(ValueError):
         BernoulliScenario(1, 1, w_neg=math.inf)
+    with pytest.raises(ValueError, match="total weight .* overflows to inf"):
+        BernoulliScenario(1, 1, w_pos=1e308, w_neg=1e308)

@@ -500,11 +500,15 @@ def test_a_pool_too_small_to_split_exits_1(tmp_path, capsys):
         (["gradcheck", "--step", "inf"], "config key 'step' expects a finite number, got inf"),
         (["gradcheck", "--tolerance", "inf"], "config key 'tolerance' expects a finite number, got inf"),
         (["bernoulli", "--step", "inf"], "step must be finite"),
+        (["bernoulli", "--w-pos", "inf"], "w_pos must be finite and > 0, got inf"),
+        (["bernoulli", "--w-pos", "1e308", "--w-neg", "1e308"], "total weight w_pos*n_pos"),
     ],
 )
 def test_demo_argument_errors_exit_1(capsys, argv, message):
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
 
 
 # --- config files ----------------------------------------------------------------
@@ -537,6 +541,8 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
         ("run-categorical", "images", "ab", "list"),
         ("run-binary", "labels", "cd", "list"),
         ("run-binary", "images", ["a", 5], "str"),
+        ("run-categorical", "pairs", [[1, 2, 3]], "pairs of two int"),
+        ("run-categorical", "pairs", [[1]], "pairs of two int"),
     ],
 )
 def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, kind):
@@ -667,7 +673,19 @@ def test_bernoulli_curve_csv(tmp_path, capsys):
 def test_bernoulli_rejects_tiny_curve(tmp_path, capsys):
     rc = main(["bernoulli", "--curve", str(tmp_path / "c.csv"), "--curve-points", "1"])
     assert rc == 1
-    assert "curve_points" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "curve_points" in captured.err
+    assert ECHO_PREFIX not in captured.out
+    assert "minimizer" not in captured.out and "likelihood" not in captured.out
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-neg", "--n-pos"])
+def test_bernoulli_with_one_outcome_unobserved_passes_its_cross_check(capsys, flag):
+    assert main(["bernoulli", flag, "0", "--iterations", "10"]) == 0
+    captured = capsys.readouterr()
+    assert "likelihood argmax:" in captured.out
+    assert captured.err == ""
 
 
 # --- README examples -------------------------------------------------------------

@@ -48,6 +48,8 @@ def test_binary_trial_config_validation():
         BinaryTrialConfig.make(-1, 0, seed=0)
     with pytest.raises(ValueError, match="slice_index must be >= 0, got -1"):
         BinaryTrialConfig.make(3, -1, seed=0)
+    with pytest.raises(ValueError, match="train.seed 9 differs from the trial seed 5"):
+        BinaryTrialConfig(3, 0, 5, DEFAULT_BINARY_COST, TrainConfig(epochs=1, seed=9))
 
 
 def test_binary_suite_rejects_a_bad_digit_before_any_training(small_pool, monkeypatch):
@@ -70,6 +72,8 @@ def test_categorical_trial_config_validation():
     for cost in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="costs must be finite"):
             CategoricalTrialConfig.make(0, 1, seed=0, off_pair_cost=cost)
+    with pytest.raises(ValueError, match="train.seed 0 differs from the trial seed 4"):
+        CategoricalTrialConfig(0, 1, 4, 19.0, 1.0, TrainConfig(epochs=1, seed=0))
 
 
 def test_pair_cost_matrix_values():
