@@ -47,7 +47,11 @@ class BernoulliScenario:
             w = getattr(self, name)
             if not math.isfinite(w) or w <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {w!r}")
-        if not math.isfinite(self.total_weight):
+        try:
+            total = self.total_weight
+        except OverflowError:  # a count too large to convert to float
+            total = math.inf
+        if not math.isfinite(total):
             raise ValueError("total weight w_pos*n_pos + w_neg*n_neg overflows to inf")
 
     @property

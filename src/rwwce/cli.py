@@ -5,14 +5,13 @@ byte lengths and load it), run-binary and run-categorical (the experiment
 suites), bernoulli (the one-parameter weighted-MLE demonstration), and
 gradcheck (finite-difference validation of every loss gradient).
 
-Settings resolve in three layers: built-in defaults, then a JSON config file
-given with --config, then explicit flags.  Each flag is stored under its
-config key (on the suites --seed is base_seed, --w-fn is w_mcfn and --w-fp
-is w_mcfp), and every value takes the type of its default, or str (a list
-of str for images and labels) for a path key whose default is None, so a
-wrongly typed config value is a configuration error.  Every command echoes its fully
-resolved configuration as one JSON line before doing any work; feeding that
-echoed object back via --config reproduces the run.
+Each subcommand's settings are a tuple of Setting rows, from which its parser,
+its resolution and its checks derive.  A setting takes its default, then its
+value in a JSON config file given with --config, then its flag (whose dest is
+the config key); the value is then cast and checked alike from either source.
+Every command echoes its fully resolved configuration, command included, as
+one JSON line before doing any work; feeding that echoed object back via
+--config reproduces the run, and a config naming another command is refused.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 failure (including a failed gradient check or a failed numeric cross-check).
@@ -31,8 +30,10 @@ import os
 import sys
 import zlib
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss_curve
 from .data import MNIST_FILE_BYTES, MNIST_TOTAL_EXAMPLES, concat_corpora, load_idx, read_idx_file
@@ -62,11 +63,6 @@ STANDARD_FILES = (
 )
 
 SCALES = ("desk", "full")
-
-# Keys whose default is None that take a path (str) or a list of paths when
-# given; the suites' selections are typed once their presets are filled in.
-PATH_KEYS = ("data_dir", "curve")
-PATH_LIST_KEYS = ("images", "labels")
 
 
 class CliError(Exception):
@@ -130,20 +126,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]] | str:
     return pairs
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise CliError(f"config file {path} is not valid JSON: {e}") from e
-    except OSError as e:
-        raise CliError(f"cannot read config file {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    return doc
-
-
 def _cast(key: str, value, kind):
     """value as kind, refusing any value the cast would change ("5", 1.5, [1] or true as an int)."""
     try:
@@ -166,29 +148,160 @@ def _list_of(key: str, value, kind) -> list:
         raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags, each value cast to its default's type.
+def _pairs(key: str, value) -> list[list[int]]:
+    """value as a list of (true, predicted) pairs of two int; "all" is every ordered pair."""
+    if value == "all":
+        value = all_ordered_pairs()
+    pairs = [_list_of(key, pair, int) for pair in _cast(key, value, list)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise CliError(f"config key {key!r} expects pairs of two int, got {value!r}")
+    return pairs
 
-    Every flag's argparse dest is its config key, so a flag is read from args
-    under that key.  Unknown config keys and wrongly typed values are errors.
-    """
-    resolved = dict(defaults)
-    for key, value in _load_config_file(args.config).items():
-        if key == "command":
-            continue
-        if key not in defaults:
+
+class Kind(NamedTuple):
+    """A setting's type: how a flag or config value is cast, and how argparse reads the flag."""
+
+    cast: Callable[[str, object], object]
+    flag: dict
+
+
+INT = Kind(partial(_cast, kind=int), {"type": int})
+FLOAT = Kind(partial(_cast, kind=float), {"type": float})
+STR = Kind(partial(_cast, kind=str), {})
+PATHS = Kind(partial(_list_of, kind=str), {"action": "append"})
+INTS = Kind(partial(_list_of, kind=int), {"type": _parse_int_list})
+PAIRS = Kind(_pairs, {"type": _parse_pairs})
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting of one subcommand.  key is its config key and its flag's dest;
+    a None flag means config-only, and a None default lets the value stay None
+    for the command to fill in.  Checks: least, positive (finite and > 0), choices."""
+
+    key: str
+    kind: Kind
+    default: object = None
+    flag: str | None = None
+    least: int | None = None
+    positive: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    def check(self, value) -> None:
+        """Raise CliError, saying what a valid value is, unless value is one."""
+        if self.least is not None and value < self.least:
+            expects = f"an integer >= {self.least}"
+        elif self.positive and not math.isfinite(value):
+            expects = "a finite number"
+        elif self.positive and not value > 0:
+            expects = "a number > 0"
+        elif self.choices is not None and value not in self.choices:
+            expects = f"one of {self.choices}"
+        else:
+            return
+        raise CliError(f"config key {self.key!r} expects {expects}, got {value!r}")
+
+
+DATA = (
+    Setting(
+        "data_dir", STR, None, "--data-dir",
+        help=f"directory with the standard corpus files (default ${DATA_DIR_ENV})",
+    ),
+    Setting("images", PATHS, None, "--images", help="IDX images file (repeat per file pair)"),
+    Setting("labels", PATHS, None, "--labels", help="IDX labels file (repeat per file pair)"),
+)
+
+TRAIN_FLAGS = {"epochs": "--epochs", "batch_size": "--batch-size", "learning_rate": "--learning-rate"}
+
+# Every TrainConfig field but the seed, which each suite derives per trial.
+TRAINING = tuple(
+    Setting(f.name, {int: INT, float: FLOAT}[type(f.default)], f.default, TRAIN_FLAGS.get(f.name))
+    for f in fields(TrainConfig)
+    if f.name != "seed"
+)
+
+
+def _suite(out_dir: str) -> tuple[Setting, ...]:
+    """The settings both suites share after training's; out_dir's default differs."""
+    return (
+        Setting("base_seed", INT, 0, "--seed", least=0, help="trial i uses base_seed + i"),
+        Setting("jobs", INT, 1, "--jobs", least=1, help="parallel trial workers (threads)"),
+        Setting("out_dir", STR, out_dir, "--out-dir"),
+        Setting("scale", STR, "desk", "--scale", choices=SCALES, help="trial-count preset"),
+    )
+
+
+VERIFY_DATA = (Setting("data_dir", STR, None, "--data-dir"),)
+
+RUN_BINARY = DATA + TRAINING + _suite("runs/binary") + (
+    Setting("digits", INTS, None, "--digits", help='digits to detect, e.g. "0-9" or "3,7"'),
+    Setting("slices", INTS, None, "--slices", help='positive-slice indices, e.g. "0" or "0-9"'),
+    Setting("w_mcfn", FLOAT, DEFAULT_BINARY_COST.fn_cost, "--w-fn", help="cost of a false negative"),
+    Setting("w_mcfp", FLOAT, DEFAULT_BINARY_COST.fp_cost, "--w-fp", help="cost of a false positive"),
+)
+
+RUN_CATEGORICAL = DATA + TRAINING + _suite("runs/categorical") + (
+    Setting("pairs", PAIRS, None, "--pairs", help='"all" or pairs like "1:7,3:5" (true:predicted)'),
+    Setting("pair_weight", FLOAT, DEFAULT_PAIR_WEIGHT, "--pair-weight", help="extra cost on the expensive cell"),
+    Setting("off_pair_cost", FLOAT, DEFAULT_OFF_PAIR_COST, "--off-pair-cost", help="cost of every other error"),
+)
+
+# BernoulliScenario and check_descend_args check the first seven.
+BERNOULLI = (
+    Setting("n_pos", INT, 9, "--n-pos"),
+    Setting("n_neg", INT, 1, "--n-neg"),
+    Setting("w_pos", FLOAT, 1.0, "--w-pos"),
+    Setting("w_neg", FLOAT, 1.0, "--w-neg"),
+    Setting("p0", FLOAT, 0.5, "--p0"),
+    Setting("step", FLOAT, 0.01, "--step"),
+    Setting("iterations", INT, 100_000, "--iterations"),
+    Setting("curve", STR, None, "--curve", help="write a p,loss CSV to this path"),
+    Setting("curve_points", INT, 99, "--curve-points", least=2),
+)
+
+GRADCHECK = (
+    Setting("seed", INT, 0, "--seed", least=0),
+    Setting("instances", INT, 4, "--instances", least=1, help="instances per loss variant"),
+    Setting("step", FLOAT, 1e-5, "--step", positive=True),
+    Setting("tolerance", FLOAT, 1e-5, "--tolerance", positive=True),
+)
+
+
+def _load_config_file(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise CliError(f"config file {path} is not valid JSON: {e}") from e
+    except OSError as e:
+        raise CliError(f"cannot read config file {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    return doc
+
+
+def _resolve(args, rows: tuple[Setting, ...]) -> dict:
+    """defaults <- config file <- explicit flags, each value cast and checked by its row,
+    plus the command; an unknown key or a config for another command is an error."""
+    resolved = {row.key: row.default for row in rows}
+    config = _load_config_file(args.config)
+    command = config.pop("command", args.command)
+    if command != args.command:
+        raise CliError(f"config file {args.config} is for {command!r}, not {args.command!r}")
+    for key, value in config.items():
+        if key not in resolved:
             raise CliError(f"unknown config key {key!r}")
         resolved[key] = value
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        if default is not None:
-            resolved[key] = _cast(key, resolved[key], type(default))
-        elif resolved[key] is not None and key in PATH_KEYS:
-            resolved[key] = _cast(key, resolved[key], str)
-        elif resolved[key] is not None and key in PATH_LIST_KEYS:
-            resolved[key] = _list_of(key, resolved[key], str)
+    for row in rows:
+        flag = getattr(args, row.key, None)  # a config-only key has no flag
+        value = resolved[row.key] if flag is None else flag
+        if value is not None or row.default is not None:
+            value = row.kind.cast(row.key, value)
+            row.check(value)
+        resolved[row.key] = value
+    resolved["command"] = args.command
     return resolved
 
 
@@ -249,46 +362,12 @@ def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
     return concat_corpora(*corpora)
 
 
-def _train_defaults() -> dict:
-    """Every TrainConfig field but the seed, which each suite derives per trial."""
-    base = TrainConfig()
-    return {f.name: getattr(base, f.name) for f in fields(TrainConfig) if f.name != "seed"}
+def _train_template(resolved: dict) -> TrainConfig:
+    """The TrainConfig every trial's seed is set in."""
+    return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING}, seed=resolved["base_seed"])
 
 
-def _check_least(resolved: dict, **least) -> None:
-    for key, low in least.items():
-        if resolved[key] < low:
-            raise CliError(f"config key {key!r} expects an integer >= {low}, got {resolved[key]!r}")
-
-
-def _resolve_suite(args, **specific) -> tuple[dict, TrainConfig]:
-    """Resolve the settings both suites share, plus one suite's selection,
-    costs and out_dir; range-check the shared ones and return them with the
-    TrainConfig template every trial's seed is set in."""
-    resolved = _resolve(
-        args,
-        {
-            "scale": "desk",
-            "base_seed": 0,
-            "jobs": 1,
-            "images": None,
-            "labels": None,
-            "data_dir": None,
-            **_train_defaults(),
-            **specific,
-        },
-    )
-    if resolved["scale"] not in SCALES:
-        raise CliError(f"config key 'scale' expects one of {SCALES}, got {resolved['scale']!r}")
-    _check_least(resolved, jobs=1, base_seed=0)
-    with _user_input():
-        template = TrainConfig(
-            **{key: resolved[key] for key in _train_defaults()}, seed=resolved["base_seed"]
-        )
-    return resolved, template
-
-
-def _run_suite(resolved: dict, command: str, runner, configs) -> int:
+def _run_suite(resolved: dict, runner, configs) -> int:
     """Echo the settings, load the pool, run the suite's trials and write its outputs.
 
     configs is the suite's whole trial list, built from the settings before
@@ -299,7 +378,6 @@ def _run_suite(resolved: dict, command: str, runner, configs) -> int:
     if not configs:
         raise CliError("no trials requested")
     _resolve_data(resolved)
-    resolved["command"] = command
     _echo(resolved)
 
     pool = _load_pool(resolved["images"], resolved["labels"])
@@ -319,15 +397,13 @@ def _run_suite(resolved: dict, command: str, runner, configs) -> int:
     return 0
 
 
-def cmd_verify_data(args) -> int:
-    resolved = _resolve(args, {"data_dir": None})
-    data_dir = resolved["data_dir"] or os.environ.get(DATA_DIR_ENV)
-    if not data_dir:
+def cmd_verify_data(resolved: dict) -> int:
+    resolved["data_dir"] = resolved["data_dir"] or os.environ.get(DATA_DIR_ENV)
+    if not resolved["data_dir"]:
         raise CliError(f"pass --data-dir or set ${DATA_DIR_ENV}")
-    resolved["data_dir"] = data_dir
     _echo(resolved)
 
-    images, labels = _standard_paths(data_dir)
+    images, labels = _standard_paths(resolved["data_dir"])
     # Each file is read once: its payload is both measured here and parsed
     # into the pool below.
     payloads = {}
@@ -354,71 +430,38 @@ def cmd_verify_data(args) -> int:
     return 0
 
 
-def cmd_run_binary(args) -> int:
-    resolved, template = _resolve_suite(
-        args,
-        digits=None,
-        slices=None,
-        w_mcfn=DEFAULT_BINARY_COST.fn_cost,
-        w_mcfp=DEFAULT_BINARY_COST.fp_cost,
-        out_dir="runs/binary",
-    )
+def cmd_run_binary(resolved: dict) -> int:
     presets = {"digits": range(10), "slices": range(10 if resolved["scale"] == "full" else 1)}
     for key, preset in presets.items():
-        resolved[key] = _list_of(key, list(preset) if resolved[key] is None else resolved[key], int)
+        if resolved[key] is None:
+            resolved[key] = list(preset)
     with _user_input():
+        template = _train_template(resolved)
         cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
         configs = binary_trial_configs(
             resolved["digits"], resolved["slices"], resolved["base_seed"], cost, template
         )
-    return _run_suite(resolved, "run-binary", run_binary_trial, configs)
+    return _run_suite(resolved, run_binary_trial, configs)
 
 
-def cmd_run_categorical(args) -> int:
-    resolved, template = _resolve_suite(
-        args,
-        pairs=None,
-        pair_weight=DEFAULT_PAIR_WEIGHT,
-        off_pair_cost=DEFAULT_OFF_PAIR_COST,
-        out_dir="runs/categorical",
-    )
-    pairs = resolved["pairs"]
-    if pairs is None or pairs == "all":
-        if pairs == "all" or resolved["scale"] == "full":
-            pairs = all_ordered_pairs()
-        else:
-            pairs = sample_pairs(10, resolved["base_seed"])
-    resolved["pairs"] = [_list_of("pairs", pair, int) for pair in _cast("pairs", pairs, list)]
-    if any(len(pair) != 2 for pair in resolved["pairs"]):
-        raise CliError(f"config key 'pairs' expects pairs of two int, got {pairs!r}")
+def cmd_run_categorical(resolved: dict) -> int:
+    if resolved["pairs"] is None:
+        full = resolved["scale"] == "full"
+        resolved["pairs"] = _pairs("pairs", "all" if full else sample_pairs(10, resolved["base_seed"]))
     with _user_input():
         configs = categorical_trial_configs(
             resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
-            resolved["off_pair_cost"], template,
+            resolved["off_pair_cost"], _train_template(resolved),
         )
-    return _run_suite(resolved, "run-categorical", run_categorical_trial, configs)
+    return _run_suite(resolved, run_categorical_trial, configs)
 
 
-def cmd_bernoulli(args) -> int:
-    defaults = {
-        "n_pos": 9,
-        "n_neg": 1,
-        "w_pos": 1.0,
-        "w_neg": 1.0,
-        "p0": 0.5,
-        "step": 0.01,
-        "iterations": 100_000,
-        "curve": None,
-        "curve_points": 99,
-    }
-    resolved = _resolve(args, defaults)
-    _check_least(resolved, curve_points=2)
+def cmd_bernoulli(resolved: dict) -> int:
     with _user_input():
         scenario = BernoulliScenario(
             resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
         )
         check_descend_args(resolved["p0"], resolved["step"], resolved["iterations"])
-    resolved["command"] = "bernoulli"
     _echo(resolved)
 
     descended = descend(
@@ -449,15 +492,7 @@ def cmd_bernoulli(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    resolved = _resolve(args, {"seed": 0, "instances": 4, "step": 1e-5, "tolerance": 1e-5})
-    _check_least(resolved, seed=0, instances=1)
-    for key in ("step", "tolerance"):
-        if not math.isfinite(resolved[key]):
-            raise CliError(f"config key {key!r} expects a finite number, got {resolved[key]!r}")
-    if not resolved["step"] > 0:
-        raise CliError(f"config key 'step' expects a number > 0, got {resolved['step']!r}")
-    resolved["command"] = "gradcheck"
+def cmd_gradcheck(resolved: dict) -> int:
     _echo(resolved)
 
     worst_by_variant = gradcheck_matrix(
@@ -474,74 +509,35 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _add_data_arguments(sub) -> None:
-    sub.add_argument("--data-dir", help=f"directory with the standard corpus files (default ${DATA_DIR_ENV})")
-    sub.add_argument("--images", action="append", help="IDX images file (repeat per file pair)")
-    sub.add_argument("--labels", action="append", help="IDX labels file (repeat per file pair)")
-
-
-def _add_train_arguments(sub) -> None:
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int)
-    sub.add_argument("--learning-rate", type=float)
-    sub.add_argument("--seed", type=int, dest="base_seed", help="trial i uses base_seed + i")
-    sub.add_argument("--jobs", type=int, help="parallel trial workers (threads)")
-    sub.add_argument("--out-dir")
-    sub.add_argument("--scale", choices=SCALES, help="trial-count preset")
+# Each subcommand's --help line, its settings and the handler that runs on them.
+COMMANDS = {
+    "verify-data": ("check a corpus against the published MNIST byte lengths", VERIFY_DATA, cmd_verify_data),
+    "run-binary": ("imbalanced binary detection suite", RUN_BINARY, cmd_run_binary),
+    "run-categorical": ("10-class expensive-confusion suite", RUN_CATEGORICAL, cmd_run_categorical),
+    "bernoulli": ("weighted Bernoulli MLE demonstration", BERNOULLI, cmd_bernoulli),
+    "gradcheck": ("finite-difference check of every loss gradient", GRADCHECK, cmd_gradcheck),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rwwce", description="Cost-sensitive classification toolkit")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    verify = commands.add_parser("verify-data", help="check a corpus against the published MNIST byte lengths")
-    verify.add_argument("--data-dir")
-    verify.set_defaults(handler=cmd_verify_data)
-
-    binary = commands.add_parser("run-binary", help="imbalanced binary detection suite")
-    _add_data_arguments(binary)
-    _add_train_arguments(binary)
-    binary.add_argument("--digits", type=_parse_int_list, help='digits to detect, e.g. "0-9" or "3,7"')
-    binary.add_argument("--slices", type=_parse_int_list, help='positive-slice indices, e.g. "0" or "0-9"')
-    binary.add_argument("--w-fn", type=float, dest="w_mcfn", help="cost of a false negative")
-    binary.add_argument("--w-fp", type=float, dest="w_mcfp", help="cost of a false positive")
-    binary.set_defaults(handler=cmd_run_binary)
-
-    categorical = commands.add_parser("run-categorical", help="10-class expensive-confusion suite")
-    _add_data_arguments(categorical)
-    _add_train_arguments(categorical)
-    categorical.add_argument("--pairs", type=_parse_pairs, help='"all" or pairs like "1:7,3:5" (true:predicted)')
-    categorical.add_argument("--pair-weight", type=float, help="extra cost on the expensive cell")
-    categorical.add_argument("--off-pair-cost", type=float, help="cost of every other error")
-    categorical.set_defaults(handler=cmd_run_categorical)
-
-    bern = commands.add_parser("bernoulli", help="weighted Bernoulli MLE demonstration")
-    bern.add_argument("--n-pos", type=int)
-    bern.add_argument("--n-neg", type=int)
-    bern.add_argument("--w-pos", type=float)
-    bern.add_argument("--w-neg", type=float)
-    bern.add_argument("--p0", type=float)
-    bern.add_argument("--step", type=float)
-    bern.add_argument("--iterations", type=int)
-    bern.add_argument("--curve", help="write a p,loss CSV to this path")
-    bern.add_argument("--curve-points", type=int)
-    bern.set_defaults(handler=cmd_bernoulli)
-
-    grad = commands.add_parser("gradcheck", help="finite-difference check of every loss gradient")
-    grad.add_argument("--seed", type=int)
-    grad.add_argument("--instances", type=int, help="instances per loss variant")
-    grad.add_argument("--step", type=float)
-    grad.add_argument("--tolerance", type=float)
-    grad.set_defaults(handler=cmd_gradcheck)
-
+    for name, (summary, rows, _) in COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        for row in rows:
+            if row.flag is not None:
+                # choices are checked with the row, as from a config file; --help still lists them
+                metavar = "{" + ",".join(row.choices) + "}" if row.choices else None
+                sub.add_argument(row.flag, dest=row.key, metavar=metavar, help=row.help, **row.kind.flag)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        _, rows, handler = COMMANDS[args.command]
+        return handler(_resolve(args, rows))
     except SystemExit as e:  # --help
         return int(e.code or 0)
     except (CliError, OSError) as e:

@@ -129,3 +129,9 @@ def test_scenario_validation():
         BernoulliScenario(1, 1, w_neg=math.inf)
     with pytest.raises(ValueError, match="total weight .* overflows to inf"):
         BernoulliScenario(1, 1, w_pos=1e308, w_neg=1e308)
+
+
+@pytest.mark.parametrize("counts", [(10**400, 1), (1, 10**400)])
+def test_a_count_too_large_for_a_float_is_a_value_error(counts):
+    with pytest.raises(ValueError, match="total weight .* overflows to inf"):
+        BernoulliScenario(*counts)

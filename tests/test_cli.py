@@ -502,6 +502,9 @@ def test_a_pool_too_small_to_split_exits_1(tmp_path, capsys):
         (["bernoulli", "--step", "inf"], "step must be finite"),
         (["bernoulli", "--w-pos", "inf"], "w_pos must be finite and > 0, got inf"),
         (["bernoulli", "--w-pos", "1e308", "--w-neg", "1e308"], "total weight w_pos*n_pos"),
+        (["bernoulli", "--n-pos", "1" + "0" * 400], "total weight w_pos*n_pos"),
+        (["gradcheck", "--tolerance", "0"], "config key 'tolerance' expects a number > 0, got 0.0"),
+        (["gradcheck", "--tolerance", "-1"], "config key 'tolerance' expects a number > 0, got -1.0"),
     ],
 )
 def test_demo_argument_errors_exit_1(capsys, argv, message):
@@ -579,6 +582,68 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, command, source):
     captured = capsys.readouterr()
     assert f"config key 'jobs' expects an integer >= 1, got {value}" in captured.err
     assert ECHO_PREFIX not in captured.out  # rejected before the echo and any data source
+
+
+@pytest.mark.parametrize(
+    "command, key, flag, text, value",
+    [
+        ("run-binary", "jobs", "--jobs", "0", 0),
+        ("run-categorical", "base_seed", "--seed", "-1", -1),
+        ("run-binary", "scale", "--scale", "fulll", "fulll"),
+        ("gradcheck", "seed", "--seed", "-1", -1),
+        ("gradcheck", "instances", "--instances", "0", 0),
+        ("gradcheck", "step", "--step", "inf", float("inf")),
+        ("gradcheck", "tolerance", "--tolerance", "0", 0.0),
+        ("bernoulli", "curve_points", "--curve-points", "1", 1),
+    ],
+)
+def test_a_checked_setting_fails_alike_from_a_flag_and_a_config(
+    tmp_path, capsys, command, key, flag, text, value
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    errors = []
+    for argv in ([command, flag, text], ["--config", str(path), command]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert ECHO_PREFIX not in captured.out  # rejected before the echo and any data source
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: config key {key!r} expects ")
+
+
+def test_a_config_written_for_another_command_is_an_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "gradcheck"}))
+    assert main(["--config", str(path), "bernoulli"]) == 1
+    captured = capsys.readouterr()
+    assert f"config file {path} is for 'gradcheck', not 'bernoulli'" in captured.err
+    assert ECHO_PREFIX not in captured.out
+
+
+@pytest.mark.parametrize("command", ["bernoulli", "gradcheck", "verify-data"])
+def test_an_echo_fed_back_as_config_reproduces_the_run(mnist_dir, tmp_path, capsys, command):
+    flags = {
+        "bernoulli": ["--iterations", "10"],
+        "gradcheck": ["--instances", "1"],
+        "verify-data": ["--data-dir", str(mnist_dir)],
+    }
+    assert main([command, *flags[command]]) == 0
+    first = capsys.readouterr().out
+    config = echoed_config(first)
+    assert config["command"] == command
+    path = tmp_path / "echoed.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), command]) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "command", ["verify-data", "run-binary", "run-categorical", "bernoulli", "gradcheck"]
+)
+def test_each_subcommand_has_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: rwwce {command} [-h]")
 
 
 def test_malformed_config_file_is_an_error(tmp_path, capsys):
