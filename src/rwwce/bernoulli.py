@@ -9,9 +9,9 @@ over the sample, normalized by the total weight M = w_pos*n_pos + w_neg*n_neg,
 is strictly convex with the closed-form minimizer
 p* = w_pos*n_pos / (w_pos*n_pos + w_neg*n_neg), which is also the maximum
 likelihood estimate when each observation is replicated in proportion to its
-weight.  The module exposes the closed form, a plain gradient descent that
-reaches it from any interior start, the loss curve, and a likelihood maximizer
-over the logit of p that confirms the MLE equivalence numerically.
+weight.  The module exposes the closed form, damped Fisher scoring that
+reaches it from any start, the loss curve, and a likelihood maximizer over
+the logit of p that confirms the MLE equivalence numerically.
 
 Log and clipping conventions match the losses module (natural log, log
 arguments clipped below at EPSILON).
@@ -99,6 +99,8 @@ def check_descend_args(p0: float, step: float, iterations: int) -> None:
         raise ValueError("step must be > 0")
     if not math.isfinite(step):
         raise ValueError("step must be finite")
+    if step > 1:
+        raise ValueError("step must be <= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
@@ -109,25 +111,21 @@ def descend(
     step: float = 0.01,
     iterations: int = 100_000,
 ) -> float:
-    """Minimize J by plain gradient descent from p0.
+    """Minimize J from p0 by damped Fisher scoring.
 
-    The iterate is clamped to [EPSILON, 1-EPSILON] so the log terms stay
-    finite.  With step <= 0.01 the map is a contraction near the optimum and
-    the default budget converges far tighter than 1e-4 for moderate weights.
+    Each update is the gradient of J scaled by p(1-p), the inverse Fisher
+    information of one Bernoulli draw, written out so nothing divides by p:
+    p += step * (a*(1-p) - b*p) / M.  That moves p the fraction step of the
+    way to the minimizer, so for 0 < step <= 1 the iterate never leaves
+    [0, 1] and converges geometrically, even to a minimizer at 0 or 1.  a and
+    b are divided by M first, so subnormal weights keep their digits.
     """
     check_descend_args(p0, step, iterations)
-    a = scenario.weighted_pos
-    b = scenario.weighted_neg
     m = scenario.total_weight
-    lo, hi = EPSILON, 1.0 - EPSILON
+    a, b = scenario.weighted_pos / m, scenario.weighted_neg / m
     p = p0
     for _ in range(iterations):
-        gradient = -(a / p - b / (1.0 - p)) / m
-        p -= step * gradient
-        if p < lo:
-            p = lo
-        elif p > hi:
-            p = hi
+        p += step * (a * (1.0 - p) - b * p)
     return p
 
 

@@ -57,11 +57,6 @@ from .nn import TrainConfig, gradcheck_matrix
 
 DATA_DIR_ENV = "RWWCE_DATA_DIR"
 
-STANDARD_FILES = (
-    ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-)
-
 SCALES = ("desk", "full")
 
 
@@ -313,16 +308,16 @@ def _standard_paths(data_dir: str) -> tuple[list[str], list[str]]:
     """Locate the four standard corpus files in a directory (.gz accepted)."""
     base = Path(data_dir)
     images, labels = [], []
-    for image_name, label_name in STANDARD_FILES:
-        for name, bucket in ((image_name, images), (label_name, labels)):
-            plain = base / name
-            gz = base / (name + ".gz")
-            if plain.exists():
-                bucket.append(str(plain))
-            elif gz.exists():
-                bucket.append(str(gz))
-            else:
-                raise CliError(f"missing corpus file {plain} (or {gz.name})")
+    # MNIST_FILE_BYTES lists each images file followed by its labels file.
+    for name, bucket in zip(MNIST_FILE_BYTES, (images, labels) * 2):
+        plain = base / name
+        gz = base / (name + ".gz")
+        if plain.exists():
+            bucket.append(str(plain))
+        elif gz.exists():
+            bucket.append(str(gz))
+        else:
+            raise CliError(f"missing corpus file {plain} (or {gz.name})")
     return images, labels
 
 

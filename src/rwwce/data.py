@@ -39,7 +39,8 @@ FEATURES = IMAGE_ROWS * IMAGE_COLS
 POSITIVE_SLICE_SIZE = 630
 
 # Published byte lengths of the four standard MNIST distribution files,
-# uncompressed.  verify-data checks candidates against these.
+# uncompressed, each images file followed by its labels file.  The CLI finds
+# the files by these names, in this order, and verify-data checks their sizes.
 MNIST_FILE_BYTES = {
     "train-images-idx3-ubyte": 47_040_016,
     "train-labels-idx1-ubyte": 60_008,

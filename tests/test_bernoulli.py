@@ -49,12 +49,49 @@ def test_loss_curve_grid_and_validation():
 
 def test_descend_reaches_the_closed_form():
     scenario = BernoulliScenario(1, 1, w_pos=9.0, w_neg=1.0)
-    assert abs(descend(scenario) - 0.9) < 1e-4
-    # Moderate starts on either side of the optimum converge too.  Starts
-    # hard against a boundary can overshoot: the update is a plain fixed-step
-    # rule and the gradient blows up near 0 and 1.
-    assert abs(descend(scenario, p0=0.05) - 0.9) < 1e-4
-    assert abs(descend(scenario, p0=0.99) - 0.9) < 1e-4
+    assert abs(descend(scenario) - 0.9) < 1e-12
+    # Starts on either side of the optimum converge too, even hard against a
+    # boundary: each step moves p a fixed fraction of the way to the minimizer.
+    for p0 in (1e-9, 0.05, 0.99, 1.0 - 1e-9):
+        assert abs(descend(scenario, p0=p0) - 0.9) < 1e-12, p0
+
+
+def test_descend_reaches_boundary_extreme_and_random_minimizers():
+    scenarios = [
+        BernoulliScenario(9, 1),
+        BernoulliScenario(1, 100_000),
+        BernoulliScenario(100_000, 1),
+        BernoulliScenario(0, 5),
+        BernoulliScenario(5, 0),
+        BernoulliScenario(3, 4, w_pos=5e-324, w_neg=5e-324),
+        BernoulliScenario(3, 4, w_pos=1e-300, w_neg=1e300),
+        BernoulliScenario(3, 4, w_pos=1e300, w_neg=1e300),
+    ]
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n_pos = int(rng.integers(0, 60))
+        scenarios.append(
+            BernoulliScenario(
+                n_pos,
+                int(rng.integers(0 if n_pos else 1, 60)),
+                w_pos=float(10.0 ** rng.uniform(-6, 6)),
+                w_neg=float(10.0 ** rng.uniform(-6, 6)),
+            )
+        )
+    for scenario in scenarios:
+        closed = analytic_minimizer(scenario)
+        assert abs(descend(scenario) - closed) < 1e-12, scenario
+        p0, step = float(rng.uniform(1e-9, 1.0 - 1e-9)), float(rng.uniform(0.01, 1.0))
+        assert abs(descend(scenario, p0=p0, step=step) - closed) < 1e-12, (scenario, p0, step)
+
+
+def test_a_full_step_lands_on_the_closed_form_at_once():
+    assert descend(BernoulliScenario(9, 1), step=1.0, iterations=1) == 0.9
+    scenario = BernoulliScenario(3, 4, w_pos=2.5, w_neg=0.7)
+    for p0 in (1e-9, 0.3, 1.0 - 1e-9):
+        assert descend(scenario, p0=p0, step=1.0, iterations=1) == pytest.approx(
+            analytic_minimizer(scenario), abs=1e-15
+        )
 
 
 def test_descend_validation():
@@ -63,6 +100,7 @@ def test_descend_validation():
         ({"p0": 0.0}, r"p0 must lie strictly inside \(0, 1\), got 0.0"),
         ({"step": 0.0}, "step must be > 0"),
         ({"step": math.inf}, "step must be finite"),
+        ({"step": 1.5}, "step must be <= 1"),
         ({"iterations": 0}, "iterations must be >= 1"),
     ]:
         with pytest.raises(ValueError, match=message):

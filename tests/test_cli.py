@@ -745,6 +745,40 @@ def test_bernoulli_rejects_tiny_curve(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_a_bernoulli_step_above_1_fails_alike_from_a_flag_and_a_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"step": 1.5}))
+    for argv in (["bernoulli", "--step", "1.5"], ["--config", str(path), "bernoulli"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: step must be <= 1\n"
+        assert ECHO_PREFIX not in captured.out
+
+
+def descent_result(out: str) -> float:
+    line = next(l for l in out.splitlines() if l.startswith("gradient descent result: "))
+    return float(line.split()[3])
+
+
+@pytest.mark.parametrize(
+    "flags, closed",
+    [
+        ([], 0.9),
+        (["--n-pos", "1", "--n-neg", "100000"], 1 / 100_001),
+        (["--n-pos", "100000", "--n-neg", "1"], 100_000 / 100_001),
+        (["--n-pos", "0"], 0.0),
+        (["--n-neg", "0"], 1.0),
+        (["--step", "1", "--iterations", "1"], 0.9),
+    ],
+    ids=["default", "near-0", "near-1", "at-0", "at-1", "one-full-step"],
+)
+def test_bernoulli_descent_lands_on_the_closed_form(capsys, flags, closed):
+    assert main(["bernoulli", *flags]) == 0
+    out = capsys.readouterr().out
+    assert f"closed-form minimizer: {closed!r}" in out
+    assert abs(descent_result(out) - closed) < 1e-12
+
+
 @pytest.mark.parametrize("flag", ["--n-neg", "--n-pos"])
 def test_bernoulli_with_one_outcome_unobserved_passes_its_cross_check(capsys, flag):
     assert main(["bernoulli", flag, "0", "--iterations", "10"]) == 0

@@ -324,6 +324,34 @@ def fake_suite():
     return records
 
 
+def fake_categorical_record(model, seed, errors, high_cost):
+    n = 1000
+    return RunRecord(
+        model=model,
+        seed=seed,
+        threshold=None,
+        fn=float(errors),
+        fp=float(errors),
+        top1_error=errors / n,
+        real_world_cost=(errors + 10.0 * high_cost) / n,
+        f1=None,
+        validation_f1=None,
+        high_cost_count=float(high_cost),
+        wall_time=1.0,
+        config={},
+    )
+
+
+def fake_categorical_suite():
+    records = []
+    for i, (control, experimental) in enumerate(
+        [((40, 6), (41, 2)), ((44, 8), (46, 3)), ((42, 7), (43, 3))]
+    ):
+        records.append(fake_categorical_record("control", i, *control))
+        records.append(fake_categorical_record("experimental", i, *experimental))
+    return records
+
+
 def test_summarize_binary_means_and_structure():
     summary = summarize(fake_suite())
     assert summary.kind == "binary"
@@ -450,3 +478,27 @@ def test_summary_table_mentions_models_and_degenerate_tests():
     assert "trials: 3" in table
     assert "identical" in table  # the constant-difference comparison
     assert "t=" in table
+
+
+def test_categorical_summary_renderings():
+    summary = summarize(fake_categorical_suite())
+    assert summary.kind == "categorical"
+    # Means: high-cost counts 7 and 8/3, errors 42 and 43.33 of 1000, real-world
+    # costs (errors + 10 x high-cost) / 1000.
+    assert summary_to_csv(summary) == (
+        "Model,MeanHighCostCount,MeanTop1Error,MeanRealWorldCost\n"
+        "control,7.0,0.042,0.112\n"
+        "experimental,2.6666666666666665,0.043333333333333335,0.07\n"
+    )
+    lines = summary_table(summary).splitlines()
+    assert lines[:3] == [
+        "model         mean_high_cost  mean_top1  mean_rwc",
+        "control       7               0.042      0.112",
+        "experimental  2.66667         0.0433333  0.07",
+    ]
+    assert lines[3:5] == ["", "trials: 3"]
+    # Paired differences 4,5,4 / -1,-2,-1 / 39,48,39 give t = 13, -4 and 14 at df 2.
+    assert lines[5:] == [
+        "control_vs_experimental: high_cost_count: t=13 p=0.005865; "
+        "top1_error: t=-4 p=0.05719; real_world_cost: t=14 p=0.005063"
+    ]

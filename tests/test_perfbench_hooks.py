@@ -1,14 +1,22 @@
-"""The benchmark's tracing hooks still resolve against the program.
+"""The benchmark's tracing hooks and calls still fit the program.
 
 perfbench/worker.py wraps module attributes by name (TIMED_TARGETS,
-TRACED_TARGETS, SETUP_TARGETS).  Renaming or deleting one of them breaks
-``perfbench/run.py --trace 1`` without failing any other fast test, so this
-imports the worker's lists, unchanged, and checks every (module, attr) pair.
+TRACED_TARGETS, SETUP_TARGETS) and calls the two suite runners with keyword
+arguments.  Renaming or deleting one of them breaks ``perfbench/run.py``
+without failing any other fast test, so this imports the worker's lists,
+unchanged, checks every (module, attr) pair, and binds the worker's calls to
+the signatures they reach.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from rwwce import TrainConfig, experiments
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +41,25 @@ def test_every_perfbench_target_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(target.module, target.attr, None))
     ]
     assert missing == []
+
+
+def test_the_worker_calls_bind_to_the_suite_runners():
+    raw, template = object(), TrainConfig()
+    # As perfbench/worker.py calls them, one unit per call.
+    inspect.signature(experiments.run_binary_suite).bind(
+        raw, [3], [0], 1, train_template=template, jobs=2
+    )
+    inspect.signature(experiments.run_categorical_suite).bind(
+        raw, [(4, 9)], 1, train_template=template, jobs=2
+    )
+
+
+def test_train_examples_reads_the_train_parameters(monkeypatch):
+    worker = load_worker(monkeypatch)
+    # Bound as experiments._train_models calls train, positionally; the worker
+    # reads the train_set and config parameters by name.
+    train_set = SimpleNamespace(X=np.zeros((7, 2)))
+    arguments = inspect.signature(experiments.train).bind(
+        object(), train_set, object(), TrainConfig(epochs=3)
+    ).arguments
+    assert worker.train_examples(arguments, None) == 21
