@@ -227,7 +227,7 @@ def _suite(out_dir: str) -> tuple[Setting, ...]:
     )
 
 
-VERIFY_DATA = (Setting("data_dir", STR, None, "--data-dir"),)
+VERIFY_DATA = DATA[:1]
 
 RUN_BINARY = DATA + TRAINING + _suite("runs/binary") + (
     Setting("digits", INTS, None, "--digits", help='digits to detect, e.g. "0-9" or "3,7"'),
@@ -368,7 +368,9 @@ def _run_suite(resolved: dict, runner, configs) -> int:
     configs is the suite's whole trial list, built from the settings before
     this call.  Each config's check_pool(pool) raises ValueError for a trial
     the loaded pool cannot supply, so every trial is checked before the
-    first one runs; run_trials then runs runner on that same list.
+    first one runs.  The output directory is made next, so one that cannot
+    be made fails before any training; run_trials then runs runner on that
+    same list.
     """
     if not configs:
         raise CliError("no trials requested")
@@ -380,9 +382,9 @@ def _run_suite(resolved: dict, runner, configs) -> int:
     with _user_input():
         for cfg in configs:
             cfg.check_pool(pool)
-    summary, records = run_trials(runner, configs, pool, resolved["jobs"])
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    summary, records = run_trials(runner, configs, pool, resolved["jobs"])
     records_path = out_dir / "records.jsonl"
     csv_path = out_dir / "summary.csv"
     save_records(records, records_path)

@@ -18,9 +18,9 @@ Categorical (10 classes, one expensive confusion):
 
 Each trial gets one seed that drives the dataset split, the weight init, and
 the shuffle order, so paired models differ only in their loss.  Suites
-aggregate per-model means and paired t-tests, serialize per-run records as
-JSON lines (full float precision, so reruns can be compared byte for byte),
-and export summary CSVs.
+aggregate per-model means and paired t-tests, as the SUITES table lists them
+for each suite, serialize per-run records as JSON lines (full float
+precision, so reruns can be compared byte for byte), and export summary CSVs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +67,40 @@ DEFAULT_OFF_PAIR_COST = 1.0
 BINARY_TOPOLOGY = ((FEATURES, 10, "relu"), (10, 1, "sigmoid"))
 CATEGORICAL_TOPOLOGY = ((FEATURES, 50, "relu"), (50, 20, "relu"), (20, NUM_CLASSES, "softmax"))
 
-BINARY_MODELS = ("control1", "control2", "test")
-CATEGORICAL_MODELS = ("control", "experimental")
 
-BINARY_MEAN_METRICS = ("fn", "fp", "top1_error", "real_world_cost", "f1")
-BINARY_TEST_METRICS = ("fn", "fp", "top1_error", "real_world_cost")
-CATEGORICAL_MEAN_METRICS = ("high_cost_count", "top1_error", "real_world_cost")
-CATEGORICAL_TEST_METRICS = CATEGORICAL_MEAN_METRICS
+class SuiteReport(NamedTuple):
+    """What a suite reports: its models, in the order a trial returns them; each
+    metric averaged per model, with its summary_table column; each metric
+    t-tested, with its summary.csv column (every one is also averaged); and the
+    model pairs t-tested, in report order."""
+
+    models: tuple[str, ...]
+    mean_columns: dict[str, str]
+    test_columns: dict[str, str]
+    pairs: tuple[tuple[str, str], ...]
+
+
+# Keyed by SuiteSummary.kind.
+SUITES = {
+    "binary": SuiteReport(
+        models=("control1", "control2", "test"),
+        mean_columns={"fn": "mean_fn", "fp": "mean_fp", "top1_error": "mean_top1",
+                      "real_world_cost": "mean_rwc", "f1": "mean_f1"},
+        test_columns={"fn": "MeanFN", "fp": "MeanFP", "top1_error": "MeanTop1Error",
+                      "real_world_cost": "MeanRealWorldCost"},
+        pairs=(("control1", "test"), ("control2", "test"), ("control1", "control2")),
+    ),
+    "categorical": SuiteReport(
+        models=("control", "experimental"),
+        mean_columns={"high_cost_count": "mean_high_cost", "top1_error": "mean_top1",
+                      "real_world_cost": "mean_rwc"},
+        test_columns={"high_cost_count": "MeanHighCostCount", "top1_error": "MeanTop1Error",
+                      "real_world_cost": "MeanRealWorldCost"},
+        pairs=(("control", "experimental"),),
+    ),
+}
+BINARY_MODELS = SUITES["binary"].models
+CATEGORICAL_MODELS = SUITES["categorical"].models
 
 
 @dataclass(frozen=True)
@@ -347,9 +375,10 @@ def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[Ru
 class SuiteSummary:
     """Aggregates of a suite: per-model metric means and paired t-tests.
 
-    comparisons maps "modelA_vs_modelB" to per-metric dicts {"t", "p", "df"},
-    or None where the paired differences were identical across trials and
-    the statistic is undefined.
+    kind keys SUITES.  comparisons maps "modelA_vs_modelB" to per-metric
+    dicts {"t", "p", "df"}, or None where the statistic is undefined: a suite
+    of one trial, or paired differences with zero variance (constant, not
+    necessarily zero).
     """
 
     kind: str
@@ -366,33 +395,27 @@ def summarize(records: list[RunRecord]) -> SuiteSummary:
     """Aggregate a suite's records into per-model means and paired t-tests."""
     if not records:
         raise ValueError("no records to summarize")
-    models = [r.model for r in records]
-    if set(models) == set(BINARY_MODELS):
-        kind, order = "binary", BINARY_MODELS
-        mean_metrics, test_metrics = BINARY_MEAN_METRICS, BINARY_TEST_METRICS
-        pairs = [("control1", "test"), ("control2", "test"), ("control1", "control2")]
-    elif set(models) == set(CATEGORICAL_MODELS):
-        kind, order = "categorical", CATEGORICAL_MODELS
-        mean_metrics, test_metrics = CATEGORICAL_MEAN_METRICS, CATEGORICAL_TEST_METRICS
-        pairs = [("control", "experimental")]
-    else:
-        raise ValueError(f"records name an unexpected model set: {sorted(set(models))}")
+    models = {r.model for r in records}
+    kind = next((k for k, suite in SUITES.items() if set(suite.models) == models), None)
+    if kind is None:
+        raise ValueError(f"records name an unexpected model set: {sorted(models)}")
+    suite = SUITES[kind]
 
-    grouped = {model: [r for r in records if r.model == model] for model in order}
+    grouped = {model: [r for r in records if r.model == model] for model in suite.models}
     counts = {model: len(group) for model, group in grouped.items()}
     if len(set(counts.values())) != 1:
         raise ValueError(f"unbalanced record groups: {counts}")
-    trials = counts[order[0]]
+    trials = counts[suite.models[0]]
 
     means = {
-        model: {m: float(_metric_vector(group, m).mean()) for m in mean_metrics}
+        model: {m: float(_metric_vector(group, m).mean()) for m in suite.mean_columns}
         for model, group in grouped.items()
     }
 
     comparisons: dict = {}
-    for left, right in pairs:
+    for left, right in suite.pairs:
         entry: dict = {}
-        for metric in test_metrics:
+        for metric in suite.test_columns:
             a = _metric_vector(grouped[left], metric)
             b = _metric_vector(grouped[right], metric)
             try:
@@ -516,37 +539,23 @@ def load_records(path) -> list[RunRecord]:
 
 
 def summary_to_csv(summary: SuiteSummary) -> str:
-    """Render per-model means as CSV, one row per model."""
-    if summary.kind == "binary":
-        header = "Model,MeanFN,MeanFP,MeanTop1Error,MeanRealWorldCost"
-        metrics = BINARY_TEST_METRICS
-        order = BINARY_MODELS
-    else:
-        header = "Model,MeanHighCostCount,MeanTop1Error,MeanRealWorldCost"
-        metrics = CATEGORICAL_MEAN_METRICS
-        order = CATEGORICAL_MODELS
-    lines = [header]
-    for model in order:
+    """Render per-model means of the t-tested metrics as CSV, one row per model."""
+    suite = SUITES[summary.kind]
+    lines = [",".join(["Model", *suite.test_columns.values()])]
+    for model in suite.models:
         values = summary.means[model]
-        lines.append(",".join([model] + [repr(values[m]) for m in metrics]))
+        lines.append(",".join([model] + [repr(values[m]) for m in suite.test_columns]))
     return "\n".join(lines) + "\n"
 
 
 def summary_table(summary: SuiteSummary) -> str:
     """Render the summary as a fixed-width plain-text table with t-tests."""
-    if summary.kind == "binary":
-        metrics = BINARY_MEAN_METRICS
-        headers = ("model", "mean_fn", "mean_fp", "mean_top1", "mean_rwc", "mean_f1")
-        order = BINARY_MODELS
-    else:
-        metrics = CATEGORICAL_MEAN_METRICS
-        headers = ("model", "mean_high_cost", "mean_top1", "mean_rwc")
-        order = CATEGORICAL_MODELS
-    rows = [headers]
-    for model in order:
+    suite = SUITES[summary.kind]
+    rows = [("model", *suite.mean_columns.values())]
+    for model in suite.models:
         values = summary.means[model]
-        rows.append((model,) + tuple(f"{values[m]:.6g}" for m in metrics))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
+        rows.append((model,) + tuple(f"{values[m]:.6g}" for m in suite.mean_columns))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     lines.append("")
     lines.append(f"trials: {summary.trials}")
@@ -554,7 +563,7 @@ def summary_table(summary: SuiteSummary) -> str:
         parts = []
         for metric, stats in entry.items():
             if stats is None:
-                parts.append(f"{metric}: identical")
+                parts.append(f"{metric}: undefined")
             else:
                 parts.append(f"{metric}: t={stats['t']:.4g} p={stats['p']:.4g}")
         lines.append(f"{pair}: " + "; ".join(parts))

@@ -488,6 +488,22 @@ def test_a_pool_too_small_to_split_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, selection",
+    [("run-binary", ["--digits", "3", "--epochs", "1"]), ("run-categorical", ["--pairs", "4:9"])],
+)
+def test_an_out_dir_that_cannot_be_made_exits_1_before_any_trial(
+    small_dir, tmp_path, capsys, monkeypatch, command, selection
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_trials", lambda *a, **k: calls.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--data-dir", str(small_dir), *selection, "--out-dir", str(taken)]) == 1
+    assert f"File exists: '{taken}'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["bernoulli", "--n-pos", "-1"], "counts must be nonnegative"),
@@ -644,6 +660,14 @@ def test_an_echo_fed_back_as_config_reproduces_the_run(mnist_dir, tmp_path, caps
 def test_each_subcommand_has_help(capsys, command):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: rwwce {command} [-h]")
+
+
+@pytest.mark.parametrize("command", ["verify-data", "run-binary", "run-categorical"])
+def test_data_dir_help_names_its_environment_default(capsys, command):
+    assert main([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    expected = f"directory with the standard corpus files (default ${DATA_DIR_ENV})"
+    assert f"--data-dir DATA_DIR {expected}" in help_text
 
 
 def test_malformed_config_file_is_an_error(tmp_path, capsys):

@@ -476,8 +476,57 @@ def test_summary_table_mentions_models_and_degenerate_tests():
     for name in ("control1", "control2", "test"):
         assert name in table
     assert "trials: 3" in table
-    assert "identical" in table  # the constant-difference comparison
+    assert "fn: undefined" in table  # the constant-difference comparison
+    assert "identical" not in table
     assert "t=" in table
+
+
+def test_a_one_trial_suite_reports_every_t_test_undefined():
+    # One pair of values, however far apart, gives no t statistic.
+    records = [
+        fake_binary_record("control1", 0, 152, 5),
+        fake_binary_record("control2", 0, 150, 9),
+        fake_binary_record("test", 0, 1, 40),
+    ]
+    summary = summarize(records)
+    assert summary.trials == 1
+    assert all(
+        stats is None for entry in summary.comparisons.values() for stats in entry.values()
+    )
+    lines = summary_table(summary).splitlines()
+    assert lines[-3:] == [
+        f"{pair}: fn: undefined; fp: undefined; top1_error: undefined; real_world_cost: undefined"
+        for pair in ("control1_vs_test", "control2_vs_test", "control1_vs_control2")
+    ]
+
+
+def test_binary_summary_renderings():
+    summary = summarize(fake_suite())
+    # summary.csv holds the means of the t-tested metrics: no F1 column.
+    assert summary_to_csv(summary) == (
+        "Model,MeanFN,MeanFP,MeanTop1Error,MeanRealWorldCost\n"
+        "control1,11.0,6.0,0.017,22.599999999999998\n"
+        "control2,10.0,7.0,0.017,20.7\n"
+        "test,8.0,22.0,0.03,18.2\n"
+    )
+    lines = summary_table(summary).splitlines()
+    assert lines[:4] == [
+        "model     mean_fn  mean_fp  mean_top1  mean_rwc  mean_f1",
+        "control1  11       6        0.017      22.6      0.5",
+        "control2  10       7        0.017      20.7      0.5",
+        "test      8        22       0.03       18.2      0.5",
+    ]
+    assert lines[4:6] == ["", "trials: 3"]
+    # control1 - control2 is the constant 1 in fn, -1 in fp and 0 in top-1
+    # error; the real-world costs differ only by rounding, hence the huge t.
+    assert lines[6:] == [
+        "control1_vs_test: fn: t=3 p=0.09547; fp: t=-27.71 p=0.0013; "
+        "top1_error: t=-22.52 p=0.001967; real_world_cost: t=2.256 p=0.1527",
+        "control2_vs_test: fn: t=2 p=0.1835; fp: t=-25.98 p=0.001478; "
+        "top1_error: t=-22.52 p=0.001967; real_world_cost: t=1.282 p=0.3284",
+        "control1_vs_control2: fn: undefined; fp: undefined; "
+        "top1_error: undefined; real_world_cost: t=1.603e+15 p=3.892e-31",
+    ]
 
 
 def test_categorical_summary_renderings():

@@ -1,11 +1,12 @@
 """The benchmark's tracing hooks and calls still fit the program.
 
 perfbench/worker.py wraps module attributes by name (TIMED_TARGETS,
-TRACED_TARGETS, SETUP_TARGETS) and calls the two suite runners with keyword
-arguments.  Renaming or deleting one of them breaks ``perfbench/run.py``
-without failing any other fast test, so this imports the worker's lists,
-unchanged, checks every (module, attr) pair, and binds the worker's calls to
-the signatures they reach.
+TRACED_TARGETS, SETUP_TARGETS), calls the two suite runners with keyword
+arguments and checks records by model name (MODELS, COST_WEIGHTED_MODEL).
+Renaming or deleting one of them breaks ``perfbench/run.py`` without failing
+any other fast test, so this imports the worker's lists, unchanged, checks
+every (module, attr) pair and model name, and binds the worker's calls to the
+signatures they reach.
 """
 
 import importlib.util
@@ -41,6 +42,13 @@ def test_every_perfbench_target_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(target.module, target.attr, None))
     ]
     assert missing == []
+
+
+def test_the_worker_names_the_models_of_the_suite_table(monkeypatch):
+    worker = load_worker(monkeypatch)
+    assert worker.MODELS == {kind: suite.models for kind, suite in experiments.SUITES.items()}
+    for kind, model in worker.COST_WEIGHTED_MODEL.items():
+        assert model in experiments.SUITES[kind].models
 
 
 def test_the_worker_calls_bind_to_the_suite_runners():
