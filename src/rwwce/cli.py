@@ -125,7 +125,7 @@ def _cast(key: str, value, kind):
     """value as kind, refusing any value the cast would change ("5", 1.5, [1] or true as an int)."""
     try:
         cast = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         cast = None
     # bool is an int subclass, so int(True) == True: refuse JSON booleans outright.
     if cast is None or cast != value or (isinstance(value, bool) and kind is not bool):

@@ -183,10 +183,11 @@ class RunRecord:
     count (every multiclass error is a false negative of its true class and
     a false positive of its predicted class) and high_cost_count holds the
     tally of the single expensive cell.  wall_time is the seconds of the
-    model's own train() call; control2, which does not train, gets the
-    seconds of its threshold search and rescoring.  The trial's shared
-    evaluation phase is timed in no record.  wall_time is informational only
-    and is excluded from determinism comparisons (records_match).
+    model's own train() call in the trial's training phase (_train_models);
+    control2, which does not train, gets the seconds of its threshold
+    search and rescoring.  The trial's evaluation phase, shared by its
+    models, is timed in no record.  wall_time is informational only and is
+    excluded from determinism comparisons (records_match).
     """
 
     model: str
@@ -241,72 +242,71 @@ def _binary_record(
     )
 
 
-def _train_models(topology, cfg, train_set, loss_specs):
-    """A trial's training phase: one model per loss spec, all from one init.
+def _train_models(topology, cfg, dataset, loss_specs):
+    """A trial's training phase: split, train one model per loss spec, drop the training split.
 
-    Builds init_mlp(topology, cfg.seed) once and trains a model from it with
-    each spec in order (the cost-blind control first), under cfg.train.
-    Returns the trained models and the seconds of each train() call.
+    Splits dataset with cfg.seed, builds init_mlp(topology, cfg.seed) once
+    and trains a model from it with each spec in order (the cost-blind
+    control first), under cfg.train.  Returns (models, seconds, test,
+    validation): the trained models, the seconds of each train() call, and
+    the two evaluation splits.
+
+    This is the first of a trial's two phases.  Pass dataset inline: its
+    last reference goes right after the split, so the un-split dataset is
+    dead at every train() call, and the training split dies when this
+    returns, so no pixels of an evaluation split are scaled while training
+    data is alive.  A trial that scores only the test split takes [:3] of
+    the result, so its validation split dies as well.
     """
+    parts = split(dataset, cfg.seed)
+    del dataset
     initial = init_mlp(topology, cfg.seed)
     models, seconds = [], []
     for loss_spec in loss_specs:
         started = time.perf_counter()
-        model, _ = train(initial, train_set, loss_spec, cfg.train)
+        model, _ = train(initial, parts.train, loss_spec, cfg.train)
         seconds.append(time.perf_counter() - started)
         models.append(model)
-    return models, seconds
+    return models, seconds, parts.test, parts.validation
 
 
 def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     """Train and evaluate the three binary models on one dataset slice.
 
-    Returns [control1, control2, test] records.  control2 never retrains: it
-    reuses control1's parameters and only moves the decision threshold.
-    The trial runs in two phases: it trains both models, drops the training
-    split, and only then evaluates them with nn.outputs, so the un-split
-    dataset and the training split are gone before any pixels of the
-    validation and test splits are scaled, in row blocks shared by both
-    models.
-    wall_time is the seconds of the model's train() call for control1 and
-    test, and of the threshold search and rescoring for control2.
+    Returns one record per BINARY_MODELS name, in order.  control2 never
+    retrains: it reuses control1's parameters and only moves the decision
+    threshold.  After the training phase (_train_models), nn.outputs scores
+    both trained models on each evaluation split.
     """
-    parts = split(make_binary_dataset(raw, cfg.digit, cfg.slice_index), cfg.seed)
-    validation, test = parts.validation, parts.test
-    weighted_spec = LossSpec.rwwce_binary(cfg.cost.fn_cost, cfg.cost.fp_cost)
-    models, (control_time, weighted_time) = _train_models(
-        BINARY_TOPOLOGY, cfg, parts.train, (LossSpec.bce(), weighted_spec)
-    )
-    del parts
-
-    control_validation, weighted_validation = (o[:, 0] for o in outputs(models, validation.X))
-    control_test, weighted_test = (o[:, 0] for o in outputs(models, test.X))
-
-    control1 = _binary_record(
-        "control1",
+    models, seconds, test, validation = _train_models(
+        BINARY_TOPOLOGY,
         cfg,
-        confusion_binary(control_test, test.Y, 0.5),
-        0.5,
-        f1_score(confusion_binary(control_validation, validation.Y, 0.5)),
-        control_time,
+        make_binary_dataset(raw, cfg.digit, cfg.slice_index),
+        (LossSpec.bce(), LossSpec.rwwce_binary(cfg.cost.fn_cost, cfg.cost.fp_cost)),
     )
+    validation_scores = [o[:, 0] for o in outputs(models, validation.X)]
+    test_scores = [o[:, 0] for o in outputs(models, test.X)]
 
+    def at_half(model: str, index: int) -> RunRecord:
+        """The record of trained model index, scored at threshold 0.5."""
+        return _binary_record(
+            model,
+            cfg,
+            confusion_binary(test_scores[index], test.Y, 0.5),
+            0.5,
+            f1_score(confusion_binary(validation_scores[index], validation.Y, 0.5)),
+            seconds[index],
+        )
+
+    control1, control2, weighted = BINARY_MODELS
+    control1_record = at_half(control1, 0)
     started = time.perf_counter()
-    threshold, best_validation_f1 = best_f1_threshold(control_validation, validation.Y)
-    counts2 = confusion_binary(control_test, test.Y, threshold)
-    control2 = _binary_record(
-        "control2", cfg, counts2, threshold, best_validation_f1, time.perf_counter() - started
+    threshold, best_validation_f1 = best_f1_threshold(validation_scores[0], validation.Y)
+    counts2 = confusion_binary(test_scores[0], test.Y, threshold)
+    control2_record = _binary_record(
+        control2, cfg, counts2, threshold, best_validation_f1, time.perf_counter() - started
     )
-
-    weighted = _binary_record(
-        "test",
-        cfg,
-        confusion_binary(weighted_test, test.Y, 0.5),
-        0.5,
-        f1_score(confusion_binary(weighted_validation, validation.Y, 0.5)),
-        weighted_time,
-    )
-    return [control1, control2, weighted]
+    return [control1_record, control2_record, at_half(weighted, 1)]
 
 
 def pair_cost_matrix(cfg: CategoricalTrialConfig) -> np.ndarray:
@@ -341,33 +341,22 @@ def _categorical_record(
 def run_categorical_trial(cfg: CategoricalTrialConfig, raw: RawMnist) -> list[RunRecord]:
     """Train and evaluate the control and experimental 10-class models.
 
-    The experimental loss keeps every false-negative weight at 1 and places
+    Returns one record per CATEGORICAL_MODELS name, in order.  The
+    experimental loss keeps every false-negative weight at 1 and places
     pair_weight on the single expensive false-positive cell, so with
-    pair_weight 0 it degenerates to the control loss exactly.  As in
-    run_binary_trial, both models are trained before either is evaluated,
-    and after the training split is dropped nn.outputs scales the test split
-    in row blocks, each once for both models.  wall_time is the seconds of
-    the model's train() call.
+    pair_weight 0 it degenerates to the control loss exactly.  After the
+    training phase (_train_models), nn.outputs scores both models on the
+    test split.
     """
-    parts = split(make_categorical_dataset(raw), cfg.seed)
-    test = parts.test
-    fn_weights = np.ones(NUM_CLASSES)
     fp_weights = np.zeros((NUM_CLASSES, NUM_CLASSES))
     fp_weights[cfg.fn_class, cfg.fp_class] = cfg.pair_weight
-    weighted_spec = LossSpec.rwwce_categorical(fn_weights, fp_weights)
-    models, (control_time, weighted_time) = _train_models(
-        CATEGORICAL_TOPOLOGY, cfg, parts.train, (LossSpec.cce(), weighted_spec)
-    )
-    del parts
-
-    control_output, weighted_output = outputs(models, test.X)
+    weighted_spec = LossSpec.rwwce_categorical(np.ones(NUM_CLASSES), fp_weights)
+    models, seconds, test = _train_models(
+        CATEGORICAL_TOPOLOGY, cfg, make_categorical_dataset(raw), (LossSpec.cce(), weighted_spec)
+    )[:3]
     return [
-        _categorical_record(
-            "control", cfg, confusion_categorical(control_output, test.Y), control_time
-        ),
-        _categorical_record(
-            "experimental", cfg, confusion_categorical(weighted_output, test.Y), weighted_time
-        ),
+        _categorical_record(model, cfg, confusion_categorical(output, test.Y), wall_time)
+        for model, output, wall_time in zip(CATEGORICAL_MODELS, outputs(models, test.X), seconds)
     ]
 
 

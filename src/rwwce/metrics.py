@@ -71,7 +71,8 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     """Exhaustively search thresholds for the best F1 on this sample.
 
     Candidates are one sentinel above the maximum score, the midpoints
-    between consecutive distinct scores, and one sentinel below the minimum;
+    between consecutive distinct scores (the lower score where the midpoint
+    rounds up to the upper one), and one sentinel below the minimum;
     together these realize every achievable confusion split under the strict
     greater-than rule.  Returns (threshold, f1); ties in F1 go to the larger
     threshold.  When no positive labels exist every candidate scores 0 and
@@ -82,7 +83,10 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     descending = distinct[::-1]
     candidates = np.empty(distinct.size + 1)
     candidates[0] = descending[0] + 1.0
-    candidates[1:-1] = (descending[:-1] + descending[1:]) / 2.0
+    # The midpoint of two adjacent doubles can round up to the upper score,
+    # which would then be scored negative; the lower score splits them instead.
+    midpoints = (descending[:-1] + descending[1:]) / 2.0
+    candidates[1:-1] = np.where(midpoints < descending[:-1], midpoints, descending[1:])
     candidates[-1] = descending[-1] - 1.0
 
     pos_sorted = np.sort(scores[labels == 1.0])
@@ -254,7 +258,10 @@ def paired_t_test(a, b) -> TTestResult:
     sample (n-1) standard deviation; the two-sided p-value comes from the
     Student-t survival function, p = I_x(df/2, 1/2) with x = df/(df + t^2).
     Raises on fewer than two pairs and on zero-variance differences, where
-    the statistic is undefined.
+    the statistic is undefined.  Differences whose standard deviation is
+    within rounding of the inputs' magnitude (4 machine epsilons of the
+    largest |a| or |b|) count as zero variance: they are constant but for
+    the rounding of a and b.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -265,7 +272,8 @@ def paired_t_test(a, b) -> TTestResult:
         raise ValueError("paired t-test needs at least two pairs")
     d = a - b
     sd = float(d.std(ddof=1))
-    if sd == 0.0:
+    rounding = 4.0 * np.finfo(np.float64).eps * max(np.abs(a).max(), np.abs(b).max())
+    if sd <= rounding:
         raise ValueError("differences have zero variance; t statistic undefined")
     t = float(d.mean() / (sd / math.sqrt(n)))
     df = n - 1

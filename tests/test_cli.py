@@ -573,6 +573,25 @@ def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, 
     assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
 
 
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("run-binary", "epochs", "Infinity"),
+        ("bernoulli", "iterations", "1e400"),
+        ("run-categorical", "base_seed", "-Infinity"),
+        ("run-binary", "digits", "[Infinity]"),
+        ("run-categorical", "pairs", "[[1e400, 1]]"),
+    ],
+)
+def test_a_config_number_too_large_for_an_int_is_an_error(tmp_path, capsys, command, key, text):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{key}": {text}}}')
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert f"config key {key!r} expects " in captured.err
+    assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
+
+
 @pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
 def test_config_scale_must_be_a_preset(tmp_path, capsys, command):
     path = tmp_path / "config.json"

@@ -216,6 +216,7 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
     """Every scaled evaluation block is made after the training data is dead.
 
     So is the categorical validation split, which that trial never scores.
+    Every train() call runs after the un-split dataset is dead.
 
     Watches network_input during nn.outputs: each block of an evaluation
     split is a view of its pixels, at most EVAL_BLOCK_ROWS (4,096) rows, the
@@ -231,6 +232,7 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
     real_split = experiments_module.split
     real_outputs = experiments_module.outputs
     real_network_input = nn_module.network_input
+    real_train = experiments_module.train
 
     for block_rows in (4096, 256):
         monkeypatch.setattr(nn_module, "EVAL_BLOCK_ROWS", block_rows)
@@ -238,6 +240,7 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
         sizes = {}
         evaluations = []  # (models, pixels, blocks) per nn.outputs call
         scaling = []  # the running evaluation's blocks: (block, scaled shape, dtype, dead)
+        unsplit_dead_at_train = []  # one entry per train() call
 
         def watched_split(dataset, seed):
             parts = real_split(dataset, seed)
@@ -261,6 +264,10 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
             finally:
                 scaling.pop()
 
+        def recording_train(*args, **kwargs):
+            unsplit_dead_at_train.append(refs[1]() is None)  # refs[1]: the un-split dataset
+            return real_train(*args, **kwargs)
+
         def recording_network_input(x):
             scaled = real_network_input(x)
             if scaling:
@@ -271,7 +278,10 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
         monkeypatch.setattr(experiments_module, "split", watched_split)
         monkeypatch.setattr(experiments_module, "outputs", recording_outputs)
         monkeypatch.setattr(nn_module, "network_input", recording_network_input)
+        monkeypatch.setattr(experiments_module, "train", recording_train)
         runner(cfg, small_pool)
+
+        assert unsplit_dead_at_train == [True, True]
 
         assert len(refs) == (2 if runner is run_binary_trial else 3)
         expected = ["validation", "test"] if runner is run_binary_trial else ["test"]
@@ -518,14 +528,15 @@ def test_binary_summary_renderings():
     ]
     assert lines[4:6] == ["", "trials: 3"]
     # control1 - control2 is the constant 1 in fn, -1 in fp and 0 in top-1
-    # error; the real-world costs differ only by rounding, hence the huge t.
+    # error; the real-world costs differ by 1.9 but for rounding, so every
+    # t-test of that pair is undefined.
     assert lines[6:] == [
         "control1_vs_test: fn: t=3 p=0.09547; fp: t=-27.71 p=0.0013; "
         "top1_error: t=-22.52 p=0.001967; real_world_cost: t=2.256 p=0.1527",
         "control2_vs_test: fn: t=2 p=0.1835; fp: t=-25.98 p=0.001478; "
         "top1_error: t=-22.52 p=0.001967; real_world_cost: t=1.282 p=0.3284",
         "control1_vs_control2: fn: undefined; fp: undefined; "
-        "top1_error: undefined; real_world_cost: t=1.603e+15 p=3.892e-31",
+        "top1_error: undefined; real_world_cost: undefined",
     ]
 
 

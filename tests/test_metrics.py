@@ -211,6 +211,14 @@ def test_best_f1_matches_brute_force_on_random_instances():
         assert fast == slow
 
 
+def test_best_f1_splits_adjacent_doubles():
+    # (a + 1.0) / 2 rounds up to 1.0, which would score the 1.0s negative too;
+    # the lower score a is the threshold that separates them.
+    a = float(np.nextafter(1.0, 0.0))
+    threshold, f1 = best_f1_threshold([a, a, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    assert (threshold, f1) == (a, 1.0)
+
+
 # --- real-world cost ------------------------------------------------------------
 
 
@@ -362,10 +370,23 @@ def test_paired_t_test_antisymmetry_is_exact():
         assert fwd.p_value == rev.p_value
 
 
+def test_paired_t_test_differences_that_really_vary_keep_their_t():
+    a = np.array([10.3, 20.7, 5.1, 8.9])
+    b = a - 1.9 - np.array([0.0, 1e-12, 0.0, 2e-12])
+    d = a - b
+    result = paired_t_test(a, b)
+    assert result.t_statistic == d.mean() / (d.std(ddof=1) / 2.0)
+    assert 1e11 < result.t_statistic < 1e13
+
+
 def test_paired_t_test_degenerate_inputs():
     with pytest.raises(ValueError):
         paired_t_test([1.0], [2.0])
     with pytest.raises(ValueError):
         paired_t_test([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])  # constant difference
+    a = np.array([10.3, 20.7, 5.1, 8.9])
+    assert float(np.std(a - (a - 1.9), ddof=1)) > 0.0  # nonzero only by rounding
+    with pytest.raises(ValueError):
+        paired_t_test(a, a - 1.9)  # constant difference up to rounding
     with pytest.raises(ValueError):
         paired_t_test([1.0, 2.0], [1.0])
