@@ -21,7 +21,6 @@ from .data import (
 from .losses import (
     EPSILON,
     BinaryCostModel,
-    CategoricalCostModel,
     LossSpec,
     fused_gradient_from_probs,
     loss_value,

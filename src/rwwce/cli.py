@@ -358,8 +358,8 @@ def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
 
 
 def _train_template(resolved: dict) -> TrainConfig:
-    """The TrainConfig every trial's seed is set in."""
-    return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING}, seed=resolved["base_seed"])
+    """The TrainConfig of the training settings; each trial's make sets its own seed."""
+    return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING})
 
 
 def _run_suite(resolved: dict, runner, configs) -> int:

@@ -11,8 +11,9 @@ All losses use natural log and clip each log argument below at EPSILON so a
 saturated probability yields a large finite penalty instead of an infinity.
 Each variant is a choice of term weights: (a, b) on the positive and negative
 log terms for binary variants, (a, FP) on the true-class and wrong-class terms
-for categorical ones.  A LossSpec is a variant name plus those weights,
-resolved and validated once by the classmethod named after the variant.
+for categorical ones.  A LossSpec is a variant name plus those weights; the
+classmethod named after the variant builds them, and constructing any spec
+checks them against that variant's rules.
 checked_targets validates labels and weighs each example's log h and
 log(1 - h) terms as (pos, neg); from those, one unchecked kernel,
 loss_and_gradient, evaluates one loss expression for every variant and its
@@ -58,59 +59,54 @@ class BinaryCostModel:
             raise ValueError("at least one of fn_cost, fp_cost must be positive")
 
 
-@dataclass
-class CategoricalCostModel:
-    """Per-class false-negative costs and a per-pair false-positive cost matrix.
+def _terms_fault(variant: str, terms) -> str | None:
+    """Why terms break variant's rules, or None when they fit.
 
-    fn_costs has length K.  fp_costs is K x K where fp_costs[k][k'] prices
-    predicting class k' on an example whose true class is k.  The diagonal is
-    never read: a correct prediction is not an error.
+    A fault that a classmethod's arguments can cause names the argument.
     """
-
-    fn_costs: np.ndarray
-    fp_costs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.fn_costs = np.asarray(self.fn_costs, dtype=np.float64)
-        self.fp_costs = np.asarray(self.fp_costs, dtype=np.float64)
-        if self.fn_costs.ndim != 1:
-            raise ValueError("fn_costs must be a vector")
-        k = self.fn_costs.shape[0]
-        if k < 2:
-            raise ValueError("need at least two classes")
-        if self.fp_costs.shape != (k, k):
-            raise ValueError(
-                f"fp_costs must be {k}x{k} to match fn_costs, got {self.fp_costs.shape}"
-            )
-        for name, arr in (("fn_costs", self.fn_costs), ("fp_costs", self.fp_costs)):
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ValueError(f"{name} entries must be finite and nonnegative")
-
-    def fp_costs_off_diagonal(self) -> np.ndarray:
-        """fp_costs with the (unread) diagonal forced to zero."""
-        out = self.fp_costs.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
-
-
-def _is_number_pair(terms) -> bool:
-    return (
-        isinstance(terms, tuple)
-        and len(terms) == 2
-        and all(isinstance(t, Real) and not isinstance(t, bool) for t in terms)
-    )
-
-
-def _is_vector_and_matrix(terms) -> bool:
-    if not (isinstance(terms, tuple) and len(terms) == 2):
-        return False
+    if variant == "cce":
+        return None if terms is None else f"got {terms!r}"
+    if variant in BINARY_VARIANTS:
+        if not (isinstance(terms, tuple) and len(terms) == 2
+                and all(isinstance(t, Real) and not isinstance(t, bool) for t in terms)):
+            return f"got {terms!r}"
+        a, b = terms
+        if variant == "rwwce_binary":
+            try:
+                BinaryCostModel(a, b)
+            except ValueError as err:
+                return str(err)
+            return None
+        if variant == "wbce" and (not np.isfinite(a) or a <= 0):
+            return f"positive weight must be finite and > 0, got {a!r}"
+        if variant == "bce" and a != 1.0:
+            return f"the positive-label weight must be 1.0, got {a!r}"
+        return None if b == 1.0 else f"the negative-label weight must be 1.0, got {b!r}"
+    if not (isinstance(terms, tuple) and len(terms) == 2
+            and all(isinstance(t, np.ndarray) for t in terms)):
+        return f"got {terms!r}"
     a, fp = terms
-    return (
-        isinstance(a, np.ndarray)
-        and isinstance(fp, np.ndarray)
-        and a.ndim == 1
-        and fp.shape == (a.size, a.size)
-    )
+    a_name, fp_name = ("per_class", "FP") if variant == "wcce" else ("fn_costs", "fp_costs")
+    if a.ndim != 1 or a.size < 2:
+        return f"{a_name} must be a vector of length >= 2"
+    k = a.size
+    if fp.shape != (k, k):
+        return f"{fp_name} must be {k}x{k} to match {a_name}, got {fp.shape}"
+    if variant == "wcce":
+        if not np.all(np.isfinite(a)) or np.any(a <= 0):
+            return "per_class weights must be finite and > 0"
+        return None if not np.any(fp) else "FP must be all zeros"
+    for name, arr in ((a_name, a), (fp_name, fp)):
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            return f"{name} entries must be finite and nonnegative"
+    return None if not np.any(np.diagonal(fp)) else "the diagonal of fp_costs must be zero"
+
+
+_TERMS_SHAPE = {
+    "cce": "None",
+    **dict.fromkeys(BINARY_VARIANTS, "a pair of numbers (a, b)"),
+    **dict.fromkeys(("wcce", "rwwce_categorical"), "(a, FP): a length-K array and a KxK array"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,9 +116,13 @@ class LossSpec:
     terms is (a, b), the positive- and negative-label multipliers, for the
     binary variants; (a, FP), a true-class weight vector and an off-diagonal
     false-positive matrix, for wcce and rwwce_categorical; and None for cce,
-    whose class count comes from the batch.  Build a spec with the
-    classmethod named after its variant, which validates the weights; a spec
-    built directly has only the shape of its terms checked.
+    whose class count comes from the batch.  Construction holds every spec,
+    however built, to its variant's rules: bce weighs both terms by 1.0; wbce
+    is (a, 1.0) with a finite and > 0; rwwce_binary is a pair of costs
+    BinaryCostModel accepts; wcce is finite, positive class weights (K >= 2)
+    with an all-zero FP; rwwce_categorical is finite, nonnegative costs
+    (K >= 2) with a zero FP diagonal.  The classmethod named after each
+    variant turns its arguments into those terms.
     """
 
     variant: str
@@ -131,15 +131,9 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.variant == "cce":
-            shape_ok, expected = self.terms is None, "None"
-        elif self.is_binary:
-            shape_ok, expected = _is_number_pair(self.terms), "a pair of numbers (a, b)"
-        else:
-            shape_ok = _is_vector_and_matrix(self.terms)
-            expected = "(a, FP): a length-K array and a KxK array"
-        if not shape_ok:
-            raise ValueError(f"{self.variant} terms must be {expected}, got {self.terms!r}")
+        fault = _terms_fault(self.variant, self.terms)
+        if fault is not None:
+            raise ValueError(f"{self.variant} terms must be {_TERMS_SHAPE[self.variant]}: {fault}")
 
     @property
     def is_binary(self) -> bool:
@@ -152,8 +146,6 @@ class LossSpec:
     @classmethod
     def wbce(cls, positive_weight: float) -> "LossSpec":
         """Binary cross-entropy with the positive-label term scaled by positive_weight."""
-        if not np.isfinite(positive_weight) or positive_weight <= 0:
-            raise ValueError(f"positive weight must be finite and > 0, got {positive_weight!r}")
         return cls("wbce", (float(positive_weight), 1.0))
 
     @classmethod
@@ -164,10 +156,6 @@ class LossSpec:
     def wcce(cls, per_class) -> "LossSpec":
         """Categorical cross-entropy with each true-class term scaled by its class weight."""
         w = np.array(per_class, dtype=np.float64)  # a copy: the spec owns its weights
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("per_class must be a vector of length >= 2")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("per_class weights must be finite and > 0")
         return cls("wcce", (w, np.zeros((w.size, w.size))))
 
     @classmethod
@@ -177,8 +165,7 @@ class LossSpec:
         The positive-label log term carries fn_cost, the negative-label term
         fp_cost, so the value is the batch-mean expected cost surrogate.
         """
-        cost = BinaryCostModel(fn_cost, fp_cost)
-        return cls("rwwce_binary", (float(cost.fn_cost), float(cost.fp_cost)))
+        return cls("rwwce_binary", (float(fn_cost), float(fp_cost)))
 
     @classmethod
     def rwwce_categorical(cls, fn_costs, fp_costs) -> "LossSpec":
@@ -187,10 +174,14 @@ class LossSpec:
         For an example of true class k the loss charges fn_costs[k] on the
         true-class log term and, for every other class k', fp_costs[k][k'] on
         log(1 - h_k'), penalizing probability parked on wrong classes that are
-        expensive to confuse.  The diagonal of fp_costs is ignored.
+        expensive to confuse.  The diagonal of fp_costs is ignored: a correct
+        prediction is not an error, so the spec's copy has it zeroed.
         """
-        cost = CategoricalCostModel(fn_costs, fp_costs)
-        return cls("rwwce_categorical", (cost.fn_costs.copy(), cost.fp_costs_off_diagonal()))
+        a = np.array(fn_costs, dtype=np.float64)  # copies: the spec owns its costs
+        fp = np.array(fp_costs, dtype=np.float64)
+        if fp.ndim == 2:  # any other shape is refused on construction
+            np.fill_diagonal(fp, 0.0)
+        return cls("rwwce_categorical", (a, fp))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -72,7 +72,8 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
 
     Candidates are one sentinel above the maximum score, the midpoints
     between consecutive distinct scores (the lower score where the midpoint
-    rounds up to the upper one), and one sentinel below the minimum;
+    rounds up to the upper one), and one sentinel below the minimum (each
+    sentinel 1.0 away, or the adjacent double where that rounds back);
     together these realize every achievable confusion split under the strict
     greater-than rule.  Returns (threshold, f1); ties in F1 go to the larger
     threshold.  When no positive labels exist every candidate scores 0 and
@@ -82,12 +83,12 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     distinct = np.unique(scores)  # ascending
     descending = distinct[::-1]
     candidates = np.empty(distinct.size + 1)
-    candidates[0] = descending[0] + 1.0
+    candidates[0] = max(descending[0] + 1.0, np.nextafter(descending[0], np.inf))
     # The midpoint of two adjacent doubles can round up to the upper score,
     # which would then be scored negative; the lower score splits them instead.
     midpoints = (descending[:-1] + descending[1:]) / 2.0
     candidates[1:-1] = np.where(midpoints < descending[:-1], midpoints, descending[1:])
-    candidates[-1] = descending[-1] - 1.0
+    candidates[-1] = min(descending[-1] - 1.0, np.nextafter(descending[-1], -np.inf))
 
     pos_sorted = np.sort(scores[labels == 1.0])
     neg_sorted = np.sort(scores[labels == 0.0])

@@ -13,7 +13,6 @@ import pytest
 from rwwce import (
     EPSILON,
     BinaryCostModel,
-    CategoricalCostModel,
     LossSpec,
     fused_gradient_from_probs,
     loss_value,
@@ -299,18 +298,18 @@ def test_cost_model_validation():
     with pytest.raises(ValueError):
         BinaryCostModel(math.inf, 1.0)
     with pytest.raises(ValueError):
-        CategoricalCostModel(np.ones(1), np.zeros((1, 1)))  # need >= 2 classes
+        LossSpec.rwwce_categorical(np.ones(1), np.zeros((1, 1)))  # need >= 2 classes
     with pytest.raises(ValueError):
-        CategoricalCostModel(np.ones(3), np.zeros((2, 2)))
+        LossSpec.rwwce_categorical(np.ones(3), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        CategoricalCostModel(np.ones(3), -np.ones((3, 3)))
+        LossSpec.rwwce_categorical(np.ones(3), -np.ones((3, 3)))
     with pytest.raises(ValueError, match="positive weight must be finite and > 0, got 0.0"):
         LossSpec.wbce(0.0)
     with pytest.raises(ValueError, match="per_class weights must be finite and > 0"):
         LossSpec.wcce([1.0, -2.0])
     with pytest.raises(ValueError, match="per_class must be a vector of length >= 2"):
         LossSpec.wcce([1.0])
-    # The cost-priced specs validate through the cost models, with their messages.
+    # Each message names the variant's terms, then the failed check of the input.
     with pytest.raises(ValueError, match="at least one of fn_cost, fp_cost must be positive"):
         LossSpec.rwwce_binary(0.0, 0.0)
     with pytest.raises(ValueError, match="fp_costs must be 3x3 to match fn_costs"):
@@ -342,6 +341,32 @@ def test_loss_spec_rejects_unknown_variant():
 )
 def test_hand_built_loss_spec_terms_must_fit_the_variant(variant, terms):
     with pytest.raises(ValueError, match=f"^{variant} terms must be "):
+        LossSpec(variant, terms)
+
+
+@pytest.mark.parametrize(
+    "variant, terms, reason",
+    [
+        ("bce", (2.0, 3.0), "positive-label weight must be 1.0"),
+        ("bce", (1.0, 3.0), "negative-label weight must be 1.0"),
+        ("wbce", (-1.0, 1.0), "positive weight must be finite and > 0"),
+        ("wbce", (math.nan, 1.0), "positive weight must be finite and > 0"),
+        ("wbce", (2.0, 3.0), "negative-label weight must be 1.0"),
+        ("rwwce_binary", (0.0, 0.0), "at least one of fn_cost, fp_cost must be positive"),
+        ("rwwce_binary", (-1.0, 1.0), "fn_cost must be finite and nonnegative"),
+        ("wcce", (np.ones(3), np.ones((3, 3))), "FP must be all zeros"),
+        ("wcce", (np.array([1.0, 0.0, 1.0]), np.zeros((3, 3))), "per_class weights must be finite and > 0"),
+        ("wcce", (np.ones(1), np.zeros((1, 1))), "per_class must be a vector of length >= 2"),
+        ("rwwce_categorical", (np.array([1.0, -1.0]), np.zeros((2, 2))), "fn_costs entries must be finite"),
+        ("rwwce_categorical", (np.ones(2), np.array([[0.0, -1.0], [1.0, 0.0]])), "fp_costs entries must be finite"),
+        ("rwwce_categorical", (np.ones(2), np.array([[0.0, math.inf], [1.0, 0.0]])), "fp_costs entries must be finite"),
+        ("rwwce_categorical", (np.ones(2), np.ones((2, 2))), "diagonal of fp_costs must be zero"),
+    ],
+)
+def test_hand_built_loss_spec_must_keep_its_variants_rules(variant, terms, reason):
+    # Each of these computes some other loss than the one its variant names:
+    # a wcce with a nonzero FP, for one, trains against the true class.
+    with pytest.raises(ValueError, match=f"^{variant} terms must be .*: .*{reason}"):
         LossSpec(variant, terms)
 
 

@@ -219,6 +219,16 @@ def test_best_f1_splits_adjacent_doubles():
     assert (threshold, f1) == (a, 1.0)
 
 
+@pytest.mark.parametrize("score", [1e17, -1e17])
+def test_best_f1_sentinels_lie_outside_huge_scores(score):
+    # At this magnitude score + 1.0 and score - 1.0 round back to score, which
+    # as a threshold would score every example negative.
+    threshold, f1 = best_f1_threshold([score, score], [1.0, 1.0])
+    assert f1 == 1.0 and threshold < score
+    threshold, f1 = best_f1_threshold([score, score], [0.0, 0.0])
+    assert f1 == 0.0 and threshold > score
+
+
 # --- real-world cost ------------------------------------------------------------
 
 
