@@ -16,9 +16,11 @@ one JSON line before doing any work; feeding that echoed object back via
 Exit codes: 0 success, 1 validation or configuration error, 2 runtime
 failure (including a failed gradient check or a failed numeric cross-check).
 User input is checked at this boundary, so any other ValueError is a fault
-in the program and exits 2.  A suite command builds its list of trial
-configs once from the settings, checks each config against the loaded pool,
-and runs that same list with experiments.run_trials.
+in the program and exits 2.  Training whose loss becomes non-finite exits 1,
+naming the learning rate and the costs, the settings that drove it there.
+A suite command builds its list of trial configs once from the settings,
+checks each config against the loaded pool, and runs that same list with
+experiments.run_trials.
 """
 
 from __future__ import annotations
@@ -65,12 +67,17 @@ class CliError(Exception):
 
 
 @contextmanager
-def _user_input():
-    """Report a ValueError from checking user settings as a CliError (exit 1)."""
+def _user_input(note: str = ""):
+    """Report a ValueError from checking user settings as a CliError (exit 1), note appended."""
     try:
         yield
     except ValueError as e:
-        raise CliError(str(e)) from e
+        raise CliError(f"{e}{note}") from e
+
+
+def _settings(resolved: dict, keys) -> str:
+    """The settings keys as "key value, ..." for a message about their joint effect."""
+    return ", ".join(f"{key} {resolved[key]!r}" for key in keys)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,7 +369,7 @@ def _train_template(resolved: dict) -> TrainConfig:
     return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING})
 
 
-def _run_suite(resolved: dict, runner, configs) -> int:
+def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> int:
     """Echo the settings, load the pool, run the suite's trials and write its outputs.
 
     configs is the suite's whole trial list, built from the settings before
@@ -370,7 +377,8 @@ def _run_suite(resolved: dict, runner, configs) -> int:
     the loaded pool cannot supply, so every trial is checked before the
     first one runs.  The output directory is made next, so one that cannot
     be made fails before any training; run_trials then runs runner on that
-    same list.
+    same list.  Training that diverges is a CliError naming the learning
+    rate and the suite's cost settings, cost_keys.
     """
     if not configs:
         raise CliError("no trials requested")
@@ -384,7 +392,11 @@ def _run_suite(resolved: dict, runner, configs) -> int:
             cfg.check_pool(pool)
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary, records = run_trials(runner, configs, pool, resolved["jobs"])
+    try:
+        summary, records = run_trials(runner, configs, pool, resolved["jobs"])
+    except FloatingPointError as e:
+        settings = _settings(resolved, ("learning_rate", *cost_keys))
+        raise CliError(f"{e}; lower the learning rate or the costs ({settings})") from e
     records_path = out_dir / "records.jsonl"
     csv_path = out_dir / "summary.csv"
     save_records(records, records_path)
@@ -432,13 +444,16 @@ def cmd_run_binary(resolved: dict) -> int:
     for key, preset in presets.items():
         if resolved[key] is None:
             resolved[key] = list(preset)
+    costs = ("w_mcfn", "w_mcfp")
+    # BinaryCostModel names its own fields, fn_cost and fp_cost, not these keys.
+    with _user_input(f" ({_settings(resolved, costs)})"):
+        cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
     with _user_input():
         template = _train_template(resolved)
-        cost = BinaryCostModel(resolved["w_mcfn"], resolved["w_mcfp"])
         configs = binary_trial_configs(
             resolved["digits"], resolved["slices"], resolved["base_seed"], cost, template
         )
-    return _run_suite(resolved, run_binary_trial, configs)
+    return _run_suite(resolved, run_binary_trial, configs, costs)
 
 
 def cmd_run_categorical(resolved: dict) -> int:
@@ -450,7 +465,7 @@ def cmd_run_categorical(resolved: dict) -> int:
             resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
             resolved["off_pair_cost"], _train_template(resolved),
         )
-    return _run_suite(resolved, run_categorical_trial, configs)
+    return _run_suite(resolved, run_categorical_trial, configs, ("pair_weight", "off_pair_cost"))
 
 
 def cmd_bernoulli(resolved: dict) -> int:

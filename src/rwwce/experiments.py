@@ -150,10 +150,11 @@ class CategoricalTrialConfig:
             raise ValueError("classes must be 0..9")
         if self.fn_class == self.fp_class:
             raise ValueError("the expensive confusion must involve two distinct classes")
+        costs = f"pair_weight {self.pair_weight!r}, off_pair_cost {self.off_pair_cost!r}"
         if not (np.isfinite(self.pair_weight) and np.isfinite(self.off_pair_cost)):
-            raise ValueError("costs must be finite")
+            raise ValueError(f"costs must be finite, got {costs}")
         if self.pair_weight < 0 or self.off_pair_cost < 0:
-            raise ValueError("costs must be nonnegative")
+            raise ValueError(f"costs must be nonnegative, got {costs}")
         if self.train.seed != self.seed:
             raise ValueError(f"train.seed {self.train.seed} differs from the trial seed {self.seed}")
 

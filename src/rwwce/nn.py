@@ -4,13 +4,14 @@ Enough machinery to train the small classifiers the experiment suites use:
 Glorot-uniform init, forward pass with retained activations, backprop that
 starts from a fused loss/logit gradient, an in-place Adam optimizer over one
 flat parameter vector, a mini-batch training loop, and central-difference
-gradient checking.  Everything is float64 and deterministic given a seed.
-A uint8 input is pixel bytes; network_input() scales it with / 255.0, the
-one place the pixels are divided.  forward() calls it on every batch, and
-outputs() evaluates several models on one split while scaling it in blocks of
-at most EVAL_BLOCK_ROWS rows, each block once for all of the models.
-In train() the weights, biases, gradients and Adam moments each live in one
-contiguous vector, so an update is a handful of whole-vector operations.
+checking of that loop's own gradient step.  Everything is float64 and
+deterministic given a seed.  A uint8 input is pixel bytes; network_input()
+scales it with / 255.0, the one place the pixels are divided.  forward()
+calls it on every batch, in training and in gradcheck() alike, and outputs()
+evaluates several models on one split while scaling it in blocks of at most
+EVAL_BLOCK_ROWS rows, each block once for all of the models.  In train() the
+weights, biases, gradients and Adam moments each live in one contiguous
+vector, so an update is a handful of whole-vector operations.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ def flat_layers(flat: np.ndarray, layers) -> list[DenseLayer]:
         views.append(DenseLayer(weights, flat[w_end:b_end], layer.activation))
         offset = b_end
     return views
-
-
-def _flat_copy(mlp: Mlp) -> tuple[np.ndarray, Mlp]:
-    """A copy of mlp's parameters as one flat float64 vector, in the
-    flat_layers layout, and a model whose layers are views into it."""
-    params = [p.ravel() for l in mlp.layers for p in (l.weights, l.bias)]
-    theta = np.concatenate(params, dtype=np.float64)
-    return theta, Mlp(flat_layers(theta, mlp.layers))
 
 
 def init_mlp(topology, seed: int) -> Mlp:
@@ -345,6 +338,31 @@ def _check_pairing(mlp: Mlp, spec: LossSpec) -> None:
             )
 
 
+def _setup(mlp: Mlp, x, y, loss_spec: LossSpec):
+    """train() and gradcheck()'s set-up: (pos, neg, theta, model, grad, grads).
+
+    Checks the pairing and weighs the labels with checked_targets; theta is a
+    flat float64 copy of mlp's parameters with model's layers as its views,
+    grad a zeroed vector of that layout with grads as its views for backward().
+    """
+    _check_pairing(mlp, loss_spec)
+    pos, neg = checked_targets(loss_spec, y, (len(x), mlp.layers[-1].out_dim))
+    params = [p.ravel() for l in mlp.layers for p in (l.weights, l.bias)]
+    theta = np.concatenate(params, dtype=np.float64)
+    grad = np.zeros_like(theta)
+    grads = [(l.weights, l.bias) for l in flat_layers(grad, mlp.layers)]
+    return pos, neg, theta, Mlp(flat_layers(theta, mlp.layers)), grad, grads
+
+
+def _gradient(model: Mlp, x, pos: np.ndarray, neg: np.ndarray, grads) -> float:
+    """forward (which scales a uint8 x), the fused loss kernel on x's rows of
+    _setup's weights, then backward into grads; returns the batch loss."""
+    acts = forward(model, x)
+    loss, dz = loss_and_gradient(acts[-1], pos, neg)
+    backward(model, acts, dz, out=grads)
+    return loss
+
+
 def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tuple[Mlp, list[float]]:
     """Mini-batch gradient descent with Adam.
 
@@ -354,10 +372,12 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     before the first step, and each batch gathers its rows of those weights.
     Each epoch reshuffles with a generator seeded once from config.seed,
     walks the permutation in batch_size slices (final short batch included),
-    and applies one in-place Adam update per batch to a flat copy of mlp's
-    parameters; mlp itself is left untouched.  Returns the trained model and
-    the per-epoch mean training loss (example-weighted, as observed during
-    the epoch).  Bit-deterministic for fixed inputs.
+    and takes one _gradient step and one in-place Adam update per batch on a
+    flat copy of mlp's parameters; mlp itself is left untouched.  numpy's
+    float warnings are off in the loop, so a non-finite epoch loss raising
+    FloatingPointError is a diverged run's one report.  Returns the trained
+    model and the per-epoch mean training loss (example-weighted, as
+    observed during the epoch).  Bit-deterministic for fixed inputs.
     """
     x = np.asarray(train_set.X)
     y = np.asarray(train_set.Y, dtype=np.float64)
@@ -366,53 +386,40 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
         raise ValueError("training set is empty")
     if y.shape[0] != m:
         raise ValueError(f"X has {m} rows but Y has {y.shape[0]}")
-    _check_pairing(mlp, loss_spec)
-    pos, neg = checked_targets(loss_spec, y, (m, mlp.layers[-1].out_dim))
-
-    theta, model = _flat_copy(mlp)
-    grad = np.zeros_like(theta)
-    grads = [(l.weights, l.bias) for l in flat_layers(grad, mlp.layers)]
+    pos, neg, theta, model, grad, grads = _setup(mlp, x, y, loss_spec)
     state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(m)
-        weighted_total = 0.0
-        for start in range(0, m, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            acts = forward(model, x[idx])
-            batch_loss, dz = loss_and_gradient(acts[-1], pos[idx], neg[idx])
-            backward(model, acts, dz, out=grads)
-            adam_step(theta, grad, state, config)
-            weighted_total += batch_loss * idx.shape[0]
-        epoch_loss = weighted_total / m
-        if not math.isfinite(epoch_loss):
-            raise FloatingPointError(f"training loss became non-finite: {epoch_loss!r}")
-        history.append(epoch_loss)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(m)
+            weighted_total = 0.0
+            for start in range(0, m, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                batch_loss = _gradient(model, x[idx], pos[idx], neg[idx], grads)
+                adam_step(theta, grad, state, config)
+                weighted_total += batch_loss * idx.shape[0]
+            epoch_loss = weighted_total / m
+            if not math.isfinite(epoch_loss):
+                raise FloatingPointError(f"training loss became non-finite: {epoch_loss!r}")
+            history.append(epoch_loss)
     return model, history
 
 
 def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float:
-    """The worst relative error of backprop against central finite differences.
+    """The worst relative error of train()'s gradient against central finite differences.
 
-    Perturbs every weight and bias entry by +-step, in the flat layout
-    train() uses, differences the composed loss, and returns the largest
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
-    Entries whose true magnitude sits near that floor are dominated by
-    finite-difference cancellation noise, so keep the probe networks small
-    and the batches moderate.  The output layer is checked against the loss
-    as train() checks it, and the labels are checked and weighed once; the
-    analytic gradient and every probe run the unchecked loss kernel.
+    The analytic gradient is train()'s own _setup and _gradient step, so a
+    uint8 batch is scaled as training scales it.  Each entry of the flat
+    parameter copy is perturbed by +-step, the loss differenced, and the
+    largest |analytic - numeric| / max(|analytic|, |numeric|, 1e-12)
+    returned.  Entries whose true magnitude sits near that floor are
+    dominated by finite-difference cancellation noise, so keep the probe
+    networks small and the batches moderate.
     """
-    _check_pairing(mlp, loss_spec)
     x, y = batch
-    x = np.asarray(x, dtype=np.float64)
-    acts = forward(mlp, x)
-    pos, neg = checked_targets(loss_spec, y, acts[-1].shape)
-    theta, work = _flat_copy(mlp)
-    analytic = np.zeros_like(theta)
-    grads = [(l.weights, l.bias) for l in flat_layers(analytic, mlp.layers)]
-    backward(mlp, acts, loss_and_gradient(acts[-1], pos, neg)[1], out=grads)
+    pos, neg, theta, work, analytic, grads = _setup(mlp, x, y, loss_spec)
+    _gradient(work, x, pos, neg, grads)
 
     def probe_loss() -> float:
         return loss_and_gradient(forward(work, x)[-1], pos, neg)[0]
@@ -428,6 +435,21 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
         numeric = (plus - minus) / (2.0 * step)
         worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
     return float(worst)
+
+
+# Each variant's gradcheck spec, drawn after the labels for k classes (1 if binary).
+_GRADCHECK_SPECS = {
+    "bce": lambda rng, k: LossSpec.bce(),
+    "wbce": lambda rng, k: LossSpec.wbce(float(rng.uniform(0.5, 5.0))),
+    "rwwce_binary": lambda rng, k: LossSpec.rwwce_binary(
+        float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 5.0))
+    ),
+    "cce": lambda rng, k: LossSpec.cce(),
+    "wcce": lambda rng, k: LossSpec.wcce(rng.uniform(0.5, 3.0, size=k)),
+    "rwwce_categorical": lambda rng, k: LossSpec.rwwce_categorical(
+        rng.uniform(0.5, 3.0, size=k), rng.uniform(0.5, 3.0, size=(k, k))
+    ),
+}
 
 
 def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
@@ -446,36 +468,13 @@ def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
         d0 = int(rng.integers(3, 7))
         hidden = int(rng.integers(4, 8))
         hidden_act = "relu" if rng.random() < 0.7 else "sigmoid"
-        if binary:
-            topology = [(d0, hidden, hidden_act), (hidden, 1, "sigmoid")]
-        else:
-            k = int(rng.integers(3, 6))
-            topology = [(d0, hidden, hidden_act), (hidden, k, "softmax")]
+        k = 1 if binary else int(rng.integers(3, 6))
+        topology = [(d0, hidden, hidden_act), (hidden, k, "sigmoid" if binary else "softmax")]
         mlp = init_mlp(topology, seed=int(rng.integers(0, 2**31)))
         x = rng.normal(0.0, 1.0, size=(8, d0))
-
-        if binary:
-            y = rng.integers(0, 2, size=8).astype(np.float64)
-            if variant == "bce":
-                spec = LossSpec.bce()
-            elif variant == "wbce":
-                spec = LossSpec.wbce(float(rng.uniform(0.5, 5.0)))
-            else:
-                spec = LossSpec.rwwce_binary(
-                    float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.5, 5.0))
-                )
-        else:
-            labels = rng.integers(0, k, size=8)
-            y = np.zeros((8, k))
-            y[np.arange(8), labels] = 1.0
-            if variant == "cce":
-                spec = LossSpec.cce()
-            elif variant == "wcce":
-                spec = LossSpec.wcce(rng.uniform(0.5, 3.0, size=k))
-            else:
-                spec = LossSpec.rwwce_categorical(
-                    rng.uniform(0.5, 3.0, size=k), rng.uniform(0.5, 3.0, size=(k, k))
-                )
+        labels = rng.integers(0, 2 if binary else k, size=8)
+        y = labels.astype(np.float64) if binary else np.eye(k)[labels]
+        spec = _GRADCHECK_SPECS[variant](rng, k)
 
         acts = forward(mlp, x)
         pre_activations = [a @ l.weights + l.bias for a, l in zip(acts, mlp.layers)]

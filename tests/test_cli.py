@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -433,6 +434,27 @@ def test_an_internal_value_error_exits_2(
 
 
 @pytest.mark.parametrize(
+    "command, selection, costs",
+    [
+        ("run-binary", ["--digits", "3", "--slices", "0"], "w_mcfn 2000.0, w_mcfp 100.0"),
+        ("run-categorical", ["--pairs", "4:9"], "pair_weight 19.0, off_pair_cost 1.0"),
+    ],
+    ids=["run-binary", "run-categorical"],
+)
+def test_diverged_training_exits_1_naming_its_settings(
+    small_dir, tmp_path, capsys, command, selection, costs
+):
+    argv = [command, "--data-dir", str(small_dir), *selection, "--epochs", "1"]
+    assert main([*argv, "--learning-rate", "1e300", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err == (
+        "error: training loss became non-finite: nan; lower the learning rate or the costs "
+        f"(learning_rate 1e+300, {costs})\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["run-binary", "--digits", "11"], "digit must be 0..9, got 11"),
@@ -645,6 +667,46 @@ def test_a_checked_setting_fails_alike_from_a_flag_and_a_config(
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"error: config key {key!r} expects ")
+
+
+def refused_values(row):
+    """Values the row's declared checks and kind must refuse, whatever its command."""
+    values = [True, {"wrong": "type"}]  # a JSON boolean and a JSON type no kind takes
+    if row.least is not None:
+        values.append(row.least - 1)
+    if row.positive:
+        values += [math.nan, math.inf, 0.0, -1.0]
+    if row.choices is not None:
+        values.append("none-of-" + "-".join(row.choices))
+    if row.kind is cli.FLOAT:
+        values.append(10**400)  # an integer literal beyond float range
+    return values
+
+
+SETTING_ROWS = [(command, row) for command, (_, rows, _) in cli.COMMANDS.items() for row in rows]
+
+
+@pytest.mark.parametrize(
+    "command, row", SETTING_ROWS, ids=[f"{command}-{row.key}" for command, row in SETTING_ROWS]
+)
+def test_every_setting_refuses_what_its_row_refuses(tmp_path, capsys, command, row):
+    # Generated from cli.COMMANDS, so a row added later is swept with no new
+    # test.  Each value goes in by --config and, where it can be typed, by
+    # the row's flag; every one must exit 1 naming the key before the echo
+    # (and so before any data is loaded or any training starts).
+    path = tmp_path / "config.json"
+    failures = []
+    for value in refused_values(row):
+        path.write_text(json.dumps({row.key: value}))
+        attempts = [["--config", str(path), command]]
+        if row.flag is not None and not isinstance(value, (bool, dict)):
+            attempts.append([command, f"{row.flag}={value}"])
+        for argv in attempts:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            if rc != 1 or row.key not in captured.err or ECHO_PREFIX in captured.out:
+                failures.append((argv[-1], value, rc, captured.err))
+    assert failures == []
 
 
 def test_a_config_written_for_another_command_is_an_error(tmp_path, capsys):

@@ -586,6 +586,18 @@ def test_gradcheck_passes_on_moderate_networks():
     assert worst < 1e-5, worst
 
 
+def test_gradcheck_scales_pixel_bytes_as_training_does():
+    # gradcheck differentiates train()'s own step, which reads a uint8 batch
+    # as x / 255.0; differentiating the raw bytes instead reads about 1.79.
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, size=(8, 6)).astype(np.uint8)
+    y = rng.integers(0, 2, size=8).astype(np.float64)
+    mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=3)
+    worst = gradcheck(mlp, (pixels, y), LossSpec.bce())
+    assert worst == gradcheck(mlp, (pixels / 255.0, y), LossSpec.bce())
+    assert worst < 1e-5, worst
+
+
 def _doubling_backward(layer, which, index):
     """backward(), but with one analytic entry of one (d_weights, d_bias) pair doubled."""
 
