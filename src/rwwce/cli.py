@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
@@ -46,6 +45,7 @@ from .experiments import (
     all_ordered_pairs,
     binary_trial_configs,
     categorical_trial_configs,
+    check_trials,
     run_binary_trial,
     run_categorical_trial,
     run_trials,
@@ -67,12 +67,12 @@ class CliError(Exception):
 
 
 @contextmanager
-def _user_input(note: str = ""):
-    """Report a ValueError from checking user settings as a CliError (exit 1), note appended."""
+def _user_input(note: str = "", prefix: str = ""):
+    """Report a ValueError or OSError from a setting or a corpus file as a CliError (exit 1)."""
     try:
         yield
-    except ValueError as e:
-        raise CliError(f"{e}{note}") from e
+    except (ValueError, OSError) as e:
+        raise CliError(f"{prefix}{e}{note}") from e
 
 
 def _settings(resolved: dict, keys) -> str:
@@ -345,22 +345,13 @@ def _resolve_data(resolved: dict) -> None:
     resolved.pop("data_dir", None)
 
 
-# What a corpus file that cannot be read or parsed raises: gzip adds
-# EOFError for a truncated stream and zlib.error for a corrupt one.
-LOAD_ERRORS = (ValueError, OSError, EOFError, zlib.error)
-
-
 def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
-    """Load each file pair with read (path -> payload) and concatenate them.
-
-    A pair that fails to load is a CliError naming both of its files.
-    """
+    """Load each file pair with read (path -> payload) and concatenate them; a pair
+    that fails to load is a CliError naming both of its files."""
     corpora = []
     for images_path, labels_path in zip(images, labels):
-        try:
+        with _user_input(prefix=f"cannot load {images_path} and {labels_path}: "):
             corpora.append(load_idx(read(images_path), read(labels_path)))
-        except LOAD_ERRORS as e:
-            raise CliError(f"cannot load {images_path} and {labels_path}: {e}") from e
     return concat_corpora(*corpora)
 
 
@@ -373,9 +364,8 @@ def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> i
     """Echo the settings, load the pool, run the suite's trials and write its outputs.
 
     configs is the suite's whole trial list, built from the settings before
-    this call.  Each config's check_pool(pool) raises ValueError for a trial
-    the loaded pool cannot supply, so every trial is checked before the
-    first one runs.  The output directory is made next, so one that cannot
+    this call.  check_trials raises ValueError for a trial the loaded pool
+    cannot supply, so every trial is checked before the first one runs.  The output directory is made next, so one that cannot
     be made fails before any training; run_trials then runs runner on that
     same list.  Training that diverges is a CliError naming the learning
     rate and the suite's cost settings, cost_keys.
@@ -388,8 +378,7 @@ def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> i
     pool = _load_pool(resolved["images"], resolved["labels"])
     print(f"loaded {pool.size} examples from {len(resolved['images'])} file pair(s)")
     with _user_input():
-        for cfg in configs:
-            cfg.check_pool(pool)
+        check_trials(configs, pool)
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -420,10 +409,8 @@ def cmd_verify_data(resolved: dict) -> int:
     for path_text in [p for pair in zip(images, labels) for p in pair]:
         name = Path(path_text).name.removesuffix(".gz")
         expected = MNIST_FILE_BYTES[name]
-        try:
+        with _user_input(prefix=f"cannot read {path_text}: "):
             payloads[path_text] = read_idx_file(path_text)
-        except LOAD_ERRORS as e:
-            raise CliError(f"cannot read {path_text}: {e}") from e
         actual = len(payloads[path_text])
         ok = actual == expected
         print(f"{name}: {actual} bytes (expected {expected}): {'ok' if ok else 'MISMATCH'}")

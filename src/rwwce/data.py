@@ -1,40 +1,47 @@
 """IDX image-corpus ingestion and experiment dataset construction.
 
-Reads the classic big-endian IDX format used to distribute MNIST: an
-images file (magic 0x00000803) of 28x28 unsigned bytes and a labels file
-(magic 0x00000801) of digit bytes.  A plain file is mapped read-only, not
-read, so a loaded corpus's images are a view of the page cache; a .gz file
-is decompressed into memory.  concat_corpora copies its inputs into one
-pool that owns its memory, and that is the only copy loading makes.
-Pixels stay the uint8 bytes of the payload, flattened row-major to 784
-features, through every dataset and split, so a pool costs one byte per
-pixel; nn.network_input scales them to [0, 1] with / 255.0.  From a loaded
-corpus the module builds the two experiment dataset shapes: a heavily
-imbalanced binary problem (one slice of 630 occurrences of a chosen digit
-as positives against every example of the other digits) and the full
-10-class one-hot problem.  A seeded shuffle splits any dataset 25% test /
-7.5% validation / remainder train, using integer arithmetic so the
-proportions are exact floors.
+Reads the classic big-endian IDX format used to distribute MNIST, an
+images file of 28x28 unsigned bytes and a labels file of digit bytes, each
+checked against its IDX_LAYOUTS row.  A malformed file raises ValueError:
+a header too short, a wrong magic, other image dimensions, a length other
+than its header implies, a truncated or corrupt .gz stream, or image and
+label counts that differ.  A file that cannot be opened or read, or a .gz
+that is not gzip or fails its CRC, raises OSError.  A plain file is mapped
+read-only, not read, so a loaded corpus's images are a view of the page
+cache; a .gz file is decompressed into memory.  concat_corpora copies its
+inputs into one pool that owns its memory, and that is the only copy
+loading makes.  Pixels stay the uint8 bytes of the payload, flattened
+row-major to 784 features, through every dataset and split, so a pool
+costs one byte per pixel; nn.network_input scales them to [0, 1] with
+/ 255.0.  From a loaded corpus the module builds the two experiment dataset
+shapes: a heavily imbalanced binary problem (one slice of 630 occurrences
+of a chosen digit as positives against every example of the other digits)
+and the full 10-class one-hot problem.  A seeded shuffle splits any
+dataset 25% test / 7.5% validation / remainder train, using integer
+arithmetic so the proportions are exact floors.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import mmap
 import os
 import stat
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
-
 IMAGE_ROWS = 28
 IMAGE_COLS = 28
 FEATURES = IMAGE_ROWS * IMAGE_COLS
+
+# Each file of a corpus: (name, magic, per-record dimensions).  Its header is
+# the magic, the record count and the dimensions, big-endian uint32s.
+IDX_LAYOUTS = (("images", 0x00000803, (IMAGE_ROWS, IMAGE_COLS)), ("labels", 0x00000801, ()))
 
 POSITIVE_SLICE_SIZE = 630
 
@@ -84,54 +91,57 @@ class RawMnist:
         return self.images.shape[0]
 
 
+def _idx_records(payload: bytes | mmap.mmap, name: str, magic: int, dims: tuple[int, ...]) -> np.ndarray:
+    """payload's records as a read-only (count, *dims) uint8 view, once its header
+    fits, its magic and dims match, and its length is what the header implies."""
+    header = 4 * (2 + len(dims))
+    if len(payload) < header:
+        raise ValueError(f"{name} file too short for an IDX header")
+    found, count, *found_dims = struct.unpack(f">{2 + len(dims)}I", payload[:header])
+    if found != magic:
+        raise ValueError(f"bad {name} magic 0x{found:08x}, expected 0x{magic:08x}")
+    if tuple(found_dims) != dims:
+        got, want = ("x".join(map(str, d)) for d in (found_dims, dims))
+        raise ValueError(f"expected {want} {name}, got {got}")
+    expected = header + count * math.prod(dims)
+    if len(payload) != expected:
+        raise ValueError(f"{name} payload is {len(payload)} bytes, header implies {expected}")
+    return np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(count, *dims)
+
+
 def load_idx(images_bytes: bytes | mmap.mmap, labels_bytes: bytes | mmap.mmap) -> RawMnist:
     """Parse paired IDX image/label payloads into a RawMnist corpus.
 
     Each payload is bytes or a read-only mapping of a file (anything with
-    len(), slicing and the buffer protocol).  Verifies both magic numbers,
-    the 28x28 image dimensions, the agreement of the two counts, and that
-    each payload carries exactly as many bytes as its header promises.  The
+    len(), slicing and the buffer protocol).  ValueError if either header is
+    too short, has a wrong magic or (images) is not 28x28, if either payload
+    is not as long as its header implies, or if the two counts differ.  The
     images are a read-only uint8 view of images_bytes, not a copy, and keep
     it alive; the labels are copied to int64.
     """
-    if len(images_bytes) < 16:
-        raise ValueError("images file too short for an IDX header")
-    magic, count, rows, cols = struct.unpack(">IIII", images_bytes[:16])
-    if magic != IMAGES_MAGIC:
-        raise ValueError(f"bad images magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
-    if (rows, cols) != (IMAGE_ROWS, IMAGE_COLS):
-        raise ValueError(f"expected {IMAGE_ROWS}x{IMAGE_COLS} images, got {rows}x{cols}")
-    expected = 16 + count * rows * cols
-    if len(images_bytes) != expected:
-        raise ValueError(f"images payload is {len(images_bytes)} bytes, header implies {expected}")
-
-    if len(labels_bytes) < 8:
-        raise ValueError("labels file too short for an IDX header")
-    lmagic, lcount = struct.unpack(">II", labels_bytes[:8])
-    if lmagic != LABELS_MAGIC:
-        raise ValueError(f"bad labels magic 0x{lmagic:08x}, expected 0x{LABELS_MAGIC:08x}")
-    if lcount != count:
-        raise ValueError(f"images file has {count} examples but labels file has {lcount}")
-    if len(labels_bytes) != 8 + lcount:
-        raise ValueError(f"labels payload is {len(labels_bytes)} bytes, header implies {8 + lcount}")
-
-    images = np.frombuffer(images_bytes, dtype=np.uint8, offset=16).reshape(count, rows * cols)
-    labels = np.frombuffer(labels_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return RawMnist(images, labels)
+    images, labels = (_idx_records(p, *row) for p, row in zip((images_bytes, labels_bytes), IDX_LAYOUTS))
+    if len(labels) != len(images):
+        raise ValueError(f"images file has {len(images)} examples but labels file has {len(labels)}")
+    return RawMnist(images.reshape(len(images), FEATURES), labels)
 
 
 def read_idx_file(path) -> bytes | mmap.mmap:
     """One IDX file's payload for load_idx: a read-only mapping, or bytes.
 
-    A .gz file is decompressed into bytes.  A plain file is mapped with
-    mmap.ACCESS_READ, except an empty one, which cannot be mapped and reads
-    as b"" so load_idx rejects it as too short.  A plain path that is not a
-    regular file (a pipe, a device) cannot be mapped and raises ValueError.
+    A .gz file is decompressed into bytes: a truncated or corrupt stream
+    raises ValueError with gzip's text, a file that is not gzip or fails its
+    CRC OSError.  A plain file is mapped with mmap.ACCESS_READ; an empty one
+    cannot be mapped and reads as b"", which load_idx rejects as too short,
+    and a path that is not a regular file (a pipe, a device) raises
+    ValueError.  A file that cannot be opened or read raises OSError.
     """
     path = Path(path)
     if path.suffix == ".gz":
-        with gzip.open(path, "rb") as f:
-            return f.read()
+        try:
+            with gzip.open(path, "rb") as f:
+                return f.read()
+        except (EOFError, zlib.error) as e:
+            raise ValueError(str(e)) from e
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
         if not stat.S_ISREG(info.st_mode):
@@ -144,13 +154,14 @@ def read_idx_file(path) -> bytes | mmap.mmap:
 def load_idx_files(images_path, labels_path) -> RawMnist:
     """Load an IDX corpus from disk; .gz files are decompressed transparently.
 
-    A plain images file is mapped, not read: the corpus's images are a
-    read-only view of the file's pages, and the mapping lives as long as
-    they do (the labels are copied, so their mapping closes on return).
-    Truncating a mapped file in place while its corpus is alive ends the
-    process with SIGBUS at the next read of a lost page.  concat_corpora
-    copies, so a pool built by it, as the CLI builds its pools, holds no
-    mapping once the per-file corpora are dropped.
+    A malformed file raises ValueError and one that cannot be read OSError,
+    as read_idx_file and load_idx say.  A plain images file is mapped, not
+    read: the corpus's images are a read-only view of the file's pages, and
+    the mapping lives as long as they do (the labels are copied, so their
+    mapping closes on return).  Truncating a mapped file in place while its
+    corpus is alive ends the process with SIGBUS at the next read of a lost
+    page.  concat_corpora copies, so a pool built by it, as the CLI builds
+    its pools, holds no mapping once the per-file corpora are dropped.
     """
     return load_idx(read_idx_file(images_path), read_idx_file(labels_path))
 

@@ -421,6 +421,13 @@ def summarize(records: list[RunRecord]) -> SuiteSummary:
     return SuiteSummary(kind=kind, trials=trials, means=means, comparisons=comparisons)
 
 
+def check_trials(configs, raw) -> None:
+    """Call each config's check_pool(raw): a ValueError for a trial the pool cannot
+    supply, raised before a suite trains any trial."""
+    for cfg in configs:
+        cfg.check_pool(raw)
+
+
 def run_trials(runner, configs, raw, jobs: int = 1) -> tuple[SuiteSummary, list[RunRecord]]:
     """Run runner(cfg, raw) once per config, in config order, then summarize the records.
 
@@ -454,8 +461,10 @@ def run_binary_suite(
     train_template: TrainConfig | None = None,
     jobs: int = 1,
 ) -> tuple[SuiteSummary, list[RunRecord]]:
-    """One binary trial per (digit, slice) pair, seeded base_seed + index."""
+    """One binary trial per (digit, slice) pair, seeded base_seed + index; every
+    trial is checked against raw before the first one runs."""
     configs = binary_trial_configs(digits, slices, base_seed, cost, train_template)
+    check_trials(configs, raw)
     return run_trials(run_binary_trial, configs, raw, jobs)
 
 
@@ -490,10 +499,12 @@ def run_categorical_suite(
     train_template: TrainConfig | None = None,
     jobs: int = 1,
 ) -> tuple[SuiteSummary, list[RunRecord]]:
-    """One categorical trial per expensive (k, k') pair, seeded base_seed + index."""
+    """One categorical trial per expensive (k, k') pair, seeded base_seed + index;
+    every trial is checked against raw before the first one runs."""
     configs = categorical_trial_configs(
         pairs, base_seed, pair_weight, off_pair_cost, train_template
     )
+    check_trials(configs, raw)
     return run_trials(run_categorical_trial, configs, raw, jobs)
 
 

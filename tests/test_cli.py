@@ -21,6 +21,7 @@ from rwwce import (
     sample_pairs,
 )
 from rwwce.cli import DATA_DIR_ENV, main
+from rwwce.data import IDX_LAYOUTS
 
 ECHO_PREFIX = "resolved config: "
 
@@ -176,6 +177,57 @@ def test_run_binary_names_the_file_pair_that_fails_to_load(small_dir, tmp_path, 
     err = capsys.readouterr().err
     assert f"cannot load {images} and {labels}: " in err
     assert ("No such file" if broken == "missing" else "labels payload is 1009 bytes") in err
+    assert not (tmp_path / "out").exists()
+
+
+def _flip(payload: bytes, i: int) -> bytes:
+    """payload with every bit of byte i inverted."""
+    return payload[:i] + bytes([payload[i] ^ 0xFF]) + payload[i + 1 :]
+
+
+def _corrupt_gz(payload: bytes) -> bytes:
+    """payload gzipped, its first deflate block given the reserved block type 3."""
+    gz = gzip.compress(payload)
+    return gz[:10] + b"\x07" + gz[11:]
+
+
+def _idx_damages() -> dict:
+    """The IDX boundary sweep, from IDX_LAYOUTS: case id -> (file index, suffix, damage),
+    where damage turns that file's valid IDX bytes into the bytes written.
+
+    Each file of a valid pair, plain and .gz, is cut at every header-field
+    boundary and one byte short of its payload, padded by one byte, and has
+    each magic byte flipped; each .gz stream is also truncated or corrupted.
+    """
+    cases = {}
+    for index, (name, _, dims) in enumerate(IDX_LAYOUTS):
+        header = 4 * (2 + len(dims))
+        damages = {f"cut-at-{cut}": lambda b, cut=cut: b[:cut] for cut in range(0, header + 1, 4)}
+        damages["one-byte-short"] = lambda b: b[:-1]
+        damages["padded"] = lambda b: b + b"\x00"
+        damages.update({f"magic-byte-{i}": lambda b, i=i: _flip(b, i) for i in range(4)})
+        for case, damage in damages.items():
+            cases[f"{name}-{case}"] = (index, "", damage)
+            cases[f"{name}-{case}-gz"] = (index, ".gz", lambda b, damage=damage: gzip.compress(damage(b)))
+        cases[f"{name}-gz-truncated"] = (index, ".gz", lambda b: gzip.compress(b)[:20])
+        cases[f"{name}-gz-corrupt"] = (index, ".gz", _corrupt_gz)
+    return cases
+
+
+IDX_DAMAGES = _idx_damages()
+
+
+@pytest.mark.parametrize("case", list(IDX_DAMAGES))
+def test_every_damaged_idx_file_exits_1_naming_its_pair(tmp_path, capsys, case):
+    index, suffix, damage = IDX_DAMAGES[case]
+    paths = [tmp_path / f"{name}{suffix}" for name, _, _ in IDX_LAYOUTS]
+    for i, (path, payload) in enumerate(zip(paths, corpus.synthetic_idx_pair(1))):
+        path.write_bytes(damage(payload) if i == index else gzip.compress(payload) if suffix else payload)
+    argv = ["run-binary", "--images", str(paths[0]), "--labels", str(paths[1])]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot load {paths[0]} and {paths[1]}: " in err
+    assert "runtime failure" not in err
     assert not (tmp_path / "out").exists()
 
 

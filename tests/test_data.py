@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -155,6 +156,32 @@ def test_load_idx_files_rejects_bad_lengths_with_the_bytes_message(tmp_path, cas
         load_idx(images_bytes, labels_bytes)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_idx_files(*_pair_files(tmp_path, images_bytes, labels_bytes, suffix))
+
+
+@pytest.mark.parametrize(
+    "damage, cause, message",
+    [
+        # Cut mid-stream, or the first deflate block given the reserved block type 3.
+        (lambda gz: gz[: len(gz) // 2], EOFError, "Compressed file ended"),
+        (lambda gz: gz[:10] + b"\x07" + gz[11:], zlib.error, "invalid block type"),
+    ],
+    ids=["truncated", "corrupt"],
+)
+def test_load_idx_files_raises_value_error_for_a_broken_gz_stream(tmp_path, damage, cause, message):
+    images_bytes, labels_bytes, _, _ = _tiny(3, 4)
+    images, labels = _pair_files(tmp_path, images_bytes, labels_bytes, ".gz")
+    labels.write_bytes(damage(labels.read_bytes()))
+    with pytest.raises(ValueError, match=message) as raised:
+        load_idx_files(images, labels)
+    assert isinstance(raised.value.__cause__, cause)
+    assert str(raised.value) == str(raised.value.__cause__)
+
+
+def test_a_labels_file_wrong_in_length_and_count_reports_its_length():
+    images_bytes, _, _, _ = _tiny(2, 3)
+    labels3 = corpus.idx_labels_bytes(np.array([1, 2, 3], dtype=np.uint8))
+    with pytest.raises(ValueError, match="^labels payload is 12 bytes, header implies 11$"):
+        load_idx(images_bytes, labels3 + b"\x00")
 
 
 def test_load_idx_files_refuses_a_plain_path_that_cannot_be_mapped(tmp_path):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import corpus
 from rwwce import (
     BinaryCostModel,
     BinaryTrialConfig,
@@ -12,6 +13,7 @@ from rwwce import (
     RunRecord,
     TrainConfig,
     all_ordered_pairs,
+    load_idx,
     load_records,
     real_world_cost_binary,
     records_match,
@@ -458,6 +460,29 @@ def test_suites_reject_empty_plans(small_pool):
         run_binary_suite(small_pool, digits=[], slices=[], base_seed=0)
     with pytest.raises(ValueError):
         run_categorical_suite(small_pool, [], base_seed=0)
+
+
+def test_a_library_suite_refuses_an_impossible_trial_before_training_any(small_pool, monkeypatch):
+    import rwwce.experiments as experiments_module
+
+    trained, ran = [], []
+
+    def counting(calls, function):
+        def call(*args):
+            calls.append(args)
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(experiments_module, "train", counting(trained, experiments_module.train))
+    monkeypatch.setattr(experiments_module, "run_trials", counting(ran, experiments_module.run_trials))
+    # Slice 0 of digit 3 could train; slice 99 needs 63,000 of the pool's 700.
+    with pytest.raises(ValueError, match="slice 99 needs at least 63000"):
+        run_binary_suite(small_pool, [3], [0, 99], base_seed=0, train_template=FAST_TRAIN)
+    tiny = load_idx(*corpus.synthetic_idx_pair(3))
+    with pytest.raises(ValueError, match="dataset of 30 examples is too small to split"):
+        run_categorical_suite(tiny, [(4, 9), (1, 2)], base_seed=0, train_template=FAST_CATEGORICAL)
+    assert trained == [] and ran == []
 
 
 def test_suites_reject_jobs_below_one(small_pool):
