@@ -81,51 +81,53 @@ def _settings(resolved: dict, keys) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; the contract here is 1 for any
-    # validation problem, so surface parse errors as CliError instead.
+    """Raises a parse error as a CliError, which exits 1 like any other bad input (argparse exits 2)."""
+
     def error(self, message):
         raise CliError(message)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Parse "3", "0,2,5", and range forms like "0-9" (mixable with commas)."""
-    out: list[int] = []
-    try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "-" in part[1:]:  # allow a leading minus sign to fail int() below
-                lo_text, hi_text = part.split("-", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise CliError(f"empty range {part!r}")
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(part))
-    except ValueError as e:
-        raise CliError(f"bad integer list {text!r}: {e}") from e
+RANGE_LIMIT = 1000  # values a lo-hi range may hold: 100 times the ten full scale selects
+SELECTION = f"numbers and lo-hi ranges of at most {RANGE_LIMIT} values, comma-separated"
+
+
+def _comma_list(text: str, parse_part, what: str) -> list:
+    """The items parse_part lists for each non-blank comma-separated part of text; none is an error."""
+    out = [item for part in text.split(",") if part.strip() for item in parse_part(part.strip())]
     if not out:
-        raise CliError(f"no integers in {text!r}")
+        raise CliError(f"no {what} in {text!r}")
     return out
 
 
+def _int_part(part: str):
+    if "-" not in part[1:]:  # a leading "-" is a sign: "-3" is a number, "-3-5" fails int("")
+        return [int(part)]
+    lo, hi = (int(bound) for bound in part.split("-", 1))
+    if hi < lo:
+        raise CliError(f"empty range {part!r}")
+    if hi - lo >= RANGE_LIMIT:
+        raise CliError(f"range {part!r} holds {hi - lo + 1} values, more than {RANGE_LIMIT}")
+    return range(lo, hi + 1)
+
+
+def _pair_part(part: str) -> list[tuple[int, int]]:
+    try:
+        a_text, b_text = part.split(":")
+        return [(int(a_text), int(b_text))]
+    except ValueError as e:
+        raise CliError(f"bad pair {part!r}, expected k:k2") from e
+
+
+def _parse_int_list(text: str) -> list[int]:
+    """Parse "3", "0,2,5", and range forms like "0-9" (mixable with commas)."""
+    try:
+        return _comma_list(text, _int_part, "integers")
+    except ValueError as e:
+        raise CliError(f"bad integer list {text!r}: {e}") from e
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]] | str:
-    if text.strip() == "all":
-        return "all"
-    pairs = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            a_text, b_text = part.split(":")
-            pairs.append((int(a_text), int(b_text)))
-        except ValueError as e:
-            raise CliError(f"bad pair {part!r}, expected k:k2") from e
-    if not pairs:
-        raise CliError(f"no pairs in {text!r}")
-    return pairs
+    return "all" if text.strip() == "all" else _comma_list(text, _pair_part, "pairs")
 
 
 def _cast(key: str, value, kind):
@@ -237,8 +239,8 @@ def _suite(out_dir: str) -> tuple[Setting, ...]:
 VERIFY_DATA = DATA[:1]
 
 RUN_BINARY = DATA + TRAINING + _suite("runs/binary") + (
-    Setting("digits", INTS, None, "--digits", help='digits to detect, e.g. "0-9" or "3,7"'),
-    Setting("slices", INTS, None, "--slices", help='positive-slice indices, e.g. "0" or "0-9"'),
+    Setting("digits", INTS, None, "--digits", help=f'digits to detect: {SELECTION}, e.g. "3,7" or "0-4"'),
+    Setting("slices", INTS, None, "--slices", help=f'positive-slice indices: {SELECTION}, e.g. "0" or "0-9"'),
     Setting("w_mcfn", FLOAT, DEFAULT_BINARY_COST.fn_cost, "--w-fn", help="cost of a false negative"),
     Setting("w_mcfp", FLOAT, DEFAULT_BINARY_COST.fp_cost, "--w-fp", help="cost of a false positive"),
 )
@@ -317,14 +319,10 @@ def _standard_paths(data_dir: str) -> tuple[list[str], list[str]]:
     images, labels = [], []
     # MNIST_FILE_BYTES lists each images file followed by its labels file.
     for name, bucket in zip(MNIST_FILE_BYTES, (images, labels) * 2):
-        plain = base / name
-        gz = base / (name + ".gz")
-        if plain.exists():
-            bucket.append(str(plain))
-        elif gz.exists():
-            bucket.append(str(gz))
-        else:
-            raise CliError(f"missing corpus file {plain} (or {gz.name})")
+        found = [path for path in (base / name, base / f"{name}.gz") if path.exists()]
+        if not found:
+            raise CliError(f"missing corpus file {base / name} (or {name}.gz)")
+        bucket.append(str(found[0]))
     return images, labels
 
 
@@ -363,12 +361,12 @@ def _train_template(resolved: dict) -> TrainConfig:
 def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> int:
     """Echo the settings, load the pool, run the suite's trials and write its outputs.
 
-    configs is the suite's whole trial list, built from the settings before
-    this call.  check_trials raises ValueError for a trial the loaded pool
-    cannot supply, so every trial is checked before the first one runs.  The output directory is made next, so one that cannot
-    be made fails before any training; run_trials then runs runner on that
-    same list.  Training that diverges is a CliError naming the learning
-    rate and the suite's cost settings, cost_keys.
+    configs is the suite's whole trial list, built from the settings.
+    check_trials raises ValueError for a trial the loaded pool cannot supply,
+    so every trial is checked before the first one runs, and the output
+    directory is made before any training; run_trials then runs that list.
+    Training that diverges is a CliError naming the learning rate and the
+    suite's cost settings, cost_keys.
     """
     if not configs:
         raise CliError("no trials requested")

@@ -17,8 +17,8 @@ costs one byte per pixel; nn.network_input scales them to [0, 1] with
 shapes: a heavily imbalanced binary problem (one slice of 630 occurrences
 of a chosen digit as positives against every example of the other digits)
 and the full 10-class one-hot problem.  A seeded shuffle splits any
-dataset 25% test / 7.5% validation / remainder train, using integer
-arithmetic so the proportions are exact floors.
+dataset 25% test / 7.5% validation / remainder train in exact integer
+floors.  check_labels holds labels to Dataset's rule for losses and metrics.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ def concat_corpora(*corpora: RawMnist) -> RawMnist:
 class Dataset:
     """A model-ready dataset.
 
-    Y's rank says what the labels are: a (M,) vector of 0/1 labels for a
-    binary problem, or an (M, K) matrix of one-hot rows for a categorical
-    one; train() checks the values against the model's output.  X holds
-    uint8 pixel bytes, as every dataset built from a RawMnist does; X of any
-    other dtype is stored as float64.  Y is float64.
+    Y's rank says what the labels are, (M,) binary labels each exactly 0.0
+    or 1.0, or (M, K) categorical rows each exactly one-hot, with M > 0: the
+    label rule that check_labels holds every loss's and metric's labels to.
+    X holds uint8 pixel bytes, as every dataset built from a RawMnist does;
+    X of any other dtype is stored as float64.  Y is float64.
     """
 
     X: np.ndarray
@@ -209,6 +209,16 @@ class Dataset:
     @property
     def size(self) -> int:
         return self.X.shape[0]
+
+
+def check_labels(y: np.ndarray) -> None:
+    """Raise ValueError unless float64 labels y, (M,) or (M, K), keep Dataset's label rule."""
+    if y.shape[0] == 0:
+        raise ValueError("empty batch")
+    if y.ndim == 1 and np.any((y != 0.0) & (y != 1.0)):
+        raise ValueError("binary labels must be exactly 0 or 1")
+    if y.ndim == 2 and (np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0)):
+        raise ValueError("labels must be exact one-hot rows")
 
 
 def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:

@@ -14,13 +14,13 @@ log terms for binary variants, (a, FP) on the true-class and wrong-class terms
 for categorical ones.  A LossSpec is a variant name plus those weights; the
 classmethod named after the variant builds them, and constructing any spec
 checks them against that variant's rules.
-checked_targets validates labels and weighs each example's log h and
-log(1 - h) terms as (pos, neg); from those, one unchecked kernel,
-loss_and_gradient, evaluates one loss expression for every variant and its
-logit gradient, so the weighted variants degenerate to the unweighted ones
-exactly when their weights are 1 (and FP is 0); tests hold them to that.
-loss_value and fused_gradient_from_probs validate a batch and call it;
-train() weighs its labels once and calls it per batch.
+checked_targets holds labels to data.Dataset's rule and weighs each
+example's log h and log(1 - h) terms as (pos, neg); from those, one
+unchecked kernel, loss_and_gradient, evaluates one loss expression for every
+variant and its logit gradient, so the weighted variants degenerate to the
+unweighted ones exactly when their weights are 1 (and FP is 0); tests hold
+them to that.  loss_value and fused_gradient_from_probs validate a batch
+and call it; train() weighs its labels once and calls it per batch.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
+
+from .data import check_labels
 
 EPSILON = 1e-7
 
@@ -188,7 +190,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere; never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -205,11 +207,11 @@ def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, np.ndarray]
     """Validate labels for probabilities of shape h_shape and weigh each example's terms.
 
     Binary labels and probabilities may each be (M,) or a single column
-    (M, 1); categorical ones are (M, K) with one-hot label rows.  These are
-    loss_value's label checks and messages.  Returns (pos, neg), the weights
-    of each example's log h and log(1 - h) terms: a * y and b * (1 - y) as
-    (M, 1) columns for binary (a, b), a * y and y @ FP as (M, K) arrays for
-    categorical (a, FP).  train() calls this once for its whole training set.
+    (M, 1); categorical ones are (M, K), K >= 2; then the labels must keep
+    data.Dataset's rule (check_labels).  Returns (pos, neg), the weights of
+    each example's log h and log(1 - h) terms: for binary (a, b), a * y and
+    b * (1 - y) as (M, 1) columns; for categorical (a, FP), a * y and y @ FP
+    as (M, K) arrays.  train() calls this once for its whole training set.
     """
     y = np.asarray(y, dtype=np.float64)
     if spec.is_binary:
@@ -223,19 +225,13 @@ def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"expected 2-D arrays, got shapes {h_shape} and {y.shape}")
     if h_shape != y.shape:
         raise ValueError(f"shape mismatch: {h_shape} probabilities vs {y.shape} labels")
-    if y.shape[0] == 0:
-        raise ValueError("empty batch")
-    if spec.is_binary:
-        if np.any((y != 0.0) & (y != 1.0)):
-            raise ValueError("binary labels must be exactly 0 or 1")
-        a, b = spec.terms
-        y = y[:, None]
-        return a * y, b * (1.0 - y)
-    k = h_shape[1]
-    if k < 2:
+    if not spec.is_binary and h_shape[1] < 2:
         raise ValueError("categorical batch needs at least two classes")
-    if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
-        raise ValueError("labels must be exact one-hot rows")
+    check_labels(y)
+    if spec.is_binary:
+        a, b = spec.terms
+        return a * y[:, None], b * (1.0 - y[:, None])
+    k = h_shape[1]
     if spec.terms is None:
         a, fp = np.ones(k), np.zeros((k, k))
     else:

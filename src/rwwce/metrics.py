@@ -4,9 +4,9 @@ Binary confusion counts with a strict decision threshold, F1 and an
 exhaustive best-F1 threshold search, multiclass confusion matrices, the
 real-world cost of a test run (errors priced by their marginal costs, not
 just counted), top-1 error, and a paired two-sided t-test for comparing
-per-trial metric vectors.  The Student-t tail probability is computed here
-via the regularized incomplete beta function so the package carries no
-statistics dependency.
+per-trial metric vectors; labels keep data.Dataset's rule (check_labels).
+The Student-t tail probability comes from the regularized incomplete beta
+function, so the package carries no statistics dependency.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import check_labels
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,7 @@ def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.float64)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ValueError(f"scores and labels must be matching vectors, got {scores.shape} and {labels.shape}")
-    if scores.size == 0:
-        raise ValueError("empty batch")
-    if np.any((labels != 0.0) & (labels != 1.0)):
-        raise ValueError("binary labels must be exactly 0 or 1")
+    check_labels(labels)
     return scores, labels
 
 
@@ -141,10 +140,7 @@ def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
     y = np.asarray(labels, dtype=np.float64)
     if p.ndim != 2 or y.shape != p.shape:
         raise ValueError(f"expected matching 2-D arrays, got {p.shape} and {y.shape}")
-    if p.shape[0] == 0:
-        raise ValueError("empty batch")
-    if np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0):
-        raise ValueError("labels must be exact one-hot rows")
+    check_labels(y)
     k = p.shape[1]
     predicted = np.argmax(p, axis=1)
     actual = np.argmax(y, axis=1)

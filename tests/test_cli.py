@@ -426,6 +426,90 @@ def test_run_categorical_rejects_bad_pair_text(capsys):
     assert "bad pair" in capsys.readouterr().err
 
 
+# --- selection grammar -----------------------------------------------------------
+
+
+def stopped_before_training(small_dir, tmp_path, capsys, monkeypatch, argv):
+    """(echoed config, configs handed to run_trials) of a suite command whose
+    run_trials is stubbed to record its configs and stop before any training."""
+    ran = []
+
+    def run(runner, configs, raw, jobs=1):
+        ran.extend(configs)
+        raise ValueError("stopped before training")
+
+    monkeypatch.setattr(cli, "run_trials", run)
+    assert main([*argv, "--data-dir", str(small_dir), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime failure: stopped before training\n"
+    return echoed_config(captured.out), ran
+
+
+@pytest.mark.parametrize("text, digits", [("0-2,5", [0, 1, 2, 5]), (" 3, ,7", [3, 7])])
+def test_digits_are_numbers_and_ranges_between_commas(
+    small_dir, tmp_path, capsys, monkeypatch, text, digits
+):
+    argv = ["run-binary", "--digits", text]
+    echoed, ran = stopped_before_training(small_dir, tmp_path, capsys, monkeypatch, argv)
+    assert echoed["digits"] == digits
+    assert [cfg.digit for cfg in ran] == digits
+
+
+def test_pairs_all_as_a_flag_selects_every_ordered_pair(small_dir, tmp_path, capsys, monkeypatch):
+    argv = ["run-categorical", "--pairs", "all"]
+    echoed, ran = stopped_before_training(small_dir, tmp_path, capsys, monkeypatch, argv)
+    pairs = [(cfg.fn_class, cfg.fp_class) for cfg in ran]
+    assert len(pairs) == len(set(pairs)) == 90
+    assert echoed["pairs"] == [list(pair) for pair in pairs]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run-binary", "--digits", "5-3"], "empty range '5-3'"),
+        (["run-binary", "--digits", ","], "no integers in ','"),
+        (["run-categorical", "--pairs", ","], "no pairs in ','"),
+    ],
+)
+def test_a_selection_that_selects_nothing_exits_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert ECHO_PREFIX not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, text, values",
+    [
+        (["--digits", "0-2000000"], "0-2000000", 2_000_001),
+        (["--digits", "3", "--slices", "0-20000"], "0-20000", 20_001),
+    ],
+)
+def test_a_range_wider_than_the_limit_exits_1_before_expanding(capsys, argv, text, values):
+    assert main(["run-binary", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: range {text!r} holds {values} values, more than {cli.RANGE_LIMIT}\n"
+    assert ECHO_PREFIX not in captured.out
+
+
+def test_the_range_limit_admits_a_range_of_exactly_that_many_values(capsys):
+    # 0..999 passes the grammar and is then refused by the digit check.
+    assert main(["run-binary", "--digits", f"0-{cli.RANGE_LIMIT - 1}"]) == 1
+    assert capsys.readouterr().err == "error: digit must be 0..9, got 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nope"], ["run-binary", "--bogus"], ["run-binary", "--epochs", "abc"]],
+    ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-int"],
+)
+def test_an_argument_error_exits_1_without_an_echo(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ECHO_PREFIX not in captured.out
+
+
 @pytest.mark.parametrize(
     "command, builder, selection",
     [

@@ -6,6 +6,7 @@ derivation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,31 @@ def test_categorical_batch_validation():
         loss_value(LossSpec.cce(), [0.5, 0.5], [1.0, 0.0])  # 1-D rejected
     with pytest.raises(ValueError):
         loss_value(LossSpec.cce(), np.empty((0, 2)), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec, h, y, message",
+    [
+        (LossSpec.bce(), [[0.5, 0.5]], [[1.0, 0.0]], "expected vectors, got shapes (1, 2) and (1, 2)"),
+        (LossSpec.bce(), [0.5], [[1.0, 0.0]], "expected vectors, got shapes (1,) and (1, 2)"),
+        (LossSpec.cce(), [[1.0]], [[1.0]], "categorical batch needs at least two classes"),
+        (LossSpec.bce(), [], [], "empty batch"),
+        (LossSpec.cce(), np.empty((0, 2)), np.empty((0, 2)), "empty batch"),
+        (LossSpec.bce(), [0.5], [0.5], "binary labels must be exactly 0 or 1"),
+        (LossSpec.cce(), [[0.5, 0.5]], [[0.5, 0.5]], "labels must be exact one-hot rows"),
+    ],
+)
+def test_checked_targets_pins_each_label_refusal(spec, h, y, message):
+    h = np.asarray(h, dtype=np.float64)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checked_targets(spec, y, h.shape)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loss_value(spec, h, y)
+
+
+def test_a_one_class_categorical_batch_is_refused_for_its_class_count_even_when_empty():
+    with pytest.raises(ValueError, match="^categorical batch needs at least two classes$"):
+        checked_targets(LossSpec.cce(), np.empty((0, 1)), (0, 1))
 
 
 def test_cost_model_validation():

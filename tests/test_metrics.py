@@ -1,6 +1,7 @@
 """Metrics: confusion counting, F1 search, real-world cost, Student-t."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,37 @@ def test_rwc_categorical_accepts_confusion_matrix_and_fractions():
 def test_rwc_categorical_rejects_nonzero_cost_diagonal():
     with pytest.raises(ValueError):
         real_world_cost_categorical(np.eye(3), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: confusion_categorical([[0.5, 0.5]], [[1.0, 0.0, 0.0]]),
+         "expected matching 2-D arrays, got (1, 2) and (1, 3)"),
+        (lambda: confusion_categorical([0.5, 0.5], [1.0, 0.0]),
+         "expected matching 2-D arrays, got (2,) and (2,)"),
+        (lambda: confusion_categorical(np.empty((0, 2)), np.empty((0, 2))), "empty batch"),
+        (lambda: confusion_categorical([[0.5, 0.5]], [[0.5, 0.5]]), "labels must be exact one-hot rows"),
+        (lambda: confusion_categorical([[0.5, 0.5]], [[1.0, 1.0]]), "labels must be exact one-hot rows"),
+        (lambda: ConfusionMatrix(np.zeros((2, 3))), "confusion matrix must be square"),
+        (lambda: real_world_cost_categorical(np.zeros((2, 3)), np.zeros((2, 3))), "tallies must be square"),
+        (lambda: real_world_cost_categorical(np.eye(2), np.zeros((3, 3))),
+         "cost matrix shape (3, 3) does not match tallies (2, 2)"),
+        (lambda: real_world_cost_categorical(np.zeros((2, 2)), np.zeros((2, 2))), "tallies are empty"),
+        (lambda: top1_error(ConfusionMatrix(np.zeros((2, 2)))), "confusion matrix is empty"),
+    ],
+)
+def test_categorical_metrics_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_binary_metrics_refuse_malformed_labels_with_the_loss_messages():
+    for metric in (lambda s, y: confusion_binary(s, y, 0.5), best_f1_threshold):
+        with pytest.raises(ValueError, match="^empty batch$"):
+            metric([], [])
+        with pytest.raises(ValueError, match="^binary labels must be exactly 0 or 1$"):
+            metric([0.5], [0.5])
 
 
 def test_top1_error_values():
