@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss_curve
-from .data import MNIST_FILE_BYTES, MNIST_TOTAL_EXAMPLES, concat_corpora, load_idx, read_idx_file
+from .data import MNIST_FILE_BYTES, concat_corpora, load_idx, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
     DEFAULT_OFF_PAIR_COST,
@@ -354,7 +354,7 @@ def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
 
 
 def _train_template(resolved: dict) -> TrainConfig:
-    """The TrainConfig of the training settings; each trial's make sets its own seed."""
+    """The TrainConfig of the training settings; each trial config's constructor sets its seed."""
     return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING})
 
 
@@ -417,8 +417,6 @@ def cmd_verify_data(resolved: dict) -> int:
         raise CliError(f"{failures} file(s) failed the byte-length check")
 
     pool = _load_pool(images, labels, read=payloads.pop)
-    if pool.size != MNIST_TOTAL_EXAMPLES:
-        raise CliError(f"pool has {pool.size} examples, expected {MNIST_TOTAL_EXAMPLES}")
     classes = len(set(pool.labels.tolist()))
     print(f"pool: {pool.size} examples, {classes} classes: ok")
     return 0

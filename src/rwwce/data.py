@@ -55,7 +55,6 @@ MNIST_FILE_BYTES = {
     "t10k-labels-idx1-ubyte": 10_008,
 }
 
-MNIST_TOTAL_EXAMPLES = 70_000
 NUM_CLASSES = 10
 
 

@@ -16,11 +16,12 @@ Categorical (10 classes, one expensive confusion):
   experimental: real-world-weight training with an extra false-positive
                 penalty on the single expensive (true k, predicted k') cell.
 
-Each trial gets one seed that drives the dataset split, the weight init, and
-the shuffle order, so paired models differ only in their loss.  Suites
-aggregate per-model means and paired t-tests, as the SUITES table lists them
-for each suite, serialize per-run records as JSON lines (full float
-precision, so reruns can be compared byte for byte), and export summary CSVs.
+Each trial config holds one seed, set into its training recipe as it is
+built, that drives the dataset split, the weight init, and the shuffle order,
+so paired models differ only in their loss.  Suites aggregate per-model means
+and paired t-tests, as the SUITES table lists them for each suite, serialize
+per-run records as JSON lines (full float precision, so reruns can be
+compared byte for byte), and export summary CSVs.
 """
 
 from __future__ import annotations
@@ -105,45 +106,36 @@ CATEGORICAL_MODELS = SUITES["categorical"].models
 
 @dataclass(frozen=True)
 class BinaryTrialConfig:
+    """One binary trial, built in one call; it stores train with train.seed set to seed."""
+
     digit: int
     slice_index: int
     seed: int
-    cost: BinaryCostModel
-    train: TrainConfig
+    cost: BinaryCostModel = DEFAULT_BINARY_COST
+    train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
         if not 0 <= self.digit < NUM_CLASSES:
             raise ValueError(f"digit must be 0..9, got {self.digit}")
         if self.slice_index < 0:
             raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
-        if self.train.seed != self.seed:
-            raise ValueError(f"train.seed {self.train.seed} differs from the trial seed {self.seed}")
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     def check_pool(self, raw: RawMnist) -> None:
         """Raise ValueError when raw has too few of the digit for this trial's positive slice."""
         positive_rows(raw, self.digit, self.slice_index)
 
-    @classmethod
-    def make(
-        cls,
-        digit: int,
-        slice_index: int,
-        seed: int,
-        cost: BinaryCostModel = DEFAULT_BINARY_COST,
-        train_template: TrainConfig | None = None,
-    ) -> "BinaryTrialConfig":
-        config = replace(train_template or TrainConfig(), seed=seed)
-        return cls(digit, slice_index, seed, cost, config)
-
 
 @dataclass(frozen=True)
 class CategoricalTrialConfig:
+    """One categorical trial, built in one call; it stores train with train.seed set to seed."""
+
     fn_class: int
     fp_class: int
     seed: int
-    pair_weight: float
-    off_pair_cost: float
-    train: TrainConfig
+    pair_weight: float = DEFAULT_PAIR_WEIGHT
+    off_pair_cost: float = DEFAULT_OFF_PAIR_COST
+    train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
         if not (0 <= self.fn_class < NUM_CLASSES and 0 <= self.fp_class < NUM_CLASSES):
@@ -155,25 +147,11 @@ class CategoricalTrialConfig:
             raise ValueError(f"costs must be finite, got {costs}")
         if self.pair_weight < 0 or self.off_pair_cost < 0:
             raise ValueError(f"costs must be nonnegative, got {costs}")
-        if self.train.seed != self.seed:
-            raise ValueError(f"train.seed {self.train.seed} differs from the trial seed {self.seed}")
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     def check_pool(self, raw: RawMnist) -> None:
         """Raise ValueError when raw is too small to split into this trial's three parts."""
         split_sizes(raw.size)
-
-    @classmethod
-    def make(
-        cls,
-        fn_class: int,
-        fp_class: int,
-        seed: int,
-        pair_weight: float = DEFAULT_PAIR_WEIGHT,
-        off_pair_cost: float = DEFAULT_OFF_PAIR_COST,
-        train_template: TrainConfig | None = None,
-    ) -> "CategoricalTrialConfig":
-        config = replace(train_template or TrainConfig(), seed=seed)
-        return cls(fn_class, fp_class, seed, pair_weight, off_pair_cost, config)
 
 
 @dataclass
@@ -470,8 +448,9 @@ def run_binary_suite(
 
 def binary_trial_configs(digits, slices, base_seed, cost, train_template) -> list[BinaryTrialConfig]:
     """run_binary_suite's trials, in order: each digit's slices, seeded base_seed + index."""
+    train = train_template or TrainConfig()
     return [
-        BinaryTrialConfig.make(d, s, base_seed + i, cost=cost, train_template=train_template)
+        BinaryTrialConfig(d, s, base_seed + i, cost, train)
         for i, (d, s) in enumerate((d, s) for d in digits for s in slices)
     ]
 
@@ -512,13 +491,9 @@ def categorical_trial_configs(
     pairs, base_seed, pair_weight, off_pair_cost, train_template
 ) -> list[CategoricalTrialConfig]:
     """run_categorical_suite's trials, in pair order, seeded base_seed + index."""
+    train = train_template or TrainConfig()
     return [
-        CategoricalTrialConfig.make(
-            k, k2, base_seed + i,
-            pair_weight=pair_weight,
-            off_pair_cost=off_pair_cost,
-            train_template=train_template,
-        )
+        CategoricalTrialConfig(k, k2, base_seed + i, pair_weight, off_pair_cost, train)
         for i, (k, k2) in enumerate(pairs)
     ]
 

@@ -17,6 +17,7 @@ vector, so an update is a handful of whole-vector operations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:

@@ -894,6 +894,12 @@ def test_malformed_config_file_is_an_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["--config", str(path), "gradcheck"]) == 1
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]")

@@ -1,6 +1,7 @@
 """Experiment suites: trial mechanics, aggregation, serialization, parallelism."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,21 +38,26 @@ FAST_CATEGORICAL = TrainConfig(epochs=1, batch_size=100, seed=0)
 
 
 def test_binary_trial_config_propagates_seed_into_training():
-    cfg = BinaryTrialConfig.make(3, 0, seed=17, train_template=FAST_TRAIN)
+    cfg = BinaryTrialConfig(3, 0, seed=17, train=FAST_TRAIN)
     assert cfg.train.seed == 17
     assert cfg.train.epochs == FAST_TRAIN.epochs
     assert cfg.cost == DEFAULT_BINARY_COST
 
 
+def test_a_hand_given_recipe_takes_the_trial_seed():
+    recipe = TrainConfig(epochs=1, seed=9)
+    binary = BinaryTrialConfig(3, 0, 5, DEFAULT_BINARY_COST, recipe)
+    categorical = CategoricalTrialConfig(0, 1, 4, 19.0, 1.0, recipe)
+    assert (binary.train, categorical.train) == (replace(recipe, seed=5), replace(recipe, seed=4))
+
+
 def test_binary_trial_config_validation():
     with pytest.raises(ValueError, match="digit must be 0..9, got 11"):
-        BinaryTrialConfig.make(11, 0, seed=0)
+        BinaryTrialConfig(11, 0, seed=0)
     with pytest.raises(ValueError, match="digit must be 0..9, got -1"):
-        BinaryTrialConfig.make(-1, 0, seed=0)
+        BinaryTrialConfig(-1, 0, seed=0)
     with pytest.raises(ValueError, match="slice_index must be >= 0, got -1"):
-        BinaryTrialConfig.make(3, -1, seed=0)
-    with pytest.raises(ValueError, match="train.seed 9 differs from the trial seed 5"):
-        BinaryTrialConfig(3, 0, 5, DEFAULT_BINARY_COST, TrainConfig(epochs=1, seed=9))
+        BinaryTrialConfig(3, -1, seed=0)
 
 
 def test_binary_suite_rejects_a_bad_digit_before_any_training(small_pool, monkeypatch):
@@ -66,20 +72,18 @@ def test_binary_suite_rejects_a_bad_digit_before_any_training(small_pool, monkey
 
 def test_categorical_trial_config_validation():
     with pytest.raises(ValueError):
-        CategoricalTrialConfig.make(3, 3, seed=0)
+        CategoricalTrialConfig(3, 3, seed=0)
     with pytest.raises(ValueError):
-        CategoricalTrialConfig.make(0, 10, seed=0)
+        CategoricalTrialConfig(0, 10, seed=0)
     with pytest.raises(ValueError):
-        CategoricalTrialConfig.make(0, 1, seed=0, pair_weight=-1.0)
+        CategoricalTrialConfig(0, 1, seed=0, pair_weight=-1.0)
     for cost in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="costs must be finite"):
-            CategoricalTrialConfig.make(0, 1, seed=0, off_pair_cost=cost)
-    with pytest.raises(ValueError, match="train.seed 0 differs from the trial seed 4"):
-        CategoricalTrialConfig(0, 1, 4, 19.0, 1.0, TrainConfig(epochs=1, seed=0))
+            CategoricalTrialConfig(0, 1, seed=0, off_pair_cost=cost)
 
 
 def test_pair_cost_matrix_values():
-    cfg = CategoricalTrialConfig.make(4, 9, seed=0)
+    cfg = CategoricalTrialConfig(4, 9, seed=0)
     cost = pair_cost_matrix(cfg)
     assert cost.shape == (10, 10)
     assert np.array_equal(np.diagonal(cost), np.zeros(10))
@@ -113,7 +117,7 @@ def test_sample_pairs_is_deterministic_and_distinct():
 
 @pytest.fixture(scope="module")
 def binary_records(small_pool):
-    cfg = BinaryTrialConfig.make(3, 0, seed=11, train_template=FAST_TRAIN)
+    cfg = BinaryTrialConfig(3, 0, seed=11, train=FAST_TRAIN)
     return cfg, run_binary_trial(cfg, small_pool)
 
 
@@ -157,9 +161,7 @@ def test_control2_validation_f1_never_below_control1(binary_records):
 
 
 def test_unit_costs_make_test_model_identical_to_control1(small_pool):
-    cfg = BinaryTrialConfig.make(
-        3, 0, seed=4, cost=BinaryCostModel(1.0, 1.0), train_template=FAST_TRAIN
-    )
+    cfg = BinaryTrialConfig(3, 0, seed=4, cost=BinaryCostModel(1.0, 1.0), train=FAST_TRAIN)
     control1, _, test = run_binary_trial(cfg, small_pool)
     assert (test.fn, test.fp, test.f1) == (control1.fn, control1.fp, control1.f1)
     assert test.real_world_cost == control1.real_world_cost
@@ -171,7 +173,7 @@ def test_unit_costs_make_test_model_identical_to_control1(small_pool):
 
 @pytest.fixture(scope="module")
 def categorical_records(small_pool):
-    cfg = CategoricalTrialConfig.make(4, 9, seed=2, train_template=FAST_CATEGORICAL)
+    cfg = CategoricalTrialConfig(4, 9, seed=2, train=FAST_CATEGORICAL)
     return cfg, run_categorical_trial(cfg, small_pool)
 
 
@@ -190,9 +192,7 @@ def test_categorical_trial_structure(categorical_records):
 
 
 def test_zero_pair_weight_makes_models_identical(small_pool):
-    cfg = CategoricalTrialConfig.make(
-        1, 7, seed=3, pair_weight=0.0, train_template=FAST_CATEGORICAL
-    )
+    cfg = CategoricalTrialConfig(1, 7, seed=3, pair_weight=0.0, train=FAST_CATEGORICAL)
     control, experimental = run_categorical_trial(cfg, small_pool)
     assert experimental.fn == control.fn
     assert experimental.top1_error == control.top1_error
@@ -206,11 +206,8 @@ def test_zero_pair_weight_makes_models_identical(small_pool):
 @pytest.mark.parametrize(
     "runner, cfg",
     [
-        (run_binary_trial, BinaryTrialConfig.make(3, 0, seed=6, train_template=FAST_TRAIN)),
-        (
-            run_categorical_trial,
-            CategoricalTrialConfig.make(4, 9, seed=6, train_template=FAST_CATEGORICAL),
-        ),
+        (run_binary_trial, BinaryTrialConfig(3, 0, seed=6, train=FAST_TRAIN)),
+        (run_categorical_trial, CategoricalTrialConfig(4, 9, seed=6, train=FAST_CATEGORICAL)),
     ],
     ids=["binary", "categorical"],
 )

@@ -15,8 +15,11 @@ x86_64 host the gate fails under OPENBLAS_NUM_THREADS=1.  A failure message
 names the thread setting and the core count it ran with.
 """
 
+import json
 import os
 from pathlib import Path
+
+import pytest
 
 from rwwce import (
     TrainConfig,
@@ -24,6 +27,7 @@ from rwwce import (
     records_match,
     run_binary_suite,
     run_categorical_suite,
+    save_records,
 )
 
 FROZEN = Path(__file__).resolve().parent / "frozen" / "records.jsonl"
@@ -39,8 +43,12 @@ def fixed_run(pool):
     return binary + categorical
 
 
-def test_fixed_run_reproduces_frozen_records(small_pool):
-    records = fixed_run(small_pool)
+@pytest.fixture(scope="module")
+def records(small_pool):
+    return fixed_run(small_pool)
+
+
+def test_fixed_run_reproduces_frozen_records(records):
     frozen = load_records(FROZEN)
     assert [r.model for r in records] == ["control1", "control2", "test", "control", "experimental"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset (OpenBLAS default)")
@@ -51,9 +59,26 @@ def test_fixed_run_reproduces_frozen_records(small_pool):
     )
 
 
+def key_orders(path):
+    """The keys of each JSON line of path, in file order, nested objects included."""
+
+    def keys(value):
+        return [(k, keys(v)) for k, v in value.items()] if isinstance(value, dict) else None
+
+    return [keys(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_saved_records_list_their_keys_in_the_frozen_order(records, tmp_path):
+    """records_match compares dicts, so only this test sees a field of a
+    record or of a trial config move within a saved line."""
+    path = tmp_path / "records.jsonl"
+    save_records(records, path)
+    assert key_orders(path) == key_orders(FROZEN)
+
+
 if __name__ == "__main__":
     import corpus
-    from rwwce import load_idx, save_records
+    from rwwce import load_idx
 
     pool = load_idx(*corpus.synthetic_idx_pair(700, seed=990))
     FROZEN.parent.mkdir(exist_ok=True)

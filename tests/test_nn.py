@@ -87,6 +87,11 @@ def test_forward_refuses_a_layer_with_an_unknown_activation():
         outputs([mlp], np.ones((2, 3)))
 
 
+def test_forward_refuses_a_model_with_no_layers():
+    with pytest.raises(ValueError, match="model has no layers"):
+        forward(Mlp([]), np.ones((2, 3)))
+
+
 def test_forward_softmax_symmetry():
     layer = DenseLayer(np.zeros((4, 10)), np.zeros(10), "softmax")
     out = forward(Mlp([layer]), np.ones((3, 4)))[-1]
@@ -207,6 +212,18 @@ def test_backward_validates_shapes():
         backward(mlp, acts, np.zeros((2, 4)))
 
 
+def test_backward_refuses_a_hidden_softmax():
+    mlp = Mlp(
+        [
+            DenseLayer(np.ones((3, 4)), np.zeros(4), "softmax"),
+            DenseLayer(np.ones((4, 1)), np.zeros(1), "sigmoid"),
+        ]
+    )
+    acts = forward(mlp, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="cannot differentiate hidden activation 'softmax'"):
+        backward(mlp, acts, np.zeros((2, 1)))
+
+
 # --- Adam ---------------------------------------------------------------------
 
 
@@ -301,10 +318,22 @@ def test_flat_layers_are_views_in_layer_order():
     assert layers[1].bias[0] == -1.0
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch_size"])
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_train_config_refuses_a_count_that_is_not_an_integer(name, count):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {count!r}"):
+        TrainConfig(**{name: count})
+
+
+def test_train_config_accepts_numpy_integer_counts():
+    config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
+    assert (config.epochs, config.batch_size) == (2, 8)
+
+
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -658,6 +687,11 @@ def test_gradcheck_mirrored_two_class_heads_both_pass():
     one_hot[np.arange(8), y.astype(int)] = 1.0
     softmax_net = init_mlp([(4, 5, "relu"), (5, 2, "softmax")], seed=6)
     assert gradcheck(softmax_net, (x, one_hot), LossSpec.cce()) < 1e-5
+
+
+def test_gradcheck_matrix_refuses_zero_instances():
+    with pytest.raises(ValueError, match="instances_per_variant must be >= 1"):
+        gradcheck_matrix(instances_per_variant=0)
 
 
 def test_gradcheck_matrix_covers_all_variants():
