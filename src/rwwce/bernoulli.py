@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import check_int
 from .losses import EPSILON
 
 # The logit range likelihood_check searches: sigmoid(40) rounds to 1.0 and
@@ -31,7 +32,7 @@ LOGIT_BOUND = 40.0
 
 @dataclass(frozen=True)
 class BernoulliScenario:
-    """Weighted counts of a two-outcome sample."""
+    """Weighted counts of a two-outcome sample; the counts are stored as plain ints."""
 
     n_pos: int
     n_neg: int
@@ -39,8 +40,8 @@ class BernoulliScenario:
     w_neg: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_pos < 0 or self.n_neg < 0:
-            raise ValueError("counts must be nonnegative")
+        for name in ("n_pos", "n_neg"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 0))
         if self.n_pos + self.n_neg < 1:
             raise ValueError("need at least one observation")
         for name in ("w_pos", "w_neg"):
@@ -101,8 +102,7 @@ def check_descend_args(p0: float, step: float, iterations: int) -> None:
         raise ValueError("step must be finite")
     if step > 1:
         raise ValueError("step must be <= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_int("iterations", iterations, 1)
 
 
 def descend(
@@ -134,39 +134,21 @@ def likelihood_check(scenario: BernoulliScenario) -> tuple[float, float]:
 
     Maximizes the weighted log-likelihood a*ln(p) + b*ln(1-p) over the logit z
     of p, where it is a*ln(sigmoid(z)) + b*ln(sigmoid(-z)): concave and finite
-    everywhere, so a ternary search over [-LOGIT_BOUND, LOGIT_BOUND] finds it
-    even at p = 0 or 1.  Ternary stalls near sqrt(double epsilon), as the
-    objective is locally quadratic; one parabolic-vertex step through a wider
-    stencil recovers the rest.  Only the likelihood is evaluated, divided by
-    max(a, b) so that every value stays a normal float.  The two returned
-    values agree to well under 1e-8: minimizing the weighted loss and
-    maximizing the weighted likelihood pick the same parameter.
+    everywhere, with slope a/(1+e^z) - b/(1+e^-z).  Bisecting
+    [-LOGIT_BOUND, LOGIT_BOUND] on the sign of that slope finds the maximum
+    even at p = 0 or 1.  a and b are divided by max(a, b) first, so that
+    every value stays a normal float.  The two returned values agree to well
+    under 1e-8: minimizing the weighted loss and maximizing the weighted
+    likelihood pick the same parameter.
     """
     top = max(scenario.weighted_pos, scenario.weighted_neg)
     a, b = scenario.weighted_pos / top, scenario.weighted_neg / top
-
-    def log_likelihood(z: float) -> float:
-        return -a * math.log1p(math.exp(-z)) - b * math.log1p(math.exp(z))
-
     lo, hi = -LOGIT_BOUND, LOGIT_BOUND
     for _ in range(200):
-        third = (hi - lo) / 3.0
-        if log_likelihood(lo + third) < log_likelihood(hi - third):
-            lo += third
+        z = (lo + hi) / 2.0
+        if a / (1.0 + math.exp(z)) > b / (1.0 + math.exp(-z)):
+            lo = z
         else:
-            hi -= third
+            hi = z
     z = (lo + hi) / 2.0
-
-    # The stencil's cubic term moves the vertex by about (1 - 2p) * h**2 / 6 in
-    # z, at most 1.6e-10 in p at this h, while rounding noise grows as h shrinks.
-    h = 1e-4
-    f_minus = log_likelihood(z - h)
-    f_zero = log_likelihood(z)
-    f_plus = log_likelihood(z + h)
-    curvature = f_plus - 2.0 * f_zero + f_minus
-    if curvature < 0.0:
-        offset = 0.5 * h * (f_minus - f_plus) / curvature
-        # An offset beyond the stencil means the quadratic fit was noise.
-        if abs(offset) < h:
-            z += offset
     return 1.0 / (1.0 + math.exp(-z)), analytic_minimizer(scenario)

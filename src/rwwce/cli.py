@@ -36,7 +36,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss_curve
+from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss
 from .data import MNIST_FILE_BYTES, concat_corpora, load_idx, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
@@ -472,13 +472,13 @@ def cmd_bernoulli(resolved: dict) -> int:
 
     if resolved["curve"]:
         points = resolved["curve_points"]
-        grid = [(i + 1) / (points + 1) for i in range(points)]
-        rows = loss_curve(scenario, grid)
         path = Path(resolved["curve"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            "p,loss\n" + "".join(f"{p!r},{j!r}\n" for p, j in rows), encoding="utf-8"
-        )
+        with open(path, "w", encoding="utf-8") as f:  # row by row: memory stays flat in points
+            f.write("p,loss\n")
+            for i in range(points):
+                p = (i + 1) / (points + 1)
+                f.write(f"{p!r},{loss(scenario, p)!r}\n")
         print(f"wrote {path}")
 
     if abs(likelihood_argmax - closed_form) > 1e-8:

@@ -19,6 +19,9 @@ of a chosen digit as positives against every example of the other digits)
 and the full 10-class one-hot problem.  A seeded shuffle splits any
 dataset 25% test / 7.5% validation / remainder train in exact integer
 floors.  check_labels holds labels to Dataset's rule for losses and metrics.
+check_int is the one rule for whole numbers: every count, index and seed
+the library takes passes it, and a numpy integer is stored as a plain int,
+so a record holding it saves as JSON.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import gzip
 import math
 import mmap
+import numbers
 import os
 import stat
 import struct
@@ -63,7 +67,8 @@ class RawMnist:
     """A loaded corpus: images (N, 784) uint8 pixel bytes, labels (N,) int64 in 0..9.
 
     Images of any other dtype are rejected rather than converted; the uint8
-    dtype is what bounds every pixel to 0..255.
+    dtype is what bounds every pixel to 0..255.  Labels of any integer dtype
+    are stored as int64; labels of any other dtype (float, bool) are rejected.
     """
 
     images: np.ndarray
@@ -73,7 +78,10 @@ class RawMnist:
         self.images = np.asarray(self.images)
         if self.images.dtype != np.uint8:
             raise ValueError(f"images must be uint8 pixel bytes, got {self.images.dtype}")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got {self.labels.dtype}")
+        self.labels = self.labels.astype(np.int64, copy=False)
         if self.images.ndim != 2 or self.images.shape[1] != FEATURES:
             raise ValueError(f"images must be (N, {FEATURES}), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
@@ -220,6 +228,21 @@ def check_labels(y: np.ndarray) -> None:
         raise ValueError("labels must be exact one-hot rows")
 
 
+def check_int(name: str, value, least: int, most: int | None = None) -> int:
+    """value as a plain int, once it is a whole number in least..most (no upper
+    bound when most is None); ValueError naming name otherwise.
+
+    A bool, a float (even 2.0) or a string is not a whole number here; any
+    numbers.Integral is, numpy integers included.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least or (most is not None and value > most):
+        bound = f">= {least}" if most is None else f"{least}..{most}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
 def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:
     """Row indices of one positive slice of a digit.
 
@@ -227,10 +250,8 @@ def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:
     digit, counted in file order.  Raises when the corpus has too few
     occurrences of the digit for the requested slice.
     """
-    if not 0 <= digit <= 9:
-        raise ValueError(f"digit must be 0..9, got {digit}")
-    if slice_index < 0:
-        raise ValueError(f"slice_index must be >= 0, got {slice_index}")
+    digit = check_int("digit", digit, 0, NUM_CLASSES - 1)
+    slice_index = check_int("slice_index", slice_index, 0)
     occurrences = np.flatnonzero(raw.labels == digit)
     lo = slice_index * POSITIVE_SLICE_SIZE
     hi = lo + POSITIVE_SLICE_SIZE
@@ -287,7 +308,7 @@ def split(dataset: Dataset, seed: int) -> SplitDataset:
     """
     m = dataset.size
     n_test, n_val = split_sizes(m)
-    order = np.random.default_rng(seed).permutation(m)
+    order = np.random.default_rng(check_int("seed", seed, 0)).permutation(m)
     test_rows = order[:n_test]
     val_rows = order[n_test : n_test + n_val]
     train_rows = order[n_test + n_val :]

@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    FEATURES, NUM_CLASSES, RawMnist, make_binary_dataset, make_categorical_dataset, positive_rows,
-    split, split_sizes,
+    FEATURES, NUM_CLASSES, RawMnist, check_int, make_binary_dataset, make_categorical_dataset,
+    positive_rows, split, split_sizes,
 )
 from .losses import BinaryCostModel, LossSpec
 from .metrics import (
@@ -115,10 +115,9 @@ class BinaryTrialConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.digit < NUM_CLASSES:
-            raise ValueError(f"digit must be 0..9, got {self.digit}")
-        if self.slice_index < 0:
-            raise ValueError(f"slice_index must be >= 0, got {self.slice_index}")
+        bounds = (("digit", 0, NUM_CLASSES - 1), ("slice_index", 0, None), ("seed", 0, None))
+        for name, least, most in bounds:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least, most))
         object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     def check_pool(self, raw: RawMnist) -> None:
@@ -138,8 +137,9 @@ class CategoricalTrialConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        if not (0 <= self.fn_class < NUM_CLASSES and 0 <= self.fp_class < NUM_CLASSES):
-            raise ValueError("classes must be 0..9")
+        bounds = (("fn_class", 0, NUM_CLASSES - 1), ("fp_class", 0, NUM_CLASSES - 1), ("seed", 0, None))
+        for name, least, most in bounds:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least, most))
         if self.fn_class == self.fp_class:
             raise ValueError("the expensive confusion must involve two distinct classes")
         costs = f"pair_weight {self.pair_weight!r}, off_pair_cost {self.off_pair_cost!r}"
@@ -415,8 +415,7 @@ def run_trials(runner, configs, raw, jobs: int = 1) -> tuple[SuiteSummary, list[
     """
     if not configs:
         raise ValueError("no trials requested")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    jobs = check_int("jobs", jobs, 1)
     if jobs == 1:
         nested = [runner(cfg, raw) for cfg in configs]
     else:
@@ -463,9 +462,9 @@ def all_ordered_pairs() -> list[tuple[int, int]]:
 def sample_pairs(count: int, seed: int) -> list[tuple[int, int]]:
     """A deterministic sample of distinct ordered pairs, for desk-scale runs."""
     pool = all_ordered_pairs()
-    if not 1 <= count <= len(pool):
-        raise ValueError(f"count must be 1..{len(pool)}")
-    chosen = np.random.default_rng(seed).choice(len(pool), size=count, replace=False)
+    count = check_int("count", count, 1, len(pool))
+    rng = np.random.default_rng(check_int("seed", seed, 0))
+    chosen = rng.choice(len(pool), size=count, replace=False)
     return [pool[i] for i in chosen]
 
 

@@ -17,11 +17,11 @@ vector, so an update is a handful of whole-vector operations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_int
 from .losses import (
     BINARY_VARIANTS,
     VARIANTS,
@@ -71,12 +71,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
@@ -129,12 +125,11 @@ def init_mlp(topology, seed: int) -> Mlp:
     topo = list(topology)
     if not topo:
         raise ValueError("topology must name at least one layer")
-    for entry in topo:
+    for i, entry in enumerate(topo):
         if len(entry) != 3:
             raise ValueError(f"layer spec must be (in_dim, out_dim, activation), got {entry!r}")
         n_in, n_out, act = entry
-        if int(n_in) != n_in or int(n_out) != n_out or n_in < 1 or n_out < 1:
-            raise ValueError(f"layer dimensions must be positive integers, got {entry!r}")
+        topo[i] = (check_int(f"layer {i} in_dim", n_in, 1), check_int(f"layer {i} out_dim", n_out, 1), act)
         if act not in ACTIVATIONS:
             raise ValueError(f"unknown activation {act!r}")
     for (_, out_prev, _), (in_next, _, _) in zip(topo, topo[1:]):
@@ -144,7 +139,7 @@ def init_mlp(topology, seed: int) -> Mlp:
         if act == "softmax":
             raise ValueError("softmax is only supported on the final layer")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     layers = []
     for n_in, n_out, act in topo:
         limit = math.sqrt(6.0 / (n_in + n_out))
@@ -502,9 +497,8 @@ def gradcheck_matrix(
     Returns {variant: worst relative error over its instances}, in VARIANTS
     order; the caller decides what error passes.
     """
-    if instances_per_variant < 1:
-        raise ValueError("instances_per_variant must be >= 1")
-    rng = np.random.default_rng(seed)
+    instances_per_variant = check_int("instances_per_variant", instances_per_variant, 1)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     return {
         variant: max(
             gradcheck(*_sample_gradcheck_instance(variant, rng), step=step)

@@ -128,7 +128,7 @@ def test_likelihood_check_random_scenarios():
         assert abs(refined - closed) < 1e-8
 
 
-def test_likelihood_check_reaches_boundary_and_extreme_minimizers():
+def _boundary_and_extreme_scenarios():
     scenarios = [
         BernoulliScenario(0, 5),
         BernoulliScenario(9, 0),
@@ -150,10 +150,22 @@ def test_likelihood_check_reaches_boundary_and_extreme_minimizers():
                 w_neg=float(10.0 ** rng.uniform(-6, 6)),
             )
         )
-    for scenario in scenarios:
+    return scenarios
+
+
+def test_likelihood_check_reaches_boundary_and_extreme_minimizers():
+    for scenario in _boundary_and_extreme_scenarios():
         refined, closed = likelihood_check(scenario)
         assert closed == analytic_minimizer(scenario)
         assert abs(refined - closed) < 1e-8, scenario
+
+
+def test_likelihood_bisection_lands_within_rounding_of_the_closed_form():
+    # Bisecting on the slope's sign leaves only the rounding of sigmoid(z):
+    # the worst of these is a few units in the last place of p, not 1e-10.
+    for scenario in _boundary_and_extreme_scenarios():
+        refined, closed = likelihood_check(scenario)
+        assert abs(refined - closed) < 1e-15, scenario
 
 
 def test_scenario_validation():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -664,7 +665,7 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_trial(
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bernoulli", "--n-pos", "-1"], "counts must be nonnegative"),
+        (["bernoulli", "--n-pos", "-1"], "n_pos must be >= 0, got -1"),
         (["bernoulli", "--w-neg", "0"], "w_neg must be finite and > 0"),
         (["bernoulli", "--p0", "1.5"], "p0 must lie strictly inside (0, 1)"),
         (["bernoulli", "--iterations", "0"], "iterations must be >= 1"),
@@ -982,6 +983,19 @@ def test_bernoulli_curve_csv(tmp_path, capsys):
     assert min(losses) == losses[grid.index(min(grid, key=lambda p: abs(p - 0.9)))]
 
 
+def test_bernoulli_curve_memory_does_not_grow_with_its_points(tmp_path, capsys):
+    # Each row is written as it is computed: holding 200,000 rows and their CSV text took 48 MB.
+    path = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        assert main(["bernoulli", "--curve", str(path), "--curve-points", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+    assert len(path.read_text().splitlines()) == 200_001
+
+
 def test_bernoulli_rejects_tiny_curve(tmp_path, capsys):
     rc = main(["bernoulli", "--curve", str(tmp_path / "c.csv"), "--curve-points", "1"])
     assert rc == 1
@@ -1050,3 +1064,13 @@ def readme_block(command: str) -> list[str]:
 def test_readme_quick_look_matches_the_output(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == readme_block(" ".join(["rwwce", *argv]))
+
+
+def test_readme_library_example_runs(mnist_dir, monkeypatch, capsys):
+    # The example loads the standard files by name from the working directory.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("```python", lines.index("## Library")) + 1
+    code = "\n".join(lines[start : lines.index("```", start)])
+    monkeypatch.chdir(mnist_dir)
+    exec(compile(code, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) >= 0.0

@@ -274,6 +274,21 @@ def test_raw_mnist_validation():
         RawMnist(_pixels((1, 784)), np.array([10]))
 
 
+@pytest.mark.parametrize(
+    "labels", [np.array([3.5, 2.9, True]), np.array([3.0, 2.0, 1.0]), np.array([True, False, True])]
+)
+def test_raw_mnist_refuses_labels_that_are_not_integers(labels):
+    # A cast would have stored [3.5, 2.9, True] as [3, 2, 1] without a word.
+    with pytest.raises(ValueError, match="labels must be integers, got (float64|bool)"):
+        RawMnist(_pixels((3, 784)), labels)
+
+
+@pytest.mark.parametrize("labels", [[3, 2, 1], np.array([3, 2, 1], np.uint8), np.array([3, 2, 1], np.int32)])
+def test_raw_mnist_stores_integer_labels_as_int64(labels):
+    stored = RawMnist(_pixels((3, 784)), labels).labels
+    assert stored.dtype == np.int64 and stored.tolist() == [3, 2, 1]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16])
 def test_raw_mnist_rejects_images_that_are_not_pixel_bytes(dtype):
     # Scaled floats in [0, 1] are refused too: images are the IDX bytes.
