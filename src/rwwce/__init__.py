@@ -6,7 +6,7 @@ corpus ingestion, and the experiment suites that compare cost-blind and
 cost-weighted training.
 """
 
-from .bernoulli import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
+from .bernoulli import BernoulliScenario, analytic_minimizer, descend, likelihood_check
 from .data import (
     Dataset,
     RawMnist,

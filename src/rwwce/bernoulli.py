@@ -10,7 +10,7 @@ is strictly convex with the closed-form minimizer
 p* = w_pos*n_pos / (w_pos*n_pos + w_neg*n_neg), which is also the maximum
 likelihood estimate when each observation is replicated in proportion to its
 weight.  The module exposes the closed form, damped Fisher scoring that
-reaches it from any start, the loss curve, and a likelihood maximizer over
+reaches it from any start, the loss J(p), and a likelihood maximizer over
 the logit of p that confirms the MLE equivalence numerically.
 
 Log and clipping conventions match the losses module (natural log, log
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import check_int
+from .data import check_int, check_real
 from .losses import EPSILON
 
 # The logit range likelihood_check searches: sigmoid(40) rounds to 1.0 and
@@ -32,7 +32,7 @@ LOGIT_BOUND = 40.0
 
 @dataclass(frozen=True)
 class BernoulliScenario:
-    """Weighted counts of a two-outcome sample; the counts are stored as plain ints."""
+    """Weighted counts of a two-outcome sample, stored as plain ints and floats."""
 
     n_pos: int
     n_neg: int
@@ -45,9 +45,7 @@ class BernoulliScenario:
         if self.n_pos + self.n_neg < 1:
             raise ValueError("need at least one observation")
         for name in ("w_pos", "w_neg"):
-            w = getattr(self, name)
-            if not math.isfinite(w) or w <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {w!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above=0))
         try:
             total = self.total_weight
         except OverflowError:  # a count too large to convert to float
@@ -81,28 +79,11 @@ def loss(scenario: BernoulliScenario, p: float) -> float:
     return -(a * math.log(max(p, EPSILON)) + b * math.log(max(1.0 - p, EPSILON))) / m
 
 
-def loss_curve(scenario: BernoulliScenario, grid) -> list[tuple[float, float]]:
-    """(p, J(p)) pairs over a grid of interior parameter values."""
-    points = []
-    for p in grid:
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"grid values must lie strictly inside (0, 1), got {p}")
-        points.append((p, loss(scenario, p)))
-    return points
-
-
-def check_descend_args(p0: float, step: float, iterations: int) -> None:
-    """Raise ValueError for a start, step or budget descend cannot run with."""
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0}")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if not math.isfinite(step):
-        raise ValueError("step must be finite")
-    if step > 1:
-        raise ValueError("step must be <= 1")
-    check_int("iterations", iterations, 1)
+def check_descend_args(p0: float, step: float, iterations: int) -> tuple[float, float, int]:
+    """(p0, step, iterations) as a plain float, float and int, once descend can
+    run with them: 0 < p0 < 1, 0 < step <= 1, iterations >= 1; ValueError otherwise."""
+    return (check_real("p0", p0, above=0, below=1), check_real("step", step, above=0, most=1),
+            check_int("iterations", iterations, 1))
 
 
 def descend(
@@ -120,7 +101,7 @@ def descend(
     [0, 1] and converges geometrically, even to a minimizer at 0 or 1.  a and
     b are divided by M first, so subnormal weights keep their digits.
     """
-    check_descend_args(p0, step, iterations)
+    p0, step, iterations = check_descend_args(p0, step, iterations)
     m = scenario.total_weight
     a, b = scenario.weighted_pos / m, scenario.weighted_neg / m
     p = p0

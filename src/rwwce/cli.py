@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss
-from .data import MNIST_FILE_BYTES, concat_corpora, load_idx, read_idx_file
+from .data import MNIST_FILE_BYTES, load_pool, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
     DEFAULT_OFF_PAIR_COST,
@@ -343,16 +343,6 @@ def _resolve_data(resolved: dict) -> None:
     resolved.pop("data_dir", None)
 
 
-def _load_pool(images: list[str], labels: list[str], read=read_idx_file):
-    """Load each file pair with read (path -> payload) and concatenate them; a pair
-    that fails to load is a CliError naming both of its files."""
-    corpora = []
-    for images_path, labels_path in zip(images, labels):
-        with _user_input(prefix=f"cannot load {images_path} and {labels_path}: "):
-            corpora.append(load_idx(read(images_path), read(labels_path)))
-    return concat_corpora(*corpora)
-
-
 def _train_template(resolved: dict) -> TrainConfig:
     """The TrainConfig of the training settings; each trial config's constructor sets its seed."""
     return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING})
@@ -373,7 +363,8 @@ def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> i
     _resolve_data(resolved)
     _echo(resolved)
 
-    pool = _load_pool(resolved["images"], resolved["labels"])
+    with _user_input():
+        pool = load_pool(zip(resolved["images"], resolved["labels"]))
     print(f"loaded {pool.size} examples from {len(resolved['images'])} file pair(s)")
     with _user_input():
         check_trials(configs, pool)
@@ -416,7 +407,8 @@ def cmd_verify_data(resolved: dict) -> int:
     if failures:
         raise CliError(f"{failures} file(s) failed the byte-length check")
 
-    pool = _load_pool(images, labels, read=payloads.pop)
+    with _user_input():
+        pool = load_pool(zip(images, labels), read=payloads.pop)
     classes = len(set(pool.labels.tolist()))
     print(f"pool: {pool.size} examples, {classes} classes: ok")
     return 0
@@ -456,12 +448,10 @@ def cmd_bernoulli(resolved: dict) -> int:
         scenario = BernoulliScenario(
             resolved["n_pos"], resolved["n_neg"], resolved["w_pos"], resolved["w_neg"]
         )
-        check_descend_args(resolved["p0"], resolved["step"], resolved["iterations"])
+        descent = check_descend_args(resolved["p0"], resolved["step"], resolved["iterations"])
     _echo(resolved)
 
-    descended = descend(
-        scenario, p0=resolved["p0"], step=resolved["step"], iterations=resolved["iterations"]
-    )
+    descended = descend(scenario, *descent)
     likelihood_argmax, closed_form = likelihood_check(scenario)
     print(f"closed-form minimizer: {closed_form!r}")
     print(f"gradient descent result: {descended!r} (|diff| = {abs(descended - closed_form):.3e})")

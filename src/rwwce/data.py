@@ -21,7 +21,10 @@ dataset 25% test / 7.5% validation / remainder train in exact integer
 floors.  check_labels holds labels to Dataset's rule for losses and metrics.
 check_int is the one rule for whole numbers: every count, index and seed
 the library takes passes it, and a numpy integer is stored as a plain int,
-so a record holding it saves as JSON.
+so a record holding it saves as JSON.  check_real is the one rule for real
+numbers: every scalar cost, weight, rate and step passes it; a NaN, an
+infinity, a bool, a string or a value out of bounds fails, and a numpy
+float is stored as a plain float.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import gzip
 import math
 import mmap
 import numbers
+import operator
 import os
 import stat
 import struct
@@ -173,6 +177,20 @@ def load_idx_files(images_path, labels_path) -> RawMnist:
     return load_idx(read_idx_file(images_path), read_idx_file(labels_path))
 
 
+def load_pool(pairs, read=read_idx_file) -> RawMnist:
+    """concat_corpora of each (images path, labels path) pair, loaded with read
+    (path -> payload, as read_idx_file); a pair that fails raises its ValueError
+    or OSError again, its text prefixed "cannot load <images> and <labels>: "."""
+    corpora = []
+    for images_path, labels_path in pairs:
+        try:
+            corpora.append(load_idx(read(images_path), read(labels_path)))
+        except (ValueError, OSError) as e:
+            kind = OSError if isinstance(e, OSError) else ValueError
+            raise kind(f"cannot load {images_path} and {labels_path}: {e}") from e
+    return concat_corpora(*corpora)
+
+
 def concat_corpora(*corpora: RawMnist) -> RawMnist:
     """Concatenate corpora, in order, into a pool that owns its memory.
 
@@ -241,6 +259,26 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
         bound = f">= {least}" if most is None else f"{least}..{most}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, *, least=None, above=None, below=None, most=None) -> float:
+    """value as a plain float, once it is a finite numbers.Real (numpy floats
+    and integers are; a bool or a string is not) with least <= value,
+    above < value, value < below and value <= most, each bound when given;
+    otherwise a ValueError naming name and the first rule it breaks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    for bound, relation, keeps in ((least, ">=", operator.ge), (above, ">", operator.gt),
+                                   (below, "<", operator.lt), (most, "<=", operator.le)):
+        if bound is not None and not keeps(number, bound):
+            raise ValueError(f"{name} must be {relation} {bound}, got {value!r}")
+    return number
 
 
 def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:

@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    FEATURES, NUM_CLASSES, RawMnist, check_int, make_binary_dataset, make_categorical_dataset,
-    positive_rows, split, split_sizes,
+    FEATURES, NUM_CLASSES, RawMnist, check_int, check_real, make_binary_dataset,
+    make_categorical_dataset, positive_rows, split, split_sizes,
 )
 from .losses import BinaryCostModel, LossSpec
 from .metrics import (
@@ -142,11 +142,8 @@ class CategoricalTrialConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), least, most))
         if self.fn_class == self.fp_class:
             raise ValueError("the expensive confusion must involve two distinct classes")
-        costs = f"pair_weight {self.pair_weight!r}, off_pair_cost {self.off_pair_cost!r}"
-        if not (np.isfinite(self.pair_weight) and np.isfinite(self.off_pair_cost)):
-            raise ValueError(f"costs must be finite, got {costs}")
-        if self.pair_weight < 0 or self.off_pair_cost < 0:
-            raise ValueError(f"costs must be nonnegative, got {costs}")
+        for name in ("pair_weight", "off_pair_cost"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), least=0))
         object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
     def check_pool(self, raw: RawMnist) -> None:

@@ -30,7 +30,7 @@ from numbers import Real
 
 import numpy as np
 
-from .data import check_labels
+from .data import check_labels, check_real
 
 EPSILON = 1e-7
 
@@ -46,7 +46,7 @@ class BinaryCostModel:
 
     fn_cost is charged against the positive-label log term (missing a real
     positive), fp_cost against the negative-label term (a false alarm).
-    Costs must be finite, nonnegative, and not both zero.
+    Each is a plain float, finite and >= 0 (data.check_real); not both are 0.
     """
 
     fn_cost: float
@@ -54,9 +54,7 @@ class BinaryCostModel:
 
     def __post_init__(self) -> None:
         for name in ("fn_cost", "fp_cost"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), least=0))
         if self.fn_cost == 0 and self.fp_cost == 0:
             raise ValueError("at least one of fn_cost, fp_cost must be positive")
 
@@ -73,14 +71,14 @@ def _terms_fault(variant: str, terms) -> str | None:
                 and all(isinstance(t, Real) and not isinstance(t, bool) for t in terms)):
             return f"got {terms!r}"
         a, b = terms
-        if variant == "rwwce_binary":
-            try:
+        try:
+            if variant == "rwwce_binary":
                 BinaryCostModel(a, b)
-            except ValueError as err:
-                return str(err)
-            return None
-        if variant == "wbce" and (not np.isfinite(a) or a <= 0):
-            return f"positive weight must be finite and > 0, got {a!r}"
+                return None
+            if variant == "wbce":
+                check_real("positive weight", a, above=0)
+        except ValueError as err:
+            return str(err)
         if variant == "bce" and a != 1.0:
             return f"the positive-label weight must be 1.0, got {a!r}"
         return None if b == 1.0 else f"the negative-label weight must be 1.0, got {b!r}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_int
+from .data import check_int, check_real
 from .losses import (
     BINARY_VARIANTS,
     VARIANTS,
@@ -73,15 +73,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), least))
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ValueError("adam betas must lie in [0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ValueError("adam_epsilon must be > 0")
-        for name in ("learning_rate", "adam_epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name, bound in (("learning_rate", {"above": 0}), ("adam_beta1", {"least": 0, "below": 1}),
+                            ("adam_beta2", {"least": 0, "below": 1}), ("adam_epsilon", {"above": 0})):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), **bound))
 
 
 @dataclass
@@ -411,10 +405,11 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
     uint8 batch is scaled as training scales it.  Each entry of the flat
     parameter copy is perturbed by +-step, the loss differenced, and the
     largest |analytic - numeric| / max(|analytic|, |numeric|, 1e-12)
-    returned.  Entries whose true magnitude sits near that floor are
-    dominated by finite-difference cancellation noise, so keep the probe
-    networks small and the batches moderate.
+    returned, or NaN if any error is NaN (from a NaN weight, say).  Entries
+    whose true magnitude sits near that floor are dominated by cancellation
+    noise, so keep the probe networks small and the batches moderate.
     """
+    step = check_real("step", step, above=0)
     x, y = batch
     pos, neg, theta, work, analytic, grads = _setup(mlp, x, y, loss_spec)
     _gradient(work, x, pos, neg, grads)
@@ -422,7 +417,7 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
     def probe_loss() -> float:
         return loss_and_gradient(forward(work, x)[-1], pos, neg)[0]
 
-    worst = 0.0
+    errors = np.empty(theta.size)
     for j, a in enumerate(analytic):
         original = theta[j]
         theta[j] = original + step
@@ -431,8 +426,8 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
         minus = probe_loss()
         theta[j] = original
         numeric = (plus - minus) / (2.0 * step)
-        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-12))
-    return float(worst)
+        errors[j] = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
+    return float(errors.max())  # NaN propagates, where max() would pass over it
 
 
 # Each variant's gradcheck spec, drawn after the labels for k classes (1 if binary).
@@ -495,14 +490,14 @@ def gradcheck_matrix(
     """Gradient-check every loss variant on fresh random instances.
 
     Returns {variant: worst relative error over its instances}, in VARIANTS
-    order; the caller decides what error passes.
+    order, a NaN kept as gradcheck keeps it; the caller decides what passes.
     """
     instances_per_variant = check_int("instances_per_variant", instances_per_variant, 1)
     rng = np.random.default_rng(check_int("seed", seed, 0))
     return {
-        variant: max(
+        variant: float(np.max([
             gradcheck(*_sample_gradcheck_instance(variant, rng), step=step)
             for _ in range(instances_per_variant)
-        )
+        ]))
         for variant in VARIANTS
     }

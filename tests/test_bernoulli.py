@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rwwce import BernoulliScenario, analytic_minimizer, descend, likelihood_check, loss_curve
+from rwwce import BernoulliScenario, analytic_minimizer, descend, likelihood_check
 from rwwce.bernoulli import check_descend_args, loss
 
 
@@ -25,6 +25,7 @@ def test_analytic_minimizer_is_weighted_frequency():
 def test_loss_value_and_minimum_location():
     scenario = BernoulliScenario(9, 1)
     assert loss(scenario, 0.5) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert loss(BernoulliScenario(2, 2), 0.5) == pytest.approx(math.log(2.0), rel=1e-14)
     p_star = analytic_minimizer(scenario)
     assert loss(scenario, p_star) < loss(scenario, p_star - 0.05)
     assert loss(scenario, p_star) < loss(scenario, p_star + 0.05)
@@ -34,17 +35,6 @@ def test_loss_is_finite_at_the_boundaries():
     scenario = BernoulliScenario(9, 1)
     assert math.isfinite(loss(scenario, 0.0))
     assert math.isfinite(loss(scenario, 1.0))
-
-
-def test_loss_curve_grid_and_validation():
-    scenario = BernoulliScenario(2, 2)
-    points = loss_curve(scenario, [0.25, 0.5, 0.75])
-    assert [p for p, _ in points] == [0.25, 0.5, 0.75]
-    assert points[1][1] == pytest.approx(math.log(2.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        loss_curve(scenario, [0.0, 0.5])
-    with pytest.raises(ValueError):
-        loss_curve(scenario, [1.0])
 
 
 def test_descend_reaches_the_closed_form():
@@ -97,7 +87,7 @@ def test_a_full_step_lands_on_the_closed_form_at_once():
 def test_descend_validation():
     # descend runs the same checks the CLI runs before its echo, with the same messages.
     for arguments, message in [
-        ({"p0": 0.0}, r"p0 must lie strictly inside \(0, 1\), got 0.0"),
+        ({"p0": 0.0}, "p0 must be > 0, got 0.0"),
         ({"step": 0.0}, "step must be > 0"),
         ({"step": math.inf}, "step must be finite"),
         ({"step": 1.5}, "step must be <= 1"),

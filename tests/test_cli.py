@@ -596,10 +596,10 @@ def test_diverged_training_exits_1_naming_its_settings(
     [
         (["run-binary", "--digits", "11"], "digit must be 0..9, got 11"),
         (["run-categorical", "--pairs", "3:3"], "distinct classes"),
-        (["run-categorical", "--pairs", "4:9", "--pair-weight", "-1"], "costs must be nonnegative"),
-        (["run-categorical", "--pairs", "4:9", "--off-pair-cost", "inf"], "costs must be finite"),
+        (["run-categorical", "--pairs", "4:9", "--pair-weight", "-1"], "pair_weight must be >= 0, got -1.0"),
+        (["run-categorical", "--pairs", "4:9", "--off-pair-cost", "inf"], "off_pair_cost must be finite, got inf"),
         (["run-binary", "--epochs", "0"], "epochs must be >= 1"),
-        (["run-binary", "--w-fn", "-1"], "fn_cost must be finite and nonnegative"),
+        (["run-binary", "--w-fn", "-1"], "fn_cost must be >= 0, got -1.0"),
         (["run-binary", "--seed", "-1"], "config key 'base_seed' expects an integer >= 0, got -1"),
         (["run-categorical", "--seed", "-2"], "config key 'base_seed' expects an integer >= 0, got -2"),
         (["run-binary", "--learning-rate", "inf"], "learning_rate must be finite"),
@@ -666,8 +666,8 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_trial(
     "argv, message",
     [
         (["bernoulli", "--n-pos", "-1"], "n_pos must be >= 0, got -1"),
-        (["bernoulli", "--w-neg", "0"], "w_neg must be finite and > 0"),
-        (["bernoulli", "--p0", "1.5"], "p0 must lie strictly inside (0, 1)"),
+        (["bernoulli", "--w-neg", "0"], "w_neg must be > 0, got 0.0"),
+        (["bernoulli", "--p0", "1.5"], "p0 must be < 1, got 1.5"),
         (["bernoulli", "--iterations", "0"], "iterations must be >= 1"),
         (["gradcheck", "--instances", "0"], "config key 'instances' expects an integer >= 1, got 0"),
         (["gradcheck", "--seed", "-1"], "config key 'seed' expects an integer >= 0, got -1"),
@@ -675,7 +675,7 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_trial(
         (["gradcheck", "--step", "inf"], "config key 'step' expects a finite number, got inf"),
         (["gradcheck", "--tolerance", "inf"], "config key 'tolerance' expects a finite number, got inf"),
         (["bernoulli", "--step", "inf"], "step must be finite"),
-        (["bernoulli", "--w-pos", "inf"], "w_pos must be finite and > 0, got inf"),
+        (["bernoulli", "--w-pos", "inf"], "w_pos must be finite, got inf"),
         (["bernoulli", "--w-pos", "1e308", "--w-neg", "1e308"], "total weight w_pos*n_pos"),
         (["bernoulli", "--n-pos", "1" + "0" * 400], "total weight w_pos*n_pos"),
         (["gradcheck", "--tolerance", "0"], "config key 'tolerance' expects a number > 0, got 0.0"),
@@ -1012,7 +1012,7 @@ def test_a_bernoulli_step_above_1_fails_alike_from_a_flag_and_a_config(tmp_path,
     for argv in (["bernoulli", "--step", "1.5"], ["--config", str(path), "bernoulli"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: step must be <= 1\n"
+        assert captured.err == "error: step must be <= 1, got 1.5\n"
         assert ECHO_PREFIX not in captured.out
 
 

@@ -78,7 +78,7 @@ def test_categorical_trial_config_validation():
     with pytest.raises(ValueError):
         CategoricalTrialConfig(0, 1, seed=0, pair_weight=-1.0)
     for cost in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="costs must be finite"):
+        with pytest.raises(ValueError, match="off_pair_cost must be finite"):
             CategoricalTrialConfig(0, 1, seed=0, off_pair_cost=cost)
 
 

@@ -660,6 +660,19 @@ def test_gradcheck_detects_a_corrupted_gradient(monkeypatch):
             assert gradcheck(mlp, (x, y), spec) > 1e-5, (topology, layer, which, index)
 
 
+def test_gradcheck_does_not_pass_a_model_with_a_nan_weight():
+    # Python's max() keeps its first argument when the second is NaN, so
+    # folding the errors with it read 0.0 for a NaN-weight model.
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-1.0, 1.0, size=(8, 3))
+    y = rng.integers(0, 2, size=8).astype(np.float64)
+    mlp = init_mlp([(3, 4, "sigmoid"), (4, 1, "sigmoid")], seed=5)
+    mlp.layers[0].weights[1, 2] = math.nan
+    worst = gradcheck(mlp, (x, y), LossSpec.bce())
+    assert not worst < 1e-5
+    assert math.isnan(worst)
+
+
 @pytest.mark.parametrize(
     "topology, spec, message",
     [
