@@ -9,6 +9,11 @@ Each subcommand's settings are a tuple of Setting rows, from which its parser,
 its resolution and its checks derive.  A setting takes its default, then its
 value in a JSON config file given with --config, then its flag (whose dest is
 the config key); the value is then cast and checked alike from either source.
+A number is checked by the library's own rule, data.check_int or
+data.check_real, under its config key and with its row's bounds, so a bad
+number reads the same whether the CLI or the library refuses it
+("jobs must be >= 1, got 0"); a row without bounds checks only the type and
+leaves the range to the library.
 Every command echoes its fully resolved configuration, command included, as
 one JSON line before doing any work; feeding that echoed object back via
 --config reproduces the run, and a config naming another command is refused.
@@ -27,17 +32,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bernoulli import BernoulliScenario, check_descend_args, descend, likelihood_check, loss
-from .data import MNIST_FILE_BYTES, load_pool, read_idx_file
+from .data import MNIST_FILE_BYTES, check_int, check_real, load_pool, read_idx_file
 from .experiments import (
     DEFAULT_BINARY_COST,
     DEFAULT_OFF_PAIR_COST,
@@ -130,33 +134,25 @@ def _parse_pairs(text: str) -> list[tuple[int, int]] | str:
     return "all" if text.strip() == "all" else _comma_list(text, _pair_part, "pairs")
 
 
-def _cast(key: str, value, kind):
-    """value as kind, refusing any value the cast would change ("5", 1.5, [1] or true as an int)."""
-    try:
-        cast = kind(value)
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        cast = None
-    # bool is an int subclass, so int(True) == True: refuse JSON booleans outright.
-    if cast is None or cast != value or (isinstance(value, bool) and kind is not bool):
+def _cast(key: str, value, kind: type):
+    """value, once it is a kind (str or list); numbers go through check_int and check_real."""
+    if not isinstance(value, kind):
         raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
-    return cast
+    return value
 
 
-def _list_of(key: str, value, kind) -> list:
-    """value as a list of kind; a bad item is reported with the whole list."""
+def _list_of(key: str, value, check) -> list:
+    """value as a list, each item passed through check(key, item)."""
     if not isinstance(value, (list, tuple)):
         raise CliError(f"config key {key!r} expects list, got {value!r}")
-    try:
-        return [_cast(key, item, kind) for item in value]
-    except CliError:
-        raise CliError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
+    return [check(key, item) for item in value]
 
 
 def _pairs(key: str, value) -> list[list[int]]:
     """value as a list of (true, predicted) pairs of two int; "all" is every ordered pair."""
     if value == "all":
         value = all_ordered_pairs()
-    pairs = [_list_of(key, pair, int) for pair in _cast(key, value, list)]
+    pairs = [_list_of(key, pair, check_int) for pair in _cast(key, value, list)]
     if any(len(pair) != 2 for pair in pairs):
         raise CliError(f"config key {key!r} expects pairs of two int, got {value!r}")
     return pairs
@@ -165,15 +161,15 @@ def _pairs(key: str, value) -> list[list[int]]:
 class Kind(NamedTuple):
     """A setting's type: how a flag or config value is cast, and how argparse reads the flag."""
 
-    cast: Callable[[str, object], object]
+    cast: Callable[..., object]  # cast(key, value, **bounds)
     flag: dict
 
 
-INT = Kind(partial(_cast, kind=int), {"type": int})
-FLOAT = Kind(partial(_cast, kind=float), {"type": float})
+INT = Kind(check_int, {"type": int})
+FLOAT = Kind(check_real, {"type": float})
 STR = Kind(partial(_cast, kind=str), {})
-PATHS = Kind(partial(_list_of, kind=str), {"action": "append"})
-INTS = Kind(partial(_list_of, kind=int), {"type": _parse_int_list})
+PATHS = Kind(partial(_list_of, check=STR.cast), {"action": "append"})
+INTS = Kind(partial(_list_of, check=INT.cast), {"type": _parse_int_list})
 PAIRS = Kind(_pairs, {"type": _parse_pairs})
 
 
@@ -181,30 +177,21 @@ PAIRS = Kind(_pairs, {"type": _parse_pairs})
 class Setting:
     """One setting of one subcommand.  key is its config key and its flag's dest;
     a None flag means config-only, and a None default lets the value stay None
-    for the command to fill in.  Checks: least, positive (finite and > 0), choices."""
+    for the command to fill in.  bounds are a number's check_int or check_real
+    keywords; choices are a str's allowed values."""
 
     key: str
     kind: Kind
     default: object = None
     flag: str | None = None
-    least: int | None = None
-    positive: bool = False
+    bounds: dict = field(default_factory=dict)
     choices: tuple[str, ...] | None = None
     help: str | None = None
 
     def check(self, value) -> None:
-        """Raise CliError, saying what a valid value is, unless value is one."""
-        if self.least is not None and value < self.least:
-            expects = f"an integer >= {self.least}"
-        elif self.positive and not math.isfinite(value):
-            expects = "a finite number"
-        elif self.positive and not value > 0:
-            expects = "a number > 0"
-        elif self.choices is not None and value not in self.choices:
-            expects = f"one of {self.choices}"
-        else:
-            return
-        raise CliError(f"config key {self.key!r} expects {expects}, got {value!r}")
+        """Raise CliError unless value is one of choices (when the row has them)."""
+        if self.choices is not None and value not in self.choices:
+            raise CliError(f"config key {self.key!r} expects one of {self.choices}, got {value!r}")
 
 
 DATA = (
@@ -229,8 +216,8 @@ TRAINING = tuple(
 def _suite(out_dir: str) -> tuple[Setting, ...]:
     """The settings both suites share after training's; out_dir's default differs."""
     return (
-        Setting("base_seed", INT, 0, "--seed", least=0, help="trial i uses base_seed + i"),
-        Setting("jobs", INT, 1, "--jobs", least=1, help="parallel trial workers (threads)"),
+        Setting("base_seed", INT, 0, "--seed", bounds={"least": 0}, help="trial i uses base_seed + i"),
+        Setting("jobs", INT, 1, "--jobs", bounds={"least": 1}, help="parallel trial workers (threads)"),
         Setting("out_dir", STR, out_dir, "--out-dir"),
         Setting("scale", STR, "desk", "--scale", choices=SCALES, help="trial-count preset"),
     )
@@ -261,14 +248,14 @@ BERNOULLI = (
     Setting("step", FLOAT, 0.01, "--step"),
     Setting("iterations", INT, 100_000, "--iterations"),
     Setting("curve", STR, None, "--curve", help="write a p,loss CSV to this path"),
-    Setting("curve_points", INT, 99, "--curve-points", least=2),
+    Setting("curve_points", INT, 99, "--curve-points", bounds={"least": 2}),
 )
 
 GRADCHECK = (
-    Setting("seed", INT, 0, "--seed", least=0),
-    Setting("instances", INT, 4, "--instances", least=1, help="instances per loss variant"),
-    Setting("step", FLOAT, 1e-5, "--step", positive=True),
-    Setting("tolerance", FLOAT, 1e-5, "--tolerance", positive=True),
+    Setting("seed", INT, 0, "--seed", bounds={"least": 0}),
+    Setting("instances", INT, 4, "--instances", bounds={"least": 1}, help="instances per loss variant"),
+    Setting("step", FLOAT, 1e-5, "--step", bounds={"above": 0}),
+    Setting("tolerance", FLOAT, 1e-5, "--tolerance", bounds={"above": 0}),
 )
 
 
@@ -302,7 +289,8 @@ def _resolve(args, rows: tuple[Setting, ...]) -> dict:
         flag = getattr(args, row.key, None)  # a config-only key has no flag
         value = resolved[row.key] if flag is None else flag
         if value is not None or row.default is not None:
-            value = row.kind.cast(row.key, value)
+            with _user_input():
+                value = row.kind.cast(row.key, value, **row.bounds)
             row.check(value)
         resolved[row.key] = value
     resolved["command"] = args.command

@@ -22,9 +22,10 @@ floors.  check_labels holds labels to Dataset's rule for losses and metrics.
 check_int is the one rule for whole numbers: every count, index and seed
 the library takes passes it, and a numpy integer is stored as a plain int,
 so a record holding it saves as JSON.  check_real is the one rule for real
-numbers: every scalar cost, weight, rate and step passes it; a NaN, an
-infinity, a bool, a string or a value out of bounds fails, and a numpy
-float is stored as a plain float.
+numbers: every scalar cost, weight, rate, step and metric threshold or tally
+passes it; a NaN, an infinity, a bool, a string or a value out of bounds
+fails, and a numpy float is stored as a plain float.  The CLI checks every
+number setting with the same two rules, under its config key.
 """
 
 from __future__ import annotations
@@ -246,17 +247,17 @@ def check_labels(y: np.ndarray) -> None:
         raise ValueError("labels must be exact one-hot rows")
 
 
-def check_int(name: str, value, least: int, most: int | None = None) -> int:
-    """value as a plain int, once it is a whole number in least..most (no upper
-    bound when most is None); ValueError naming name otherwise.
+def check_int(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as a plain int, once it is a whole number in least..most (either
+    bound left open when None); ValueError naming name otherwise.
 
     A bool, a float (even 2.0) or a string is not a whole number here; any
     numbers.Integral is, numpy integers included.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least or (most is not None and value > most):
-        bound = f">= {least}" if most is None else f"{least}..{most}"
+    if (least is not None and value < least) or (most is not None and value > most):
+        bound = f"<= {most}" if least is None else f">= {least}" if most is None else f"{least}..{most}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return int(value)
 

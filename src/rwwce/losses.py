@@ -146,7 +146,7 @@ class LossSpec:
     @classmethod
     def wbce(cls, positive_weight: float) -> "LossSpec":
         """Binary cross-entropy with the positive-label term scaled by positive_weight."""
-        return cls("wbce", (float(positive_weight), 1.0))
+        return cls("wbce", (check_real("positive weight", positive_weight, above=0), 1.0))
 
     @classmethod
     def cce(cls) -> "LossSpec":
@@ -165,7 +165,8 @@ class LossSpec:
         The positive-label log term carries fn_cost, the negative-label term
         fp_cost, so the value is the batch-mean expected cost surrogate.
         """
-        return cls("rwwce_binary", (float(fn_cost), float(fp_cost)))
+        cost = BinaryCostModel(fn_cost, fp_cost)
+        return cls("rwwce_binary", (cost.fn_cost, cost.fp_cost))
 
     @classmethod
     def rwwce_categorical(cls, fn_costs, fp_costs) -> "LossSpec":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_labels
+from .data import check_labels, check_real
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,11 @@ def confusion_binary(scores, labels, threshold: float) -> ConfusionCounts:
 
     An example is predicted positive exactly when its score is strictly
     greater than threshold, so a score equal to the threshold is negative.
+    threshold is any finite number (data.check_real), not only one in [0, 1]:
+    best_f1_threshold's sentinels lie outside the scores.
     """
     scores, labels = _scores_and_labels(scores, labels)
-    predicted = scores > threshold
+    predicted = scores > check_real("threshold", threshold)
     actual = labels == 1.0
     return ConfusionCounts(
         tp=int(np.count_nonzero(predicted & actual)),
@@ -106,13 +108,11 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
 def real_world_cost_binary(fn, fp, n, cost) -> float:
     """Mean per-example cost of a binary test run: (fn_cost*fn + fp_cost*fp) / n.
 
-    fn and fp may be fractional (e.g. means over trials).
+    fn and fp may be fractional (e.g. means over trials); each is finite and
+    >= 0, and n finite and > 0 (data.check_real).
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if fn < 0 or fp < 0:
-        raise ValueError("error counts must be nonnegative")
-    return (cost.fn_cost * fn + cost.fp_cost * fp) / n
+    fn, fp = check_real("fn", fn, least=0), check_real("fp", fp, least=0)
+    return (cost.fn_cost * fn + cost.fp_cost * fp) / check_real("n", n, above=0)
 
 
 @dataclass
@@ -155,7 +155,7 @@ def real_world_cost_categorical(tallies, cost_per_error) -> float:
     tallies is a ConfusionMatrix or a real-valued square array of (possibly
     fractional) confusion tallies; cost_per_error[k, k'] prices a class-k
     example predicted as k' and must have a zero diagonal, since a correct
-    prediction costs nothing.
+    prediction costs nothing.  Both must be finite.
     """
     counts = tallies.counts if isinstance(tallies, ConfusionMatrix) else np.asarray(tallies, dtype=np.float64)
     cost = np.asarray(cost_per_error, dtype=np.float64)
@@ -163,6 +163,9 @@ def real_world_cost_categorical(tallies, cost_per_error) -> float:
         raise ValueError("tallies must be square")
     if cost.shape != counts.shape:
         raise ValueError(f"cost matrix shape {cost.shape} does not match tallies {counts.shape}")
+    for name, array in (("tallies", counts), ("cost_per_error", cost)):
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} must be finite")
     if np.any(np.diagonal(cost) != 0.0):
         raise ValueError("cost_per_error must have a zero diagonal")
     total = counts.sum()

@@ -600,8 +600,8 @@ def test_diverged_training_exits_1_naming_its_settings(
         (["run-categorical", "--pairs", "4:9", "--off-pair-cost", "inf"], "off_pair_cost must be finite, got inf"),
         (["run-binary", "--epochs", "0"], "epochs must be >= 1"),
         (["run-binary", "--w-fn", "-1"], "fn_cost must be >= 0, got -1.0"),
-        (["run-binary", "--seed", "-1"], "config key 'base_seed' expects an integer >= 0, got -1"),
-        (["run-categorical", "--seed", "-2"], "config key 'base_seed' expects an integer >= 0, got -2"),
+        (["run-binary", "--seed", "-1"], "base_seed must be >= 0, got -1"),
+        (["run-categorical", "--seed", "-2"], "base_seed must be >= 0, got -2"),
         (["run-binary", "--learning-rate", "inf"], "learning_rate must be finite"),
     ],
 )
@@ -669,17 +669,17 @@ def test_an_out_dir_that_cannot_be_made_exits_1_before_any_trial(
         (["bernoulli", "--w-neg", "0"], "w_neg must be > 0, got 0.0"),
         (["bernoulli", "--p0", "1.5"], "p0 must be < 1, got 1.5"),
         (["bernoulli", "--iterations", "0"], "iterations must be >= 1"),
-        (["gradcheck", "--instances", "0"], "config key 'instances' expects an integer >= 1, got 0"),
-        (["gradcheck", "--seed", "-1"], "config key 'seed' expects an integer >= 0, got -1"),
-        (["gradcheck", "--step", "0"], "config key 'step' expects a number > 0, got 0.0"),
-        (["gradcheck", "--step", "inf"], "config key 'step' expects a finite number, got inf"),
-        (["gradcheck", "--tolerance", "inf"], "config key 'tolerance' expects a finite number, got inf"),
+        (["gradcheck", "--instances", "0"], "instances must be >= 1, got 0"),
+        (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["gradcheck", "--step", "0"], "step must be > 0, got 0.0"),
+        (["gradcheck", "--step", "inf"], "step must be finite, got inf"),
+        (["gradcheck", "--tolerance", "inf"], "tolerance must be finite, got inf"),
         (["bernoulli", "--step", "inf"], "step must be finite"),
         (["bernoulli", "--w-pos", "inf"], "w_pos must be finite, got inf"),
         (["bernoulli", "--w-pos", "1e308", "--w-neg", "1e308"], "total weight w_pos*n_pos"),
         (["bernoulli", "--n-pos", "1" + "0" * 400], "total weight w_pos*n_pos"),
-        (["gradcheck", "--tolerance", "0"], "config key 'tolerance' expects a number > 0, got 0.0"),
-        (["gradcheck", "--tolerance", "-1"], "config key 'tolerance' expects a number > 0, got -1.0"),
+        (["gradcheck", "--tolerance", "0"], "tolerance must be > 0, got 0.0"),
+        (["gradcheck", "--tolerance", "-1"], "tolerance must be > 0, got -1.0"),
     ],
 )
 def test_demo_argument_errors_exit_1(capsys, argv, message):
@@ -700,35 +700,36 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, key, value, kind",
+    "command, key, value, message",
     [
-        ("bernoulli", "n_pos", [1], "int"),
-        ("run-binary", "epochs", [1], "int"),
-        ("run-binary", "epochs", 1.5, "int"),
-        ("run-binary", "w_mcfn", "500", "float"),
-        ("run-binary", "out_dir", 5, "str"),
-        ("run-binary", "digits", 3, "list"),
-        ("run-categorical", "pairs", "4:9", "list"),
-        ("gradcheck", "tolerance", None, "float"),
-        ("gradcheck", "instances", True, "int"),
-        ("run-binary", "w_mcfn", False, "float"),
-        ("run-binary", "digits", [True], "int"),
-        ("run-binary", "data_dir", 5, "str"),
-        ("verify-data", "data_dir", 5, "str"),
-        ("bernoulli", "curve", 5, "str"),
-        ("run-categorical", "images", "ab", "list"),
-        ("run-binary", "labels", "cd", "list"),
-        ("run-binary", "images", ["a", 5], "str"),
-        ("run-categorical", "pairs", [[1, 2, 3]], "pairs of two int"),
-        ("run-categorical", "pairs", [[1]], "pairs of two int"),
+        ("bernoulli", "n_pos", [1], "n_pos must be an integer, got [1]"),
+        ("run-binary", "epochs", [1], "epochs must be an integer, got [1]"),
+        ("run-binary", "epochs", 1.5, "epochs must be an integer, got 1.5"),
+        ("run-binary", "w_mcfn", "500", "w_mcfn must be a number, got '500'"),
+        ("run-binary", "out_dir", 5, "config key 'out_dir' expects str, got 5"),
+        ("run-binary", "digits", 3, "config key 'digits' expects list, got 3"),
+        ("run-categorical", "pairs", "4:9", "config key 'pairs' expects list, got '4:9'"),
+        ("gradcheck", "tolerance", None, "tolerance must be a number, got None"),
+        ("gradcheck", "instances", True, "instances must be an integer, got True"),
+        ("run-binary", "w_mcfn", False, "w_mcfn must be a number, got False"),
+        ("run-binary", "digits", [True], "digits must be an integer, got True"),
+        ("run-binary", "data_dir", 5, "config key 'data_dir' expects str, got 5"),
+        ("verify-data", "data_dir", 5, "config key 'data_dir' expects str, got 5"),
+        ("bernoulli", "curve", 5, "config key 'curve' expects str, got 5"),
+        ("run-categorical", "images", "ab", "config key 'images' expects list, got 'ab'"),
+        ("run-binary", "labels", "cd", "config key 'labels' expects list, got 'cd'"),
+        ("run-binary", "images", ["a", 5], "config key 'images' expects str, got 5"),
+        ("run-categorical", "pairs", [[1, 2, 3]], "config key 'pairs' expects pairs of two int, got [[1, 2, 3]]"),
+        ("run-categorical", "pairs", [[1]], "config key 'pairs' expects pairs of two int, got [[1]]"),
     ],
 )
-def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, kind):
+def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, key, value, message):
+    # A number is refused in data.check_int's or check_real's words, anything else in the CLI's.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"command": command, key: value}))
     assert main(["--config", str(path), command]) == 1
     captured = capsys.readouterr()
-    assert f"config key {key!r} expects {kind}, got {value!r}" in captured.err
+    assert captured.err == f"error: {message}\n"
     assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
 
 
@@ -747,7 +748,7 @@ def test_a_config_number_too_large_for_an_int_is_an_error(tmp_path, capsys, comm
     path.write_text(f'{{"{key}": {text}}}')
     assert main(["--config", str(path), command]) == 1
     captured = capsys.readouterr()
-    assert f"config key {key!r} expects " in captured.err
+    assert f"error: {key} must be an integer, got " in captured.err
     assert ECHO_PREFIX not in captured.out  # rejected before the echo and any work
 
 
@@ -774,7 +775,7 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, command, source):
         value = -3
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert f"config key 'jobs' expects an integer >= 1, got {value}" in captured.err
+    assert captured.err == f"error: jobs must be >= 1, got {value}\n"
     assert ECHO_PREFIX not in captured.out  # rejected before the echo and any data source
 
 
@@ -803,20 +804,26 @@ def test_a_checked_setting_fails_alike_from_a_flag_and_a_config(
         assert ECHO_PREFIX not in captured.out  # rejected before the echo and any data source
         errors.append(captured.err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith(f"error: config key {key!r} expects ")
+    assert errors[0].startswith((f"error: {key} must be ", f"error: config key {key!r} expects "))
+
+
+# A value just outside each kind of bound a row may pass to check_int or check_real.
+OUTSIDE = {
+    "least": lambda bound: bound - 1,
+    "above": lambda bound: bound,
+    "below": lambda bound: bound,
+    "most": lambda bound: bound + 1,
+}
 
 
 def refused_values(row):
-    """Values the row's declared checks and kind must refuse, whatever its command."""
+    """Values the row's bounds, choices and kind must refuse, whatever its command."""
     values = [True, {"wrong": "type"}]  # a JSON boolean and a JSON type no kind takes
-    if row.least is not None:
-        values.append(row.least - 1)
-    if row.positive:
-        values += [math.nan, math.inf, 0.0, -1.0]
+    values += [OUTSIDE[keyword](bound) for keyword, bound in row.bounds.items()]
     if row.choices is not None:
         values.append("none-of-" + "-".join(row.choices))
     if row.kind is cli.FLOAT:
-        values.append(10**400)  # an integer literal beyond float range
+        values += [math.nan, math.inf, 10**400]  # the last an integer literal beyond float range
     return values
 
 
@@ -844,6 +851,25 @@ def test_every_setting_refuses_what_its_row_refuses(tmp_path, capsys, command, r
             if rc != 1 or row.key not in captured.err or ECHO_PREFIX in captured.out:
                 failures.append((argv[-1], value, rc, captured.err))
     assert failures == []
+
+
+WHOLE_NUMBER_ROWS = [(command, row) for command, row in SETTING_ROWS if row.kind in (cli.INT, cli.INTS, cli.PAIRS)]
+
+
+@pytest.mark.parametrize(
+    "command, row", WHOLE_NUMBER_ROWS, ids=[f"{command}-{row.key}" for command, row in WHOLE_NUMBER_ROWS]
+)
+def test_a_float_for_a_whole_number_key_exits_1(tmp_path, capsys, command, row):
+    # {"iterations": 10.0} once ran; the library's rule, which the CLI now
+    # shares, refuses a float for a whole number even when it is whole.
+    item = 10.0  # refused as a float before any range check, so one value serves every row
+    value = item if row.kind is cli.INT else [item] if row.kind is cli.INTS else [[item, 9]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({row.key: value}))
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {row.key} must be an integer, got {item!r}\n"
+    assert ECHO_PREFIX not in captured.out
 
 
 def test_a_config_written_for_another_command_is_an_error(tmp_path, capsys):

@@ -335,9 +335,9 @@ def test_cost_model_validation():
         LossSpec.wcce([1.0, -2.0])
     with pytest.raises(ValueError, match="per_class must be a vector of length >= 2"):
         LossSpec.wcce([1.0])
-    # Each message names the variant's terms, then the failed check of the input.
-    with pytest.raises(ValueError, match="at least one of fn_cost, fp_cost must be positive"):
-        LossSpec.rwwce_binary(0.0, 0.0)
+    with pytest.raises(ValueError, match="^at least one of fn_cost, fp_cost must be positive$"):
+        LossSpec.rwwce_binary(0.0, 0.0)  # BinaryCostModel's own message
+    # A categorical message names the variant's terms, then the failed check of the input.
     with pytest.raises(ValueError, match="fp_costs must be 3x3 to match fn_costs"):
         LossSpec.rwwce_categorical(np.ones(3), np.zeros((2, 2)))
 

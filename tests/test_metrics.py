@@ -190,6 +190,8 @@ def test_best_f1_no_positive_labels_returns_above_max_sentinel():
     threshold, f1 = best_f1_threshold([0.3, 0.7], [0.0, 0.0])
     assert f1 == 0.0
     assert threshold == 0.7 + 1.0
+    # control2 is scored at the sentinel, so the threshold rule has no [0, 1] bound.
+    assert confusion_binary([0.3, 0.7], [0.0, 0.0], threshold) == ConfusionCounts(tp=0, fp=0, tn=2, fn=0)
 
 
 def test_best_f1_ties_go_to_larger_threshold():
@@ -338,6 +340,12 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
          "cost matrix shape (3, 3) does not match tallies (2, 2)"),
         (lambda: real_world_cost_categorical(np.zeros((2, 2)), np.zeros((2, 2))), "tallies are empty"),
         (lambda: top1_error(ConfusionMatrix(np.zeros((2, 2)))), "confusion matrix is empty"),
+        (lambda: real_world_cost_categorical([[1.0, math.nan], [0.0, 1.0]], np.zeros((2, 2))),
+         "tallies must be finite"),
+        (lambda: real_world_cost_categorical(np.eye(2), [[0.0, math.inf], [1.0, 0.0]]),
+         "cost_per_error must be finite"),
+        (lambda: real_world_cost_categorical(np.eye(2), [[0.0, math.nan], [1.0, 0.0]]),
+         "cost_per_error must be finite"),
     ],
 )
 def test_categorical_metrics_refuse_malformed_input(call, message):

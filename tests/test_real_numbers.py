@@ -2,8 +2,9 @@
 
 The table has one row per real parameter the library takes.  The rows of the
 config dataclasses are generated from their fields annotated float, so a new
-real field cannot skip the rule unnoticed: it needs an entry in BOUNDS.  Each
-row refuses a NaN, an infinity, a bool, a string and each value outside its
+real field cannot skip the rule unnoticed: it needs an entry in BOUNDS.  The
+other rows are the scalar arguments of functions and classmethods, the metric
+scalars among them.  Each row refuses a NaN, an infinity, a bool, a string and each value outside its
 bounds with a ValueError naming the parameter, and stores (or uses) a numpy
 float as a plain float.
 """
@@ -21,11 +22,14 @@ from rwwce import (
     CategoricalTrialConfig,
     LossSpec,
     TrainConfig,
+    confusion_binary,
     descend,
+    f1_score,
     gradcheck,
     gradcheck_matrix,
     init_mlp,
     load_records,
+    real_world_cost_binary,
     records_match,
     run_binary_suite,
     save_records,
@@ -48,6 +52,14 @@ BOUNDS = {
     "descend.step": {"above": 0, "most": 1},
     "gradcheck.step": {"above": 0},
     "gradcheck_matrix.step": {"above": 0},
+    "LossSpec.wbce.positive_weight": {"above": 0},
+    "LossSpec.rwwce_binary.fn_cost": {"least": 0},
+    "LossSpec.rwwce_binary.fp_cost": {"least": 0},
+    # Any finite threshold: best_f1_threshold's sentinels lie outside [0, 1].
+    "confusion_binary.threshold": {},
+    "real_world_cost_binary.fn": {"least": 0},
+    "real_world_cost_binary.fp": {"least": 0},
+    "real_world_cost_binary.n": {"above": 0},
 }
 
 # The arguments each config needs besides the field under test.
@@ -84,6 +96,9 @@ def _field_row(cls, name: str) -> Real:
                 lambda v: getattr(cls(**{**REQUIRED[cls], name: v}), name))
 
 
+COST = BinaryCostModel(2000.0, 100.0)
+
+
 def _gradcheck(step):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
@@ -97,6 +112,14 @@ REALS = [_field_row(cls, name) for cls, name in FIELDS] + [
     Real("descend.step", "step", lambda v: descend(BernoulliScenario(1, 1), step=v, iterations=1)),
     Real("gradcheck.step", "step", _gradcheck),
     Real("gradcheck_matrix.step", "step", lambda v: gradcheck_matrix(0, 1, v)["bce"]),
+    Real("LossSpec.wbce.positive_weight", "positive weight", lambda v: LossSpec.wbce(v).terms[0]),
+    Real("LossSpec.rwwce_binary.fn_cost", "fn_cost", lambda v: LossSpec.rwwce_binary(v, 1.0).terms[0]),
+    Real("LossSpec.rwwce_binary.fp_cost", "fp_cost", lambda v: LossSpec.rwwce_binary(1.0, v).terms[1]),
+    Real("confusion_binary.threshold", "threshold",
+         lambda v: f1_score(confusion_binary([0.2, 0.7, 0.9], [0, 1, 1], v))),
+    Real("real_world_cost_binary.fn", "fn", lambda v: real_world_cost_binary(v, 1.0, 10, COST)),
+    Real("real_world_cost_binary.fp", "fp", lambda v: real_world_cost_binary(1.0, v, 10, COST)),
+    Real("real_world_cost_binary.n", "n", lambda v: real_world_cost_binary(1.0, 1.0, v, COST)),
 ]
 IDS = [real.where for real in REALS]
 

@@ -137,6 +137,12 @@ def test_check_int_returns_a_plain_int():
         assert type(check_int("n", value, 0, 9)) is int
     with pytest.raises(ValueError, match=r"^n must be 0\.\.9, got np\.int64\(10\)$"):
         check_int("n", np.int64(10), 0, 9)
+    # Either bound may be left open; with none, only the type is checked.
+    assert check_int("n", -(10**30)) == -(10**30)
+    with pytest.raises(ValueError, match=r"^n must be <= 9, got 10$"):
+        check_int("n", 10, most=9)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.0$"):
+        check_int("n", 10.0)
 
 
 def test_a_suite_of_numpy_integers_saves_its_records(small_pool, tmp_path):
