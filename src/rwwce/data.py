@@ -24,8 +24,10 @@ the library takes passes it, and a numpy integer is stored as a plain int,
 so a record holding it saves as JSON.  check_real is the one rule for real
 numbers: every scalar cost, weight, rate, step and metric threshold or tally
 passes it; a NaN, an infinity, a bool, a string or a value out of bounds
-fails, and a numpy float is stored as a plain float.  The CLI checks every
-number setting with the same two rules, under its config key.
+fails, and a numpy float is stored as a plain float.  check_nonnegative is
+the same rule at least=0 for every entry of an array of costs or tallies.
+The CLI checks every number setting with the same two rules, under its
+config key.
 """
 
 from __future__ import annotations
@@ -280,6 +282,15 @@ def check_real(name: str, value, *, least=None, above=None, below=None, most=Non
         if bound is not None and not keeps(number, bound):
             raise ValueError(f"{name} must be {relation} {bound}, got {value!r}")
     return number
+
+
+def check_nonnegative(name: str, array: np.ndarray) -> None:
+    """A ValueError naming name unless every entry of array is finite and
+    >= 0, check_real's rule with least=0 and one message per part of it."""
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(array < 0):
+        raise ValueError(f"{name} must be >= 0")
 
 
 def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:

@@ -1,23 +1,22 @@
 """Cross-entropy loss family with real-world cost weighting.
 
-Six loss variants share a common shape: a per-example sum of weighted log
-terms, averaged over the batch and negated.  The plain and class-weighted
-variants are the familiar binary/categorical cross-entropies; the
-real-world-weight variants replace the class weights with marginal dollar
-(or hour, or any unit) costs of false negatives and false positives, so the
-training objective is denominated in the same units as the deployment cost.
+Every loss here is a per-example sum of weighted log terms, averaged over
+the batch and negated.  The plain and class-weighted losses are the familiar
+binary/categorical cross-entropies; the real-world-weight ones replace the
+class weights with marginal dollar (or hour, or any unit) costs of false
+negatives and false positives, so the training objective is denominated in
+the same units as the deployment cost.
 
 All losses use natural log and clip each log argument below at EPSILON so a
 saturated probability yields a large finite penalty instead of an infinity.
-Each variant is a choice of term weights: (a, b) on the positive and negative
-log terms for binary variants, (a, FP) on the true-class and wrong-class terms
-for categorical ones.  A LossSpec is a variant name plus those weights; the
-classmethod named after the variant builds them, and constructing any spec
-checks them against that variant's rules.
+A LossSpec is a loss's term weights, in one of two families: binary (a, b)
+on the positive- and negative-label log terms, or categorical (a, FP) on
+the true-class and wrong-class terms; its six classmethods build the
+paper's weightings, each a point of one family.
 checked_targets holds labels to data.Dataset's rule and weighs each
 example's log h and log(1 - h) terms as (pos, neg); from those, one
 unchecked kernel, loss_and_gradient, evaluates one loss expression for every
-variant and its logit gradient, so the weighted variants degenerate to the
+spec and its logit gradient, so the weighted losses degenerate to the
 unweighted ones exactly when their weights are 1 (and FP is 0); tests hold
 them to that.  loss_value and fused_gradient_from_probs validate a batch
 and call it; train() weighs its labels once and calls it per batch.
@@ -26,16 +25,12 @@ and call it; train() weighs its labels once and calls it per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .data import check_labels, check_real
+from .data import check_labels, check_nonnegative, check_real
 
 EPSILON = 1e-7
-
-VARIANTS = ("bce", "wbce", "cce", "wcce", "rwwce_binary", "rwwce_categorical")
-BINARY_VARIANTS = ("bce", "wbce", "rwwce_binary")
 
 ROW_SUM_TOLERANCE = 1e-6
 
@@ -59,104 +54,68 @@ class BinaryCostModel:
             raise ValueError("at least one of fn_cost, fp_cost must be positive")
 
 
-def _terms_fault(variant: str, terms) -> str | None:
-    """Why terms break variant's rules, or None when they fit.
-
-    A fault that a classmethod's arguments can cause names the argument.
-    """
-    if variant == "cce":
-        return None if terms is None else f"got {terms!r}"
-    if variant in BINARY_VARIANTS:
-        if not (isinstance(terms, tuple) and len(terms) == 2
-                and all(isinstance(t, Real) and not isinstance(t, bool) for t in terms)):
-            return f"got {terms!r}"
-        a, b = terms
-        try:
-            if variant == "rwwce_binary":
-                BinaryCostModel(a, b)
-                return None
-            if variant == "wbce":
-                check_real("positive weight", a, above=0)
-        except ValueError as err:
-            return str(err)
-        if variant == "bce" and a != 1.0:
-            return f"the positive-label weight must be 1.0, got {a!r}"
-        return None if b == 1.0 else f"the negative-label weight must be 1.0, got {b!r}"
-    if not (isinstance(terms, tuple) and len(terms) == 2
-            and all(isinstance(t, np.ndarray) for t in terms)):
-        return f"got {terms!r}"
-    a, fp = terms
-    a_name, fp_name = ("per_class", "FP") if variant == "wcce" else ("fn_costs", "fp_costs")
-    if a.ndim != 1 or a.size < 2:
-        return f"{a_name} must be a vector of length >= 2"
-    k = a.size
-    if fp.shape != (k, k):
-        return f"{fp_name} must be {k}x{k} to match {a_name}, got {fp.shape}"
-    if variant == "wcce":
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            return "per_class weights must be finite and > 0"
-        return None if not np.any(fp) else "FP must be all zeros"
-    for name, arr in ((a_name, a), (fp_name, fp)):
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            return f"{name} entries must be finite and nonnegative"
-    return None if not np.any(np.diagonal(fp)) else "the diagonal of fp_costs must be zero"
-
-
-_TERMS_SHAPE = {
-    "cce": "None",
-    **dict.fromkeys(BINARY_VARIANTS, "a pair of numbers (a, b)"),
-    **dict.fromkeys(("wcce", "rwwce_categorical"), "(a, FP): a length-K array and a KxK array"),
-}
-
-
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss variant and its term weights, as loss_and_gradient reads them.
+    """A loss's term weights, as loss_and_gradient reads them.
 
-    terms is (a, b), the positive- and negative-label multipliers, for the
-    binary variants; (a, FP), a true-class weight vector and an off-diagonal
-    false-positive matrix, for wcce and rwwce_categorical; and None for cce,
-    whose class count comes from the batch.  Construction holds every spec,
-    however built, to its variant's rules: bce weighs both terms by 1.0; wbce
-    is (a, 1.0) with a finite and > 0; rwwce_binary is a pair of costs
-    BinaryCostModel accepts; wcce is finite, positive class weights (K >= 2)
-    with an all-zero FP; rwwce_categorical is finite, nonnegative costs
-    (K >= 2) with a zero FP diagonal.  The classmethod named after each
-    variant turns its arguments into those terms.
+    terms is one of two families, held to its rules however the spec is
+    built.  Binary: (a, b), the positive- and negative-label multipliers, a
+    pair of costs (fn_cost, fp_cost) that BinaryCostModel accepts, stored as
+    plain floats.  Categorical: (a, FP), a true-class vector fn_costs of
+    length K >= 2 and a KxK wrong-class matrix fp_costs with a zero
+    diagonal, every entry finite and >= 0; or None, unit weights whose class
+    count comes from the batch.  The classmethods build the paper's six
+    weightings: bce is (1.0, 1.0), wbce (w, 1.0), cce None, wcce (w, 0).
     """
 
-    variant: str
     terms: tuple | None
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown loss variant {self.variant!r}")
-        fault = _terms_fault(self.variant, self.terms)
-        if fault is not None:
-            raise ValueError(f"{self.variant} terms must be {_TERMS_SHAPE[self.variant]}: {fault}")
+        terms = self.terms
+        pair = isinstance(terms, tuple) and len(terms) == 2
+        if pair and all(isinstance(t, np.ndarray) for t in terms):
+            a, fp = terms
+            if a.ndim != 1 or a.size < 2:
+                raise ValueError("fn_costs must be a vector of length >= 2")
+            if fp.shape != (a.size, a.size):
+                raise ValueError(f"fp_costs must be {a.size}x{a.size} to match fn_costs, got {fp.shape}")
+            check_nonnegative("fn_costs", a)
+            check_nonnegative("fp_costs", fp)
+            if np.any(np.diagonal(fp)):
+                raise ValueError("the diagonal of fp_costs must be zero")
+        elif pair:  # BinaryCostModel names a term that is not a number
+            cost = BinaryCostModel(*terms)
+            object.__setattr__(self, "terms", (cost.fn_cost, cost.fp_cost))
+        elif terms is not None:
+            raise ValueError(
+                "loss terms must be None, a pair of numbers (fn_cost, fp_cost) "
+                f"or a pair of arrays (fn_costs, fp_costs), got {terms!r}"
+            )
 
     @property
     def is_binary(self) -> bool:
-        return self.variant in BINARY_VARIANTS
+        return self.terms is not None and isinstance(self.terms[0], float)
 
     @classmethod
     def bce(cls) -> "LossSpec":
-        return cls("bce", (1.0, 1.0))
+        return cls((1.0, 1.0))
 
     @classmethod
     def wbce(cls, positive_weight: float) -> "LossSpec":
         """Binary cross-entropy with the positive-label term scaled by positive_weight."""
-        return cls("wbce", (check_real("positive weight", positive_weight, above=0), 1.0))
+        return cls((check_real("positive weight", positive_weight, above=0), 1.0))
 
     @classmethod
     def cce(cls) -> "LossSpec":
-        return cls("cce", None)
+        return cls(None)
 
     @classmethod
     def wcce(cls, per_class) -> "LossSpec":
         """Categorical cross-entropy with each true-class term scaled by its class weight."""
         w = np.array(per_class, dtype=np.float64)  # a copy: the spec owns its weights
-        return cls("wcce", (w, np.zeros((w.size, w.size))))
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValueError("per_class weights must be finite and > 0")
+        return cls((w, np.zeros((w.size, w.size))))
 
     @classmethod
     def rwwce_binary(cls, fn_cost: float, fp_cost: float) -> "LossSpec":
@@ -165,8 +124,7 @@ class LossSpec:
         The positive-label log term carries fn_cost, the negative-label term
         fp_cost, so the value is the batch-mean expected cost surrogate.
         """
-        cost = BinaryCostModel(fn_cost, fp_cost)
-        return cls("rwwce_binary", (cost.fn_cost, cost.fp_cost))
+        return cls((fn_cost, fp_cost))
 
     @classmethod
     def rwwce_categorical(cls, fn_costs, fp_costs) -> "LossSpec":
@@ -182,7 +140,7 @@ class LossSpec:
         fp = np.array(fp_costs, dtype=np.float64)
         if fp.ndim == 2:  # any other shape is refused on construction
             np.fill_diagonal(fp, 0.0)
-        return cls("rwwce_categorical", (a, fp))
+        return cls((a, fp))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -236,8 +194,6 @@ def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, np.ndarray]
     else:
         a, fp = spec.terms
         if a.size != k:
-            if spec.variant == "wcce":
-                raise ValueError(f"per_class has {a.size} entries for {k} classes")
             raise ValueError(f"cost model has {a.size} classes, batch has {k}")
     return a * y, y @ fp
 
@@ -260,7 +216,7 @@ def loss_and_gradient(h: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[
     Unchecked: h holds float64 probabilities, one sigmoid unit as an (M, 1)
     column or softmax rows as (M, K), and (pos, neg) are what checked_targets
     returns for them.  With each log argument clipped below at EPSILON, every
-    variant has one loss, and only its gradient depends on the activation,
+    spec has one loss, and only its gradient depends on the activation,
     with u = -pos + neg * h / (1 - h):
 
       loss = -mean over rows of sum(pos * log h) + sum(neg * log(1 - h))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_labels, check_real
+from .data import check_labels, check_nonnegative, check_real
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,11 @@ def real_world_cost_binary(fn, fp, n, cost) -> float:
 
 @dataclass
 class ConfusionMatrix:
-    """counts[k, k'] tallies examples of true class k predicted as k'."""
+    """counts[k, k'] tallies examples of true class k predicted as k'.
+
+    The tallies may be fractional; each is finite and >= 0
+    (data.check_nonnegative).
+    """
 
     counts: np.ndarray
 
@@ -125,10 +129,12 @@ class ConfusionMatrix:
         self.counts = np.asarray(self.counts)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError("confusion matrix must be square")
+        check_nonnegative("tallies", self.counts)
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def total(self) -> int | float:
+        """The sum of the tallies: a plain int for integer counts, else a float."""
+        return self.counts.sum().item()
 
 
 def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
@@ -155,7 +161,7 @@ def real_world_cost_categorical(tallies, cost_per_error) -> float:
     tallies is a ConfusionMatrix or a real-valued square array of (possibly
     fractional) confusion tallies; cost_per_error[k, k'] prices a class-k
     example predicted as k' and must have a zero diagonal, since a correct
-    prediction costs nothing.  Both must be finite.
+    prediction costs nothing.  Every entry of both is finite and >= 0.
     """
     counts = tallies.counts if isinstance(tallies, ConfusionMatrix) else np.asarray(tallies, dtype=np.float64)
     cost = np.asarray(cost_per_error, dtype=np.float64)
@@ -163,9 +169,8 @@ def real_world_cost_categorical(tallies, cost_per_error) -> float:
         raise ValueError("tallies must be square")
     if cost.shape != counts.shape:
         raise ValueError(f"cost matrix shape {cost.shape} does not match tallies {counts.shape}")
-    for name, array in (("tallies", counts), ("cost_per_error", cost)):
-        if not np.all(np.isfinite(array)):
-            raise ValueError(f"{name} must be finite")
+    check_nonnegative("tallies", counts)
+    check_nonnegative("cost_per_error", cost)
     if np.any(np.diagonal(cost) != 0.0):
         raise ValueError("cost_per_error must have a zero diagonal")
     total = counts.sum()

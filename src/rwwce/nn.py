@@ -23,8 +23,6 @@ import numpy as np
 
 from .data import check_int, check_real
 from .losses import (
-    BINARY_VARIANTS,
-    VARIANTS,
     LossSpec,
     checked_targets,
     fused_gradient_from_probs,
@@ -320,13 +318,13 @@ def _check_pairing(mlp: Mlp, spec: LossSpec) -> None:
     if spec.is_binary:
         if final.activation != "sigmoid" or final.out_dim != 1:
             raise ValueError(
-                f"{spec.variant} needs a 1-unit sigmoid output layer, "
+                "a binary loss needs a 1-unit sigmoid output layer, "
                 f"model ends in {final.out_dim}-unit {final.activation}"
             )
     else:
         if final.activation != "softmax":
             raise ValueError(
-                f"{spec.variant} needs a softmax output layer, model ends in {final.activation}"
+                f"a categorical loss needs a softmax output layer, model ends in {final.activation}"
             )
 
 
@@ -430,6 +428,11 @@ def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float
     return float(errors.max())  # NaN propagates, where max() would pass over it
 
 
+# gradcheck_matrix's loss names, one per LossSpec classmethod.  The order sets
+# its rng draws, and so every figure the gradcheck command prints.
+VARIANTS = ("bce", "wbce", "cce", "wcce", "rwwce_binary", "rwwce_categorical")
+BINARY_VARIANTS = ("bce", "wbce", "rwwce_binary")
+
 # Each variant's gradcheck spec, drawn after the labels for k classes (1 if binary).
 _GRADCHECK_SPECS = {
     "bce": lambda rng, k: LossSpec.bce(),
@@ -487,10 +490,11 @@ def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
 def gradcheck_matrix(
     seed: int = 0, instances_per_variant: int = 4, step: float = 1e-5
 ) -> dict[str, float]:
-    """Gradient-check every loss variant on fresh random instances.
+    """Gradient-check each LossSpec classmethod's loss on fresh random instances.
 
-    Returns {variant: worst relative error over its instances}, in VARIANTS
-    order, a NaN kept as gradcheck keeps it; the caller decides what passes.
+    Returns {name: worst relative error over its instances}, keyed by the
+    classmethod names in VARIANTS order, the order of the rng draws, a NaN
+    kept as gradcheck keeps it; the caller decides what passes.
     """
     instances_per_variant = check_int("instances_per_variant", instances_per_variant, 1)
     rng = np.random.default_rng(check_int("seed", seed, 0))

@@ -229,7 +229,7 @@ def test_fused_logit_gradient_matches_finite_differences():
             h = sigmoid(z) if spec.is_binary else softmax(z)
             analytic = fused_gradient_from_probs(spec, h, y)
             numeric = central_difference(spec, z, y)
-            assert relative_errors(analytic, numeric).max() < 1e-6, spec.variant
+            assert relative_errors(analytic, numeric).max() < 1e-6, spec
 
 
 def test_fused_gradient_single_example_bce():
@@ -333,67 +333,53 @@ def test_cost_model_validation():
         LossSpec.wbce(0.0)
     with pytest.raises(ValueError, match="per_class weights must be finite and > 0"):
         LossSpec.wcce([1.0, -2.0])
-    with pytest.raises(ValueError, match="per_class must be a vector of length >= 2"):
-        LossSpec.wcce([1.0])
+    with pytest.raises(ValueError, match="^fn_costs must be a vector of length >= 2$"):
+        LossSpec.wcce([1.0])  # per_class is the categorical family's fn_costs
     with pytest.raises(ValueError, match="^at least one of fn_cost, fp_cost must be positive$"):
         LossSpec.rwwce_binary(0.0, 0.0)  # BinaryCostModel's own message
-    # A categorical message names the variant's terms, then the failed check of the input.
-    with pytest.raises(ValueError, match="fp_costs must be 3x3 to match fn_costs"):
+    with pytest.raises(ValueError, match="^fp_costs must be 3x3 to match fn_costs"):
         LossSpec.rwwce_categorical(np.ones(3), np.zeros((2, 2)))
 
 
-def test_loss_spec_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="unknown loss variant 'nonsense'"):
-        LossSpec("nonsense", None)
+def test_loss_spec_rejects_terms_of_neither_family():
+    with pytest.raises(ValueError, match="^loss terms must be None, a pair of numbers .*got 'nonsense'"):
+        LossSpec("nonsense")
     assert LossSpec.bce().is_binary
     assert not LossSpec.cce().is_binary
 
 
 @pytest.mark.parametrize(
-    "variant, terms",
-    [
-        ("bce", None),
-        ("wbce", (2.0,)),
-        ("wbce", (2.0, True)),
-        ("rwwce_binary", [2000.0, 100.0]),
-        ("rwwce_binary", (np.ones(2), np.zeros((2, 2)))),
-        ("cce", (1.0, 1.0)),
-        ("wcce", (1.0, 2.0)),
-        ("wcce", (np.ones(3),)),
-        ("rwwce_categorical", None),
-        ("rwwce_categorical", (np.ones(3), np.zeros((2, 2)))),
-        ("rwwce_categorical", (np.ones((3, 1)), np.zeros((3, 3)))),
-    ],
+    "terms",
+    [(2.0,), (np.ones(3),), (1.0, 2.0, 3.0), [2000.0, 100.0], np.ones(2)],
 )
-def test_hand_built_loss_spec_terms_must_fit_the_variant(variant, terms):
-    with pytest.raises(ValueError, match=f"^{variant} terms must be "):
-        LossSpec(variant, terms)
+def test_hand_built_loss_spec_terms_must_be_of_a_family(terms):
+    with pytest.raises(ValueError, match="^loss terms must be None, a pair of numbers"):
+        LossSpec(terms)
 
 
 @pytest.mark.parametrize(
-    "variant, terms, reason",
+    "terms, reason",
     [
-        ("bce", (2.0, 3.0), "positive-label weight must be 1.0"),
-        ("bce", (1.0, 3.0), "negative-label weight must be 1.0"),
-        ("wbce", (-1.0, 1.0), "positive weight must be > 0, got -1.0"),
-        ("wbce", (math.nan, 1.0), "positive weight must be finite, got nan"),
-        ("wbce", (2.0, 3.0), "negative-label weight must be 1.0"),
-        ("rwwce_binary", (0.0, 0.0), "at least one of fn_cost, fp_cost must be positive"),
-        ("rwwce_binary", (-1.0, 1.0), "fn_cost must be >= 0, got -1.0"),
-        ("wcce", (np.ones(3), np.ones((3, 3))), "FP must be all zeros"),
-        ("wcce", (np.array([1.0, 0.0, 1.0]), np.zeros((3, 3))), "per_class weights must be finite and > 0"),
-        ("wcce", (np.ones(1), np.zeros((1, 1))), "per_class must be a vector of length >= 2"),
-        ("rwwce_categorical", (np.array([1.0, -1.0]), np.zeros((2, 2))), "fn_costs entries must be finite"),
-        ("rwwce_categorical", (np.ones(2), np.array([[0.0, -1.0], [1.0, 0.0]])), "fp_costs entries must be finite"),
-        ("rwwce_categorical", (np.ones(2), np.array([[0.0, math.inf], [1.0, 0.0]])), "fp_costs entries must be finite"),
-        ("rwwce_categorical", (np.ones(2), np.ones((2, 2))), "diagonal of fp_costs must be zero"),
+        ((0.0, 0.0), "at least one of fn_cost, fp_cost must be positive"),
+        ((-1.0, 1.0), "fn_cost must be >= 0, got -1.0"),
+        ((math.nan, 1.0), "fn_cost must be finite, got nan"),
+        ((2.0, True), "fp_cost must be a number, got True"),
+        ((np.ones(2), 1.0), "fn_cost must be a number, got array"),
+        ((np.ones(1), np.zeros((1, 1))), "fn_costs must be a vector of length >= 2"),
+        ((np.ones((3, 1)), np.zeros((3, 3))), "fn_costs must be a vector of length >= 2"),
+        ((np.ones(3), np.zeros((2, 2))), "fp_costs must be 3x3 to match fn_costs, got (2, 2)"),
+        ((np.array([1.0, -1.0]), np.zeros((2, 2))), "fn_costs must be >= 0"),
+        ((np.array([1.0, math.nan]), np.zeros((2, 2))), "fn_costs must be finite"),
+        ((np.ones(2), np.array([[0.0, -1.0], [1.0, 0.0]])), "fp_costs must be >= 0"),
+        ((np.ones(2), np.array([[0.0, math.inf], [1.0, 0.0]])), "fp_costs must be finite"),
+        ((np.ones(2), np.ones((2, 2))), "the diagonal of fp_costs must be zero"),
     ],
 )
-def test_hand_built_loss_spec_must_keep_its_variants_rules(variant, terms, reason):
-    # Each of these computes some other loss than the one its variant names:
-    # a wcce with a nonzero FP, for one, trains against the true class.
-    with pytest.raises(ValueError, match=f"^{variant} terms must be .*: .*{reason}"):
-        LossSpec(variant, terms)
+def test_hand_built_loss_spec_must_keep_its_familys_rules(terms, reason):
+    # Binary terms are BinaryCostModel's costs; categorical terms are finite,
+    # nonnegative costs, K >= 2, with a zero FP diagonal.
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
+        LossSpec(terms)
 
 
 def test_hand_built_loss_spec_with_fitting_terms_is_the_classmethod_spec():
@@ -405,12 +391,25 @@ def test_hand_built_loss_spec_with_fitting_terms_is_the_classmethod_spec():
         LossSpec.wcce([2.0, 1.0, 3.0]),
         LossSpec.rwwce_categorical(np.ones(3), np.ones((3, 3))),
     ):
-        rebuilt = LossSpec(spec.variant, spec.terms)
+        rebuilt = LossSpec(spec.terms)
         if spec.is_binary:
             h, y = [0.2, 0.9], [1.0, 0.0]
         else:
             h, y = [[0.5, 0.3, 0.2]], [[0.0, 1.0, 0.0]]
         assert loss_value(rebuilt, h, y) == loss_value(spec, h, y)
+
+
+def test_any_point_of_a_family_is_a_loss():
+    # Weights off the classmethods' points: both binary terms weighted, and
+    # class weights with wrong-class costs.
+    weighted = LossSpec((2, np.float32(3.0)))
+    assert weighted.is_binary and weighted.terms == (2.0, 3.0)
+    assert all(type(t) is float for t in weighted.terms)
+    got = loss_value(weighted, [0.2, 0.9], [1.0, 0.0])
+    assert got == pytest.approx(-(2.0 * math.log(0.2) + 3.0 * math.log(0.1)) / 2, rel=1e-12)
+    a, fp = np.array([2.0, 1.0]), np.array([[0.0, 4.0], [1.0, 0.0]])
+    got = loss_value(LossSpec((a, fp)), [[0.25, 0.75]], [[1.0, 0.0]])
+    assert got == pytest.approx(-(2.0 * math.log(0.25) + 4.0 * math.log(0.25)), rel=1e-12)
 
 
 def test_loss_spec_terms_are_the_kernel_weights():
@@ -437,7 +436,7 @@ def test_class_count_mismatches_are_rejected():
     h = [[0.5, 0.3, 0.2]]
     y = [[1.0, 0.0, 0.0]]
     specs = [
-        (LossSpec.wcce([1.0, 1.0]), "per_class has 2 entries for 3 classes"),
+        (LossSpec.wcce([1.0, 1.0]), "cost model has 2 classes, batch has 3"),
         (
             LossSpec.rwwce_categorical(np.ones(4), np.zeros((4, 4))),
             "cost model has 4 classes, batch has 3",
@@ -594,8 +593,8 @@ def test_one_kernel_is_bit_identical_to_the_per_kind_kernels():
                 cases = [(hc, yc)]
             for hb, yb in cases:
                 want_loss, want_dz = _per_kind_kernels(spec, hb, yb)
-                assert same_bits(loss_value(spec, hb, yb), want_loss), spec.variant
-                assert same_bits(fused_gradient_from_probs(spec, hb, yb), want_dz), spec.variant
+                assert same_bits(loss_value(spec, hb, yb), want_loss), spec
+                assert same_bits(fused_gradient_from_probs(spec, hb, yb), want_dz), spec
                 if hb.ndim == 2:  # the network's own output shape
                     loss, dz = loss_and_gradient(hb, *checked_targets(spec, yb, hb.shape))
-                    assert same_bits(loss, want_loss) and same_bits(dz, want_dz), spec.variant
+                    assert same_bits(loss, want_loss) and same_bits(dz, want_dz), spec

@@ -346,6 +346,12 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
          "cost_per_error must be finite"),
         (lambda: real_world_cost_categorical(np.eye(2), [[0.0, math.nan], [1.0, 0.0]]),
          "cost_per_error must be finite"),
+        (lambda: real_world_cost_categorical([[1.0, -1.0], [0.0, 2.0]], [[0, 5], [5, 0]]),
+         "tallies must be >= 0"),
+        (lambda: real_world_cost_categorical([[1.0, 1.0], [0.0, 2.0]], [[0, -5], [5, 0]]),
+         "cost_per_error must be >= 0"),
+        (lambda: ConfusionMatrix(np.array([[1, -1], [0, 2]])), "tallies must be >= 0"),
+        (lambda: ConfusionMatrix(np.array([[1.0, math.inf], [0.0, 2.0]])), "tallies must be finite"),
     ],
 )
 def test_categorical_metrics_refuse_malformed_input(call, message):
@@ -370,6 +376,14 @@ def test_top1_error_values():
     tallies = np.diag([16877.0] + [0.0] * 9)
     tallies[0, 1] = 623.0
     assert top1_error(ConfusionMatrix(tallies)) == pytest.approx(0.0356, abs=5e-5)
+
+
+def test_top1_error_of_fractional_tallies_is_exact():
+    cm = ConfusionMatrix(np.array([[0.5, 1.5], [1.0, 1.2]]))
+    assert cm.total == 4.2
+    assert top1_error(cm) == 1.0 - 1.7 / 4.2
+    integer = ConfusionMatrix(np.array([[8, 2], [1, 9]]))
+    assert integer.total == 20 and type(integer.total) is int
 
 
 # --- Student-t ------------------------------------------------------------------

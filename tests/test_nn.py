@@ -26,8 +26,7 @@ from rwwce import (
     train,
 )
 from rwwce.experiments import BINARY_TOPOLOGY, CATEGORICAL_TOPOLOGY
-from rwwce.losses import BINARY_VARIANTS, VARIANTS
-from rwwce.nn import EVAL_BLOCK_ROWS, flat_layers, network_input, outputs
+from rwwce.nn import BINARY_VARIANTS, EVAL_BLOCK_ROWS, VARIANTS, flat_layers, network_input, outputs
 
 
 # --- init ---------------------------------------------------------------------
@@ -527,7 +526,7 @@ def _entry_cases():
     return [
         (sigmoid_head, x, binary_y, LossSpec.bce(), "binary labels must be exactly 0 or 1"),
         (softmax_head, x, not_one_hot, LossSpec.cce(), "labels must be exact one-hot rows"),
-        (softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]), "per_class has 2 entries for 3 classes"),
+        (softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]), "cost model has 2 classes, batch has 3"),
         (softmax_head, x, good_y, wide_cost, "cost model has 4 classes, batch has 3"),
     ]
 
@@ -676,8 +675,8 @@ def test_gradcheck_does_not_pass_a_model_with_a_nan_weight():
 @pytest.mark.parametrize(
     "topology, spec, message",
     [
-        ([(3, 2, "relu"), (2, 1, "relu")], LossSpec.bce(), "bce needs a 1-unit sigmoid"),
-        ([(3, 2, "relu"), (2, 3, "sigmoid")], LossSpec.cce(), "cce needs a softmax output"),
+        ([(3, 2, "relu"), (2, 1, "relu")], LossSpec.bce(), "a binary loss needs a 1-unit sigmoid"),
+        ([(3, 2, "relu"), (2, 3, "sigmoid")], LossSpec.cce(), "a categorical loss needs a softmax output"),
     ],
 )
 def test_gradcheck_rejects_an_output_layer_the_loss_cannot_read(topology, spec, message):
@@ -713,3 +712,15 @@ def test_gradcheck_matrix_covers_all_variants():
         "bce", "wbce", "cce", "wcce", "rwwce_binary", "rwwce_categorical",
     }
     assert all(worst < 1e-5 for worst in worst_by_variant.values()), worst_by_variant
+
+
+def test_gradcheck_matrix_keeps_its_draws():
+    # VARIANTS' order sets the rng draws; these are the figures of that order.
+    assert list(gradcheck_matrix(seed=0, instances_per_variant=2).items()) == [
+        ("bce", 4.263150458808822e-09),
+        ("wbce", 5.665976649049875e-10),
+        ("cce", 2.4167564202206897e-08),
+        ("wcce", 2.3980449585242646e-09),
+        ("rwwce_binary", 9.798961547681971e-09),
+        ("rwwce_categorical", 1.27066320912523e-07),
+    ]
