@@ -63,8 +63,6 @@ from .nn import TrainConfig, gradcheck_matrix
 
 DATA_DIR_ENV = "RWWCE_DATA_DIR"
 
-SCALES = ("desk", "full")
-
 
 class CliError(Exception):
     """A user-facing validation or configuration problem."""
@@ -91,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-RANGE_LIMIT = 1000  # values a lo-hi range may hold: 100 times the ten full scale selects
+RANGE_LIMIT = 1000  # values a lo-hi range may hold: 100 times the ten that "0-9" selects
 SELECTION = f"numbers and lo-hi ranges of at most {RANGE_LIMIT} values, comma-separated"
 
 
@@ -178,20 +176,14 @@ class Setting:
     """One setting of one subcommand.  key is its config key and its flag's dest;
     a None flag means config-only, and a None default lets the value stay None
     for the command to fill in.  bounds are a number's check_int or check_real
-    keywords; choices are a str's allowed values."""
+    keywords."""
 
     key: str
     kind: Kind
     default: object = None
     flag: str | None = None
     bounds: dict = field(default_factory=dict)
-    choices: tuple[str, ...] | None = None
     help: str | None = None
-
-    def check(self, value) -> None:
-        """Raise CliError unless value is one of choices (when the row has them)."""
-        if self.choices is not None and value not in self.choices:
-            raise CliError(f"config key {self.key!r} expects one of {self.choices}, got {value!r}")
 
 
 DATA = (
@@ -219,21 +211,20 @@ def _suite(out_dir: str) -> tuple[Setting, ...]:
         Setting("base_seed", INT, 0, "--seed", bounds={"least": 0}, help="trial i uses base_seed + i"),
         Setting("jobs", INT, 1, "--jobs", bounds={"least": 1}, help="parallel trial workers (threads)"),
         Setting("out_dir", STR, out_dir, "--out-dir"),
-        Setting("scale", STR, "desk", "--scale", choices=SCALES, help="trial-count preset"),
     )
 
 
 VERIFY_DATA = DATA[:1]
 
 RUN_BINARY = DATA + TRAINING + _suite("runs/binary") + (
-    Setting("digits", INTS, None, "--digits", help=f'digits to detect: {SELECTION}, e.g. "3,7" or "0-4"'),
-    Setting("slices", INTS, None, "--slices", help=f'positive-slice indices: {SELECTION}, e.g. "0" or "0-9"'),
+    Setting("digits", INTS, tuple(range(10)), "--digits", help=f"digits to detect: {SELECTION}"),
+    Setting("slices", INTS, (0,), "--slices", help=f'positive-slice indices: {SELECTION}; "0-9" is all ten'),
     Setting("w_mcfn", FLOAT, DEFAULT_BINARY_COST.fn_cost, "--w-fn", help="cost of a false negative"),
     Setting("w_mcfp", FLOAT, DEFAULT_BINARY_COST.fp_cost, "--w-fp", help="cost of a false positive"),
 )
 
 RUN_CATEGORICAL = DATA + TRAINING + _suite("runs/categorical") + (
-    Setting("pairs", PAIRS, None, "--pairs", help='"all" or pairs like "1:7,3:5" (true:predicted)'),
+    Setting("pairs", PAIRS, None, "--pairs", help='"all" or pairs like "1:7,3:5" (true:predicted); default 10 by --seed'),
     Setting("pair_weight", FLOAT, DEFAULT_PAIR_WEIGHT, "--pair-weight", help="extra cost on the expensive cell"),
     Setting("off_pair_cost", FLOAT, DEFAULT_OFF_PAIR_COST, "--off-pair-cost", help="cost of every other error"),
 )
@@ -291,7 +282,6 @@ def _resolve(args, rows: tuple[Setting, ...]) -> dict:
         if value is not None or row.default is not None:
             with _user_input():
                 value = row.kind.cast(row.key, value, **row.bounds)
-            row.check(value)
         resolved[row.key] = value
     resolved["command"] = args.command
     return resolved
@@ -403,10 +393,6 @@ def cmd_verify_data(resolved: dict) -> int:
 
 
 def cmd_run_binary(resolved: dict) -> int:
-    presets = {"digits": range(10), "slices": range(10 if resolved["scale"] == "full" else 1)}
-    for key, preset in presets.items():
-        if resolved[key] is None:
-            resolved[key] = list(preset)
     costs = ("w_mcfn", "w_mcfp")
     # BinaryCostModel names its own fields, fn_cost and fp_cost, not these keys.
     with _user_input(f" ({_settings(resolved, costs)})"):
@@ -421,8 +407,7 @@ def cmd_run_binary(resolved: dict) -> int:
 
 def cmd_run_categorical(resolved: dict) -> int:
     if resolved["pairs"] is None:
-        full = resolved["scale"] == "full"
-        resolved["pairs"] = _pairs("pairs", "all" if full else sample_pairs(10, resolved["base_seed"]))
+        resolved["pairs"] = _pairs("pairs", sample_pairs(10, resolved["base_seed"]))
     with _user_input():
         configs = categorical_trial_configs(
             resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
@@ -500,9 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=summary)
         for row in rows:
             if row.flag is not None:
-                # choices are checked with the row, as from a config file; --help still lists them
-                metavar = "{" + ",".join(row.choices) + "}" if row.choices else None
-                sub.add_argument(row.flag, dest=row.key, metavar=metavar, help=row.help, **row.kind.flag)
+                sub.add_argument(row.flag, dest=row.key, help=row.help, **row.kind.flag)
     return parser
 
 

@@ -24,8 +24,10 @@ the library takes passes it, and a numpy integer is stored as a plain int,
 so a record holding it saves as JSON.  check_real is the one rule for real
 numbers: every scalar cost, weight, rate, step and metric threshold or tally
 passes it; a NaN, an infinity, a bool, a string or a value out of bounds
-fails, and a numpy float is stored as a plain float.  check_nonnegative is
-the same rule at least=0 for every entry of an array of costs or tallies.
+fails, and a numpy float is stored as a plain float.  check_finite is its
+finiteness half for every entry of an array of scores, probabilities or
+t-test inputs, and check_nonnegative adds >= 0 for an array of costs or
+tallies.
 The CLI checks every number setting with the same two rules, under its
 config key.
 """
@@ -284,11 +286,16 @@ def check_real(name: str, value, *, least=None, above=None, below=None, most=Non
     return number
 
 
+def check_finite(name: str, array: np.ndarray) -> None:
+    """A ValueError naming name unless every entry of array is finite (no NaN, no infinity)."""
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+
+
 def check_nonnegative(name: str, array: np.ndarray) -> None:
     """A ValueError naming name unless every entry of array is finite and
     >= 0, check_real's rule with least=0 and one message per part of it."""
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} must be finite")
+    check_finite(name, array)
     if np.any(array < 0):
         raise ValueError(f"{name} must be >= 0")
 

@@ -457,7 +457,7 @@ def all_ordered_pairs() -> list[tuple[int, int]]:
 
 
 def sample_pairs(count: int, seed: int) -> list[tuple[int, int]]:
-    """A deterministic sample of distinct ordered pairs, for desk-scale runs."""
+    """A deterministic sample of distinct ordered pairs: the categorical suite's default selection."""
     pool = all_ordered_pairs()
     count = check_int("count", count, 1, len(pool))
     rng = np.random.default_rng(check_int("seed", seed, 0))

@@ -4,7 +4,8 @@ Binary confusion counts with a strict decision threshold, F1 and an
 exhaustive best-F1 threshold search, multiclass confusion matrices, the
 real-world cost of a test run (errors priced by their marginal costs, not
 just counted), top-1 error, and a paired two-sided t-test for comparing
-per-trial metric vectors; labels keep data.Dataset's rule (check_labels).
+per-trial metric vectors; labels keep data.Dataset's rule (check_labels),
+and every score, probability and t-test input must be finite (check_finite).
 The Student-t tail probability comes from the regularized incomplete beta
 function, so the package carries no statistics dependency.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_labels, check_nonnegative, check_real
+from .data import check_finite, check_labels, check_nonnegative, check_real
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,12 @@ class ConfusionCounts:
 
 
 def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and 0/1 labels as matching non-empty float64 vectors, or ValueError."""
+    """Finite scores and 0/1 labels as matching non-empty float64 vectors, or ValueError."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ValueError(f"scores and labels must be matching vectors, got {scores.shape} and {labels.shape}")
+    check_finite("scores", scores)
     check_labels(labels)
     return scores, labels
 
@@ -140,12 +142,14 @@ class ConfusionMatrix:
 def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
     """Tally argmax predictions against one-hot labels.
 
-    Argmax ties resolve to the lowest class index on both sides.
+    Argmax ties resolve to the lowest class index on both sides; every
+    probability must be finite, since a NaN would be tallied as class 0.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.ndim != 2 or y.shape != p.shape:
         raise ValueError(f"expected matching 2-D arrays, got {p.shape} and {y.shape}")
+    check_finite("probabilities", p)
     check_labels(y)
     k = p.shape[1]
     predicted = np.argmax(p, axis=1)
@@ -262,16 +266,18 @@ def paired_t_test(a, b) -> TTestResult:
     t = mean(d) / (sd(d)/sqrt(n)) on the differences d = a - b with the
     sample (n-1) standard deviation; the two-sided p-value comes from the
     Student-t survival function, p = I_x(df/2, 1/2) with x = df/(df + t^2).
-    Raises on fewer than two pairs and on zero-variance differences, where
-    the statistic is undefined.  Differences whose standard deviation is
-    within rounding of the inputs' magnitude (4 machine epsilons of the
-    largest |a| or |b|) count as zero variance: they are constant but for
-    the rounding of a and b.
+    Raises on a non-finite entry, on fewer than two pairs and on
+    zero-variance differences, where the statistic is undefined.
+    Differences whose standard deviation is within rounding of the inputs'
+    magnitude (4 machine epsilons of the largest |a| or |b|) count as zero
+    variance: they are constant but for the rounding of a and b.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"expected matching vectors, got shapes {a.shape} and {b.shape}")
+    check_finite("a", a)
+    check_finite("b", b)
     n = a.size
     if n < 2:
         raise ValueError("paired t-test needs at least two pairs")

@@ -198,8 +198,8 @@ def forward(mlp: Mlp, x) -> list[np.ndarray]:
 
 
 def _row_blocks(m: int) -> list[tuple[int, int]]:
-    """ceil(m / EVAL_BLOCK_ROWS) nearly equal, consecutive (lo, hi) row ranges."""
-    count = -(-m // EVAL_BLOCK_ROWS)
+    """ceil(m / EVAL_BLOCK_ROWS) nearly equal, consecutive (lo, hi) row ranges; 0 rows is one empty range."""
+    count = max(1, -(-m // EVAL_BLOCK_ROWS))
     bounds = [m * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 

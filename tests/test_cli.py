@@ -4,6 +4,7 @@ import gzip
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -391,7 +392,7 @@ def test_run_categorical_single_pair(small_dir, tmp_path, capsys):
     assert "control" in out and "experimental" in out
 
 
-def test_run_categorical_default_desk_pairs(small_dir, tmp_path, capsys):
+def test_run_categorical_default_sampled_pairs(small_dir, tmp_path, capsys):
     rc = main(
         [
             "run-categorical",
@@ -464,6 +465,18 @@ def test_pairs_all_as_a_flag_selects_every_ordered_pair(small_dir, tmp_path, cap
     assert echoed["pairs"] == [list(pair) for pair in pairs]
 
 
+@pytest.mark.parametrize("argv, slices", [([], [0]), (["--slices", "0-9"], range(10))], ids=["default", "full"])
+def test_run_binary_selects_every_digit_on_its_slices(small_dir, tmp_path, capsys, monkeypatch, argv, slices):
+    # The small pool has too few of each digit for slice 9, so the pool check is stubbed.
+    monkeypatch.setattr(cli, "check_trials", lambda configs, raw: None)
+    argv = ["run-binary", *argv]
+    echoed, ran = stopped_before_training(small_dir, tmp_path, capsys, monkeypatch, argv)
+    assert (echoed["digits"], echoed["slices"]) == (list(range(10)), list(slices))
+    cost = experiments.DEFAULT_BINARY_COST
+    assert ran == experiments.binary_trial_configs(range(10), slices, 0, cost, None)
+    assert len(ran) == 10 * len(slices)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -501,8 +514,14 @@ def test_the_range_limit_admits_a_range_of_exactly_that_many_values(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["nope"], ["run-binary", "--bogus"], ["run-binary", "--epochs", "abc"]],
-    ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-int"],
+    [
+        [],
+        ["nope"],
+        ["run-binary", "--bogus"],
+        ["run-binary", "--epochs", "abc"],
+        ["run-categorical", "--scale", "full"],
+    ],
+    ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-int", "removed-scale-flag"],
 )
 def test_an_argument_error_exits_1_without_an_echo(capsys, argv):
     assert main(argv) == 1
@@ -692,11 +711,15 @@ def test_demo_argument_errors_exit_1(capsys, argv, message):
 # --- config files ----------------------------------------------------------------
 
 
-def test_unknown_config_key_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("command, key", [("run-binary", "bogus"), ("run-categorical", "scale")])
+def test_unknown_config_key_is_an_error(tmp_path, capsys, command, key):
+    # scale was a trial-count preset; a config saved with it is refused, not ignored.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"command": "run-binary", "bogus": 1}))
-    assert main(["--config", str(path), "run-binary"]) == 1
-    assert "unknown config key 'bogus'" in capsys.readouterr().err
+    path.write_text(json.dumps({"command": command, key: "full"}))
+    assert main(["--config", str(path), command]) == 1
+    captured = capsys.readouterr()
+    assert f"unknown config key {key!r}" in captured.err
+    assert ECHO_PREFIX not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -753,16 +776,6 @@ def test_a_config_number_too_large_for_an_int_is_an_error(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
-def test_config_scale_must_be_a_preset(tmp_path, capsys, command):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scale": "fulll"}))
-    assert main(["--config", str(path), command]) == 1
-    captured = capsys.readouterr()
-    assert "config key 'scale' expects one of ('desk', 'full'), got 'fulll'" in captured.err
-    assert ECHO_PREFIX not in captured.out
-
-
-@pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_jobs_below_one_is_an_error(tmp_path, capsys, command, source):
     if source == "flag":
@@ -784,7 +797,6 @@ def test_jobs_below_one_is_an_error(tmp_path, capsys, command, source):
     [
         ("run-binary", "jobs", "--jobs", "0", 0),
         ("run-categorical", "base_seed", "--seed", "-1", -1),
-        ("run-binary", "scale", "--scale", "fulll", "fulll"),
         ("gradcheck", "seed", "--seed", "-1", -1),
         ("gradcheck", "instances", "--instances", "0", 0),
         ("gradcheck", "step", "--step", "inf", float("inf")),
@@ -817,11 +829,9 @@ OUTSIDE = {
 
 
 def refused_values(row):
-    """Values the row's bounds, choices and kind must refuse, whatever its command."""
+    """Values the row's bounds and kind must refuse, whatever its command."""
     values = [True, {"wrong": "type"}]  # a JSON boolean and a JSON type no kind takes
     values += [OUTSIDE[keyword](bound) for keyword, bound in row.bounds.items()]
-    if row.choices is not None:
-        values.append("none-of-" + "-".join(row.choices))
     if row.kind is cli.FLOAT:
         values += [math.nan, math.inf, 10**400]  # the last an integer literal beyond float range
     return values
@@ -1076,12 +1086,30 @@ def test_bernoulli_with_one_outcome_unobserved_passes_its_cross_check(capsys, fl
 
 # --- README examples -------------------------------------------------------------
 
+README_LINES = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+
 
 def readme_block(command: str) -> list[str]:
     """The output lines the README shows under "$ <command>" in a text block."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index(f"$ {command}") + 1
-    return lines[start : lines.index("```", start)]
+    start = README_LINES.index(f"$ {command}") + 1
+    return README_LINES[start : README_LINES.index("```", start)]
+
+
+def readme_commands() -> list[str]:
+    """Each rwwce command line of a README code block, without its "$ " prompt or "# comment"."""
+    commands, in_block = [], False
+    for line in README_LINES:
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.removeprefix("$ ").startswith("rwwce "):
+            commands.append(line.removeprefix("$ ").split("#", 1)[0].strip())
+    return commands
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_every_readme_command_parses(line):
+    # A flag the CLI has dropped fails here until the README stops naming it.
+    cli._build_parser().parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize(
@@ -1094,9 +1122,8 @@ def test_readme_quick_look_matches_the_output(argv, capsys):
 
 def test_readme_library_example_runs(mnist_dir, monkeypatch, capsys):
     # The example loads the standard files by name from the working directory.
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("```python", lines.index("## Library")) + 1
-    code = "\n".join(lines[start : lines.index("```", start)])
+    start = README_LINES.index("```python", README_LINES.index("## Library")) + 1
+    code = "\n".join(README_LINES[start : README_LINES.index("```", start)])
     monkeypatch.chdir(mnist_dir)
     exec(compile(code, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) >= 0.0

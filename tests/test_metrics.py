@@ -352,6 +352,10 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
          "cost_per_error must be >= 0"),
         (lambda: ConfusionMatrix(np.array([[1, -1], [0, 2]])), "tallies must be >= 0"),
         (lambda: ConfusionMatrix(np.array([[1.0, math.inf], [0.0, 2.0]])), "tallies must be finite"),
+        (lambda: confusion_categorical([[math.nan, 0.2], [0.1, 0.9]], [[0, 1], [0, 1]]),
+         "probabilities must be finite"),
+        (lambda: confusion_categorical([[0.1, -math.inf], [0.1, 0.9]], [[1, 0], [0, 1]]),
+         "probabilities must be finite"),
     ],
 )
 def test_categorical_metrics_refuse_malformed_input(call, message):
@@ -365,6 +369,9 @@ def test_binary_metrics_refuse_malformed_labels_with_the_loss_messages():
             metric([], [])
         with pytest.raises(ValueError, match="^binary labels must be exactly 0 or 1$"):
             metric([0.5], [0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^scores must be finite$"):
+                metric([bad, 0.2, 0.7], [1, 0, 1])
 
 
 def test_top1_error_values():
@@ -454,3 +461,8 @@ def test_paired_t_test_degenerate_inputs():
         paired_t_test(a, a - 1.9)  # constant difference up to rounding
     with pytest.raises(ValueError):
         paired_t_test([1.0, 2.0], [1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            paired_t_test([bad, 1.0, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^b must be finite$"):
+            paired_t_test([0.0, 0.0, 0.0], [1.0, bad, 2.0])

@@ -156,7 +156,7 @@ def test_blocked_outputs_match_forward_bit_for_bit(corpus_pixels, topology):
     count does on the 2-core x86_64 host it was measured on.
     """
     models = [init_mlp(topology, seed=5), init_mlp(topology, seed=6)]
-    for rows in (1, 4095, 4096, 4097, 4772, 8193, 17500):
+    for rows in (0, 1, 4095, 4096, 4097, 4772, 8193, 17500):
         x = corpus_pixels[:rows]
         for mlp, got in zip(models, outputs(models, x)):
             assert np.array_equal(got, forward(mlp, x)[-1]), rows
