@@ -25,7 +25,8 @@ in the program and exits 2.  Training whose loss becomes non-finite exits 1,
 naming the learning rate and the costs, the settings that drove it there.
 A suite command builds its list of trial configs once from the settings,
 checks each config against the loaded pool, and runs that same list with
-experiments.run_trials.
+experiments.run_trials, which runs each config's own trial: the config's type
+says which.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .experiments import (
     binary_trial_configs,
     categorical_trial_configs,
     check_trials,
-    run_binary_trial,
-    run_categorical_trial,
     run_trials,
     sample_pairs,
     save_records,
@@ -326,7 +325,7 @@ def _train_template(resolved: dict) -> TrainConfig:
     return TrainConfig(**{row.key: resolved[row.key] for row in TRAINING})
 
 
-def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> int:
+def _run_suite(resolved: dict, configs, cost_keys: tuple[str, ...]) -> int:
     """Echo the settings, load the pool, run the suite's trials and write its outputs.
 
     configs is the suite's whole trial list, built from the settings.
@@ -349,7 +348,7 @@ def _run_suite(resolved: dict, runner, configs, cost_keys: tuple[str, ...]) -> i
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        summary, records = run_trials(runner, configs, pool, resolved["jobs"])
+        summary, records = run_trials(configs, pool, resolved["jobs"])
     except FloatingPointError as e:
         settings = _settings(resolved, ("learning_rate", *cost_keys))
         raise CliError(f"{e}; lower the learning rate or the costs ({settings})") from e
@@ -402,7 +401,7 @@ def cmd_run_binary(resolved: dict) -> int:
         configs = binary_trial_configs(
             resolved["digits"], resolved["slices"], resolved["base_seed"], cost, template
         )
-    return _run_suite(resolved, run_binary_trial, configs, costs)
+    return _run_suite(resolved, configs, costs)
 
 
 def cmd_run_categorical(resolved: dict) -> int:
@@ -413,7 +412,7 @@ def cmd_run_categorical(resolved: dict) -> int:
             resolved["pairs"], resolved["base_seed"], resolved["pair_weight"],
             resolved["off_pair_cost"], _train_template(resolved),
         )
-    return _run_suite(resolved, run_categorical_trial, configs, ("pair_weight", "off_pair_cost"))
+    return _run_suite(resolved, configs, ("pair_weight", "off_pair_cost"))
 
 
 def cmd_bernoulli(resolved: dict) -> int:

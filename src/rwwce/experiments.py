@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -164,6 +164,12 @@ class RunRecord:
     search and rescoring.  The trial's evaluation phase, shared by its
     models, is timed in no record.  wall_time is informational only and is
     excluded from determinism comparisons (records_match).
+
+    A record holds its fields to the library's rules when it is built: model
+    is a name from SUITES, seed passes check_int (>= 0), the counts, errors,
+    costs and wall_time pass check_real (>= 0), the optional metrics are
+    None or pass check_real, and config is a dict.  So a record that can be
+    summarized can also be saved.
     """
 
     model: str
@@ -178,6 +184,18 @@ class RunRecord:
     high_cost_count: float | None
     wall_time: float
     config: dict
+
+    def __post_init__(self) -> None:
+        if not any(self.model in suite.models for suite in SUITES.values()):
+            raise ValueError(f"model must be a name from SUITES, got {self.model!r}")
+        self.seed = check_int("seed", self.seed, 0)
+        for name in ("fn", "fp", "top1_error", "real_world_cost", "wall_time"):
+            setattr(self, name, check_real(name, getattr(self, name), least=0))
+        for name in ("threshold", "f1", "validation_f1", "high_cost_count"):
+            if getattr(self, name) is not None:
+                setattr(self, name, check_real(name, getattr(self, name)))
+        if not isinstance(self.config, dict):
+            raise ValueError(f"config must be a dict, got {self.config!r}")
 
 
 def _without_wall_time(record: RunRecord) -> dict:
@@ -403,25 +421,39 @@ def check_trials(configs, raw) -> None:
         cfg.check_pool(raw)
 
 
-def run_trials(runner, configs, raw, jobs: int = 1) -> tuple[SuiteSummary, list[RunRecord]]:
-    """Run runner(cfg, raw) once per config, in config order, then summarize the records.
+def run_trial(cfg, raw) -> list[RunRecord]:
+    """Run one trial with the trial function its config's type names.
+
+    run_binary_trial and run_categorical_trial are looked up in this module
+    at each call, so a wrapper set on either attribute runs in their place.
+    """
+    if isinstance(cfg, BinaryTrialConfig):
+        return run_binary_trial(cfg, raw)
+    if isinstance(cfg, CategoricalTrialConfig):
+        return run_categorical_trial(cfg, raw)
+    raise TypeError(f"not a trial config: {cfg!r}")
+
+
+def run_trials(configs, raw, jobs: int = 1) -> tuple[SuiteSummary, list[RunRecord]]:
+    """Run each config's trial with run_trial, in config order, then summarize the records.
 
     configs is a suite's whole trial list, as binary_trial_configs or
-    categorical_trial_configs build it, and runner is the matching trial
-    function.  jobs > 1 runs the trials on that many threads.
+    categorical_trial_configs build it.  jobs > 1 runs the trials on that
+    many threads.
     """
     if not configs:
         raise ValueError("no trials requested")
     jobs = check_int("jobs", jobs, 1)
     if jobs == 1:
-        nested = [runner(cfg, raw) for cfg in configs]
+        nested = [run_trial(cfg, raw) for cfg in configs]
     else:
         # Threads, not processes, because every trial reads the one corpus
         # in place.  map() keeps results in config order, so the records and
         # their summary do not depend on scheduling.  raw goes in through
-        # map, not a closure, so a process pool could map the same runner.
+        # map, not a closure, and run_trial is a module-level function, so a
+        # process pool could map the same call.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(runner, configs, repeat(raw)))
+            nested = list(pool.map(run_trial, configs, repeat(raw)))
     records = [record for trial in nested for record in trial]
     return summarize(records), records
 
@@ -439,7 +471,7 @@ def run_binary_suite(
     trial is checked against raw before the first one runs."""
     configs = binary_trial_configs(digits, slices, base_seed, cost, train_template)
     check_trials(configs, raw)
-    return run_trials(run_binary_trial, configs, raw, jobs)
+    return run_trials(configs, raw, jobs)
 
 
 def binary_trial_configs(digits, slices, base_seed, cost, train_template) -> list[BinaryTrialConfig]:
@@ -480,7 +512,7 @@ def run_categorical_suite(
         pairs, base_seed, pair_weight, off_pair_cost, train_template
     )
     check_trials(configs, raw)
-    return run_trials(run_categorical_trial, configs, raw, jobs)
+    return run_trials(configs, raw, jobs)
 
 
 def categorical_trial_configs(
@@ -502,11 +534,27 @@ def save_records(records: list[RunRecord], path) -> None:
 
 
 def load_records(path) -> list[RunRecord]:
-    """Read back a JSON-lines record file written by save_records."""
+    """Read back a JSON-lines record file written by save_records.
+
+    Blank lines are skipped.  A line that is not JSON (a truncated last line
+    included), not an object, has unknown or missing keys, or holds a field
+    RunRecord refuses is a ValueError naming the file and the line.
+    """
+    keys = {f.name for f in fields(RunRecord)}
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(RunRecord(**json.loads(line)))
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+            if doc.keys() != keys:
+                unknown, missing = sorted(doc.keys() - keys), sorted(keys - doc.keys())
+                raise ValueError(f"unknown keys {unknown}, missing keys {missing}")
+            records.append(RunRecord(**doc))
+        except ValueError as e:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"{path}, line {number}: {e}") from e
     return records
 
 

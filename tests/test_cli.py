@@ -436,7 +436,7 @@ def stopped_before_training(small_dir, tmp_path, capsys, monkeypatch, argv):
     run_trials is stubbed to record its configs and stop before any training."""
     ran = []
 
-    def run(runner, configs, raw, jobs=1):
+    def run(configs, raw, jobs=1):
         ran.extend(configs)
         raise ValueError("stopped before training")
 
@@ -547,9 +547,9 @@ def test_a_suite_runs_the_very_configs_it_checked_against_the_pool(
         built.append(real_build(*args, **kwargs))
         return built[-1]
 
-    def run(runner, configs, raw, jobs=1):
+    def run(configs, raw, jobs=1):
         ran.extend(configs)
-        return real_run(runner, configs, raw, jobs)
+        return real_run(configs, raw, jobs)
 
     def recording(check_pool):
         def check(cfg, raw):

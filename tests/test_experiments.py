@@ -1,7 +1,9 @@
 """Experiment suites: trial mechanics, aggregation, serialization, parallelism."""
 
+import json
+import re
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from rwwce import (
     summary_table,
     summary_to_csv,
 )
-from rwwce.experiments import DEFAULT_BINARY_COST, pair_cost_matrix
+from rwwce.experiments import DEFAULT_BINARY_COST, pair_cost_matrix, run_trials
 
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=100, seed=0)
 FAST_CATEGORICAL = TrainConfig(epochs=1, batch_size=100, seed=0)
@@ -417,6 +419,49 @@ def test_save_and_load_records_roundtrip(tmp_path, binary_records):
     assert loaded[0].wall_time == records[0].wall_time
 
 
+def _record_with(**changes):
+    """A binary record's fields as save_records writes them, some changed."""
+    return {**asdict(fake_binary_record("control1", 0, 10, 5)), **changes}
+
+
+def test_a_record_checks_its_own_fields():
+    with pytest.raises(ValueError, match="^real_world_cost must be finite, got nan$"):
+        RunRecord(**_record_with(real_world_cost=float("nan")))
+    with pytest.raises(ValueError, match="^f1 must be finite, got inf$"):
+        RunRecord(**_record_with(f1=float("inf")))
+    with pytest.raises(ValueError, match="^model must be a name from SUITES, got 'mystery'$"):
+        RunRecord(**_record_with(model="mystery"))
+    with pytest.raises(ValueError, match="^config must be a dict, got None$"):
+        RunRecord(**_record_with(config=None))
+
+
+GOOD_LINE = json.dumps(_record_with())
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (GOOD_LINE[: len(GOOD_LINE) // 2], "Unterminated string"),  # a write cut off mid-line
+        ("not json", "Expecting value"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        (json.dumps(_record_with(extra=1)), "unknown keys ['extra'], missing keys []"),
+        (GOOD_LINE.replace(', "config": {}', ""), "unknown keys [], missing keys ['config']"),
+        (json.dumps(_record_with(fn="3")), "fn must be a number, got '3'"),
+        (json.dumps(_record_with(real_world_cost=float("nan"))), "real_world_cost must be finite, got nan"),
+        (json.dumps(_record_with(seed=1.0)), "seed must be an integer, got 1.0"),
+        (json.dumps(_record_with(model="mystery")), "model must be a name from SUITES, got 'mystery'"),
+        (json.dumps(_record_with(config=[])), "config must be a dict, got []"),
+    ],
+    ids=["truncated", "not-json", "not-an-object", "extra-key", "missing-key", "string-count",
+         "nan-cost", "float-seed", "unknown-model", "list-config"],
+)
+def test_load_records_names_the_file_and_line_of_a_bad_record(tmp_path, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{GOOD_LINE}\n\n{line}", encoding="utf-8")  # line 2 is blank: skipped
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 3: {message}')}"):
+        load_records(path)
+
+
 # --- suites ----------------------------------------------------------------------
 
 
@@ -487,6 +532,11 @@ def test_suites_reject_jobs_below_one(small_pool):
         run_categorical_suite(small_pool, [(0, 1)], base_seed=0, jobs=0)
     with pytest.raises(ValueError, match="jobs must be >= 1, got -3"):
         run_binary_suite(small_pool, digits=[0], slices=[0], base_seed=0, jobs=-3)
+
+
+def test_run_trials_refuses_what_is_not_a_trial_config(small_pool):
+    with pytest.raises(TypeError, match=r"^not a trial config: \(3, 0, 0\)$"):
+        run_trials([(3, 0, 0)], small_pool)
 
 
 # --- rendering -------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_saved_records_list_their_keys_in_the_frozen_order(records, tmp_path):
     assert key_orders(path) == key_orders(FROZEN)
 
 
+# Every file of gate data: this gate's records and the benchmark's, read only.
+GATE_FILES = [FROZEN, *sorted((FROZEN.parents[2] / "perfbench" / "frozen").glob("*.jsonl"))]
+
+
+def test_the_gate_files_are_all_found():
+    assert len(GATE_FILES) == 22
+
+
+@pytest.mark.parametrize("path", GATE_FILES, ids=lambda path: f"{path.parent.parent.name}/{path.name}")
+def test_every_gate_file_loads_and_saves_back_byte_for_byte(path, tmp_path):
+    """The record rule refuses no gate data, and save_records writes back
+    exactly the records load_records accepts."""
+    copy = tmp_path / path.name
+    save_records(load_records(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
+
+
 if __name__ == "__main__":
     import corpus
     from rwwce import load_idx

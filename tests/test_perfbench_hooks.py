@@ -6,7 +6,9 @@ arguments and checks records by model name (MODELS, COST_WEIGHTED_MODEL).
 Renaming or deleting one of them breaks ``perfbench/run.py`` without failing
 any other fast test, so this imports the worker's lists, unchanged, checks
 every (module, attr) pair and model name, and binds the worker's calls to the
-signatures they reach.
+signatures they reach.  The worker times each trial by wrapping the two trial
+functions in experiments, so run_trials must reach them through those module
+attributes at call time.
 """
 
 import importlib.util
@@ -16,8 +18,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from rwwce import TrainConfig, experiments
+from rwwce import BinaryTrialConfig, CategoricalTrialConfig, RunRecord, TrainConfig, experiments
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,3 +74,28 @@ def test_train_examples_reads_the_train_parameters(monkeypatch):
         object(), train_set, object(), TrainConfig(epochs=3)
     ).arguments
     assert worker.train_examples(arguments, None) == 21
+
+
+@pytest.mark.parametrize(
+    "attr, kind, cfg",
+    [
+        ("run_binary_trial", "binary", BinaryTrialConfig(3, 0, 1)),
+        ("run_categorical_trial", "categorical", CategoricalTrialConfig(4, 9, 1)),
+    ],
+)
+def test_run_trials_reaches_each_trial_through_its_module_attribute(monkeypatch, attr, kind, cfg):
+    records = [
+        RunRecord(model, cfg.seed, None, 0.0, 0.0, 0.0, 0.0, None, None, None, 0.0, {})
+        for model in experiments.SUITES[kind].models
+    ]
+    calls = []
+
+    def recorder(trial_cfg, raw):
+        calls.append((trial_cfg, raw))
+        return records
+
+    monkeypatch.setattr(experiments, attr, recorder)
+    raw = object()
+    summary, ran = experiments.run_trials([cfg], raw)
+    assert calls == [(cfg, raw)]
+    assert ran == records and summary.kind == kind

@@ -1,7 +1,7 @@
 """The one rule for real numbers: every scalar cost, weight, rate and step passes data.check_real.
 
 The table has one row per real parameter the library takes.  The rows of the
-config dataclasses are generated from their fields annotated float, so a new
+config and record dataclasses are generated from their fields annotated float, so a new
 real field cannot skip the rule unnoticed: it needs an entry in BOUNDS.  The
 other rows are the scalar arguments of functions and classmethods, the metric
 scalars among them.  Each row refuses a NaN, an infinity, a bool, a string and each value outside its
@@ -21,6 +21,7 @@ from rwwce import (
     BinaryCostModel,
     CategoricalTrialConfig,
     LossSpec,
+    RunRecord,
     TrainConfig,
     confusion_binary,
     descend,
@@ -60,6 +61,11 @@ BOUNDS = {
     "real_world_cost_binary.fn": {"least": 0},
     "real_world_cost_binary.fp": {"least": 0},
     "real_world_cost_binary.n": {"above": 0},
+    "RunRecord.fn": {"least": 0},
+    "RunRecord.fp": {"least": 0},
+    "RunRecord.top1_error": {"least": 0},
+    "RunRecord.real_world_cost": {"least": 0},
+    "RunRecord.wall_time": {"least": 0},
 }
 
 # The arguments each config needs besides the field under test.
@@ -68,6 +74,9 @@ REQUIRED = {
     BinaryCostModel: {"fn_cost": 2000.0, "fp_cost": 100.0},
     CategoricalTrialConfig: {"fn_class": 4, "fp_class": 9, "seed": 0},
     BernoulliScenario: {"n_pos": 3, "n_neg": 4},
+    RunRecord: dict(model="control", seed=0, threshold=None, fn=0.0, fp=0.0, top1_error=0.0,
+                    real_world_cost=0.0, f1=None, validation_f1=None, high_cost_count=0.0,
+                    wall_time=0.0, config={}),
 }
 
 # A value inside every row's bounds, exact in float32.

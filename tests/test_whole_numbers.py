@@ -8,6 +8,7 @@ plain int.
 
 import re
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from rwwce import (
     save_records,
     split,
 )
+from rwwce import experiments
 from rwwce.data import POSITIVE_SLICE_SIZE, check_int, positive_rows
 from rwwce.experiments import CATEGORICAL_MODELS, run_trials
 
@@ -39,11 +41,18 @@ ZEROS = RawMnist(
 )
 
 
+def _record(model, seed=0):
+    return RunRecord(model, seed, None, 0.0, 0.0, 0.0, 0.0, None, None, 0.0, 0.0, {})
+
+
 def _one_categorical_trial(cfg, raw):
-    return [
-        RunRecord(model, 0, None, 0.0, 0.0, 0.0, 0.0, None, None, 0.0, 0.0, {})
-        for model in CATEGORICAL_MODELS
-    ]
+    return [_record(model) for model in CATEGORICAL_MODELS]
+
+
+def _run_one_categorical_trial(jobs):
+    """run_trials on one categorical config, its trial stubbed by _one_categorical_trial."""
+    with mock.patch.object(experiments, "run_categorical_trial", _one_categorical_trial):
+        return run_trials([CategoricalTrialConfig(4, 9, 0)], None, jobs)[1]
 
 
 def _split_test_rows(seed):
@@ -95,8 +104,8 @@ WHOLES = [
     Whole("gradcheck_matrix.seed", "seed", 0, None, lambda v: gradcheck_matrix(v, 1), False),
     Whole("sample_pairs.count", "count", 1, 90, lambda v: sample_pairs(v, 0), False),
     Whole("sample_pairs.seed", "seed", 0, None, lambda v: sample_pairs(10, v), False),
-    Whole("run_trials.jobs", "jobs", 1, None,
-          lambda v: run_trials(_one_categorical_trial, [None], None, v)[1], False),
+    Whole("run_trials.jobs", "jobs", 1, None, _run_one_categorical_trial, False),
+    Whole("RunRecord.seed", "seed", 0, None, lambda v: _record("control", v).seed),
     Whole("BernoulliScenario.n_pos", "n_pos", 0, None, lambda v: BernoulliScenario(v, 1).n_pos),
     Whole("BernoulliScenario.n_neg", "n_neg", 0, None, lambda v: BernoulliScenario(1, v).n_neg),
     Whole("descend.iterations", "iterations", 1, None,
