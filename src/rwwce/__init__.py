@@ -28,7 +28,6 @@ from .losses import (
     softmax,
 )
 from .metrics import (
-    ConfusionCounts,
     ConfusionMatrix,
     TTestResult,
     best_f1_threshold,
@@ -36,8 +35,7 @@ from .metrics import (
     confusion_categorical,
     f1_score,
     paired_t_test,
-    real_world_cost_binary,
-    real_world_cost_categorical,
+    real_world_cost,
     regularized_incomplete_beta,
     top1_error,
 )

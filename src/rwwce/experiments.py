@@ -42,15 +42,13 @@ from .data import (
 )
 from .losses import BinaryCostModel, LossSpec
 from .metrics import (
-    ConfusionCounts,
     ConfusionMatrix,
     best_f1_threshold,
     confusion_binary,
     confusion_categorical,
     f1_score,
     paired_t_test,
-    real_world_cost_binary,
-    real_world_cost_categorical,
+    real_world_cost,
     top1_error,
 )
 from .nn import (
@@ -151,7 +149,7 @@ class CategoricalTrialConfig:
         split_sizes(raw.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
     """One evaluated model on one trial's test split.
 
@@ -168,8 +166,8 @@ class RunRecord:
     A record holds its fields to the library's rules when it is built: model
     is a name from SUITES, seed passes check_int (>= 0), the counts, errors,
     costs and wall_time pass check_real (>= 0), the optional metrics are
-    None or pass check_real, and config is a dict.  So a record that can be
-    summarized can also be saved.
+    None or pass check_real, and config is a dict.  The record is frozen, so
+    it keeps them: a record that can be summarized can also be saved.
     """
 
     model: str
@@ -188,12 +186,12 @@ class RunRecord:
     def __post_init__(self) -> None:
         if not any(self.model in suite.models for suite in SUITES.values()):
             raise ValueError(f"model must be a name from SUITES, got {self.model!r}")
-        self.seed = check_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         for name in ("fn", "fp", "top1_error", "real_world_cost", "wall_time"):
-            setattr(self, name, check_real(name, getattr(self, name), least=0))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), least=0))
         for name in ("threshold", "f1", "validation_f1", "high_cost_count"):
             if getattr(self, name) is not None:
-                setattr(self, name, check_real(name, getattr(self, name)))
+                object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not isinstance(self.config, dict):
             raise ValueError(f"config must be a dict, got {self.config!r}")
 
@@ -214,21 +212,22 @@ def records_match(a: list[RunRecord], b: list[RunRecord]) -> bool:
 def _binary_record(
     model: str,
     cfg: BinaryTrialConfig,
-    counts: ConfusionCounts,
+    matrix: ConfusionMatrix,
     threshold: float,
     validation_f1: float | None,
     wall_time: float,
 ) -> RunRecord:
-    n = counts.total
+    fn, fp = float(matrix.counts[1, 0]), float(matrix.counts[0, 1])
     return RunRecord(
         model=model,
         seed=cfg.seed,
         threshold=float(threshold),
-        fn=float(counts.fn),
-        fp=float(counts.fp),
-        top1_error=(counts.fn + counts.fp) / n,
-        real_world_cost=real_world_cost_binary(counts.fn, counts.fp, n, cfg.cost),
-        f1=f1_score(counts),
+        fn=fn,
+        fp=fp,
+        # (fn + fp) / n, not top1_error(matrix): 1 - trace/total can differ in the last bit.
+        top1_error=(fn + fp) / matrix.total,
+        real_world_cost=real_world_cost(matrix, cfg.cost.cost_per_error),
+        f1=f1_score(matrix),
         validation_f1=validation_f1,
         high_cost_count=None,
         wall_time=wall_time,
@@ -296,9 +295,9 @@ def run_binary_trial(cfg: BinaryTrialConfig, raw: RawMnist) -> list[RunRecord]:
     control1_record = at_half(control1, 0)
     started = time.perf_counter()
     threshold, best_validation_f1 = best_f1_threshold(validation_scores[0], validation.Y)
-    counts2 = confusion_binary(test_scores[0], test.Y, threshold)
+    matrix2 = confusion_binary(test_scores[0], test.Y, threshold)
     control2_record = _binary_record(
-        control2, cfg, counts2, threshold, best_validation_f1, time.perf_counter() - started
+        control2, cfg, matrix2, threshold, best_validation_f1, time.perf_counter() - started
     )
     return [control1_record, control2_record, at_half(weighted, 1)]
 
@@ -323,7 +322,7 @@ def _categorical_record(
         fn=float(errors),
         fp=float(errors),
         top1_error=top1_error(matrix),
-        real_world_cost=real_world_cost_categorical(matrix, pair_cost_matrix(cfg)),
+        real_world_cost=real_world_cost(matrix, pair_cost_matrix(cfg)),
         f1=None,
         validation_f1=None,
         high_cost_count=float(matrix.counts[cfg.fn_class, cfg.fp_class]),

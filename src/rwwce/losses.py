@@ -42,6 +42,8 @@ class BinaryCostModel:
     fn_cost is charged against the positive-label log term (missing a real
     positive), fp_cost against the negative-label term (a false alarm).
     Each is a plain float, finite and >= 0 (data.check_real); not both are 0.
+    cost_per_error lays them out as the 2x2 cost matrix that
+    metrics.real_world_cost prices a binary confusion matrix with.
     """
 
     fn_cost: float
@@ -52,6 +54,12 @@ class BinaryCostModel:
             object.__setattr__(self, name, check_real(name, getattr(self, name), least=0))
         if self.fn_cost == 0 and self.fp_cost == 0:
             raise ValueError("at least one of fn_cost, fp_cost must be positive")
+
+    @property
+    def cost_per_error(self) -> np.ndarray:
+        """[[0, fp_cost], [fn_cost, 0]]: rows are the true class, columns the
+        predicted one, so a false negative (true 1, predicted 0) costs fn_cost."""
+        return np.array([[0.0, self.fp_cost], [self.fn_cost, 0.0]])
 
 
 @dataclass(frozen=True)

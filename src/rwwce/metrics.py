@@ -1,11 +1,14 @@
 """Evaluation metrics for cost-sensitive classifiers.
 
-Binary confusion counts with a strict decision threshold, F1 and an
-exhaustive best-F1 threshold search, multiclass confusion matrices, the
-real-world cost of a test run (errors priced by their marginal costs, not
-just counted), top-1 error, and a paired two-sided t-test for comparing
-per-trial metric vectors; labels keep data.Dataset's rule (check_labels),
-and every score, probability and t-test input must be finite (check_finite).
+One tally type, ConfusionMatrix (true class by predicted class), holds a
+binary run thresholded at a strict cutoff (2x2) and a multiclass argmax
+run (KxK) alike, and one function prices either: the real-world cost of a
+test run is the sum of the tallies times their per-error costs over the
+number of examples, so errors are priced by their marginal costs, not just
+counted.  Also F1 and an exhaustive best-F1 threshold search, top-1 error,
+and a paired two-sided t-test for comparing per-trial metric vectors;
+labels keep data.Dataset's rule (check_labels), and every score,
+probability and t-test input must be finite (check_finite).
 The Student-t tail probability comes from the regularized incomplete beta
 function, so the package carries no statistics dependency.
 """
@@ -21,15 +24,35 @@ from .data import check_finite, check_labels, check_nonnegative, check_real
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+class ConfusionMatrix:
+    """counts[k, k'] tallies examples of true class k predicted as k'.
+
+    A binary run is the 2x2 case, class 1 positive: tn = counts[0, 0],
+    fp = counts[0, 1], fn = counts[1, 0], tp = counts[1, 1].  The tallies
+    may be fractional (e.g. means over trials); each is finite and >= 0
+    (data.check_nonnegative).  counts is a read-only copy, so the checked
+    tallies cannot change, through the matrix or through the caller's array.
+    """
+
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        counts = np.array(self.counts)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+            raise ValueError("confusion matrix must be square")
+        check_nonnegative("tallies", counts)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+    def total(self) -> int | float:
+        """The sum of the tallies: a plain int for integer counts, else a float."""
+        return self.counts.sum().item()
+
+
+def _tally(actual: np.ndarray, predicted: np.ndarray, k: int) -> ConfusionMatrix:
+    """The k x k confusion matrix of integer (or bool) true and predicted classes."""
+    return ConfusionMatrix(np.bincount(k * actual + predicted, minlength=k * k).reshape(k, k))
 
 
 def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -43,31 +66,28 @@ def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
-def confusion_binary(scores, labels, threshold: float) -> ConfusionCounts:
-    """Count the four outcomes of thresholding scores at a strict cutoff.
+def confusion_binary(scores, labels, threshold: float) -> ConfusionMatrix:
+    """The 2x2 confusion matrix of thresholding scores at a strict cutoff.
 
-    An example is predicted positive exactly when its score is strictly
-    greater than threshold, so a score equal to the threshold is negative.
-    threshold is any finite number (data.check_real), not only one in [0, 1]:
-    best_f1_threshold's sentinels lie outside the scores.
+    An example is predicted positive (class 1) exactly when its score is
+    strictly greater than threshold, so a score equal to the threshold is
+    negative.  threshold is any finite number (data.check_real), not only
+    one in [0, 1]: best_f1_threshold's sentinels lie outside the scores.
     """
     scores, labels = _scores_and_labels(scores, labels)
     predicted = scores > check_real("threshold", threshold)
-    actual = labels == 1.0
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(predicted & actual)),
-        fp=int(np.count_nonzero(predicted & ~actual)),
-        tn=int(np.count_nonzero(~predicted & ~actual)),
-        fn=int(np.count_nonzero(~predicted & actual)),
-    )
+    return _tally(labels == 1.0, predicted, 2)
 
 
-def f1_score(counts: ConfusionCounts) -> float:
-    """F1 = 2tp / (2tp + fp + fn); defined as 0 when that denominator is 0."""
-    denom = 2 * counts.tp + counts.fp + counts.fn
+def f1_score(matrix: ConfusionMatrix) -> float:
+    """F1 = 2tp / (2tp + fp + fn) of a 2x2 matrix; defined as 0 when that denominator is 0."""
+    if matrix.counts.shape != (2, 2):
+        raise ValueError(f"f1_score needs a 2x2 confusion matrix, got shape {matrix.counts.shape}")
+    (_, fp), (fn, tp) = matrix.counts.tolist()
+    denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0
-    return 2.0 * counts.tp / denom
+    return 2.0 * tp / denom
 
 
 def best_f1_threshold(scores, labels) -> tuple[float, float]:
@@ -107,38 +127,6 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     return float(candidates[best]), float(f1[best])
 
 
-def real_world_cost_binary(fn, fp, n, cost) -> float:
-    """Mean per-example cost of a binary test run: (fn_cost*fn + fp_cost*fp) / n.
-
-    fn and fp may be fractional (e.g. means over trials); each is finite and
-    >= 0, and n finite and > 0 (data.check_real).
-    """
-    fn, fp = check_real("fn", fn, least=0), check_real("fp", fp, least=0)
-    return (cost.fn_cost * fn + cost.fp_cost * fp) / check_real("n", n, above=0)
-
-
-@dataclass
-class ConfusionMatrix:
-    """counts[k, k'] tallies examples of true class k predicted as k'.
-
-    The tallies may be fractional; each is finite and >= 0
-    (data.check_nonnegative).
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        check_nonnegative("tallies", self.counts)
-
-    @property
-    def total(self) -> int | float:
-        """The sum of the tallies: a plain int for integer counts, else a float."""
-        return self.counts.sum().item()
-
-
 def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
     """Tally argmax predictions against one-hot labels.
 
@@ -151,29 +139,23 @@ def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
         raise ValueError(f"expected matching 2-D arrays, got {p.shape} and {y.shape}")
     check_finite("probabilities", p)
     check_labels(y)
-    k = p.shape[1]
-    predicted = np.argmax(p, axis=1)
-    actual = np.argmax(y, axis=1)
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (actual, predicted), 1)
-    return ConfusionMatrix(counts)
+    return _tally(np.argmax(y, axis=1), np.argmax(p, axis=1), p.shape[1])
 
 
-def real_world_cost_categorical(tallies, cost_per_error) -> float:
-    """Mean per-example cost of a multiclass test run.
+def real_world_cost(tallies, cost_per_error) -> float:
+    """Mean per-example cost of a test run: sum(tallies * cost_per_error) / sum(tallies).
 
-    tallies is a ConfusionMatrix or a real-valued square array of (possibly
-    fractional) confusion tallies; cost_per_error[k, k'] prices a class-k
-    example predicted as k' and must have a zero diagonal, since a correct
-    prediction costs nothing.  Every entry of both is finite and >= 0.
+    tallies is a ConfusionMatrix, or an array that is wrapped in one (and so
+    held to its rules).  cost_per_error[k, k'] prices a class-k example
+    predicted as k', matches the tallies' shape, and must have a zero
+    diagonal, since a correct prediction costs nothing; every entry is
+    finite and >= 0.  A binary run is priced with
+    BinaryCostModel.cost_per_error.
     """
-    counts = tallies.counts if isinstance(tallies, ConfusionMatrix) else np.asarray(tallies, dtype=np.float64)
+    counts = (tallies if isinstance(tallies, ConfusionMatrix) else ConfusionMatrix(tallies)).counts
     cost = np.asarray(cost_per_error, dtype=np.float64)
-    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-        raise ValueError("tallies must be square")
     if cost.shape != counts.shape:
         raise ValueError(f"cost matrix shape {cost.shape} does not match tallies {counts.shape}")
-    check_nonnegative("tallies", counts)
     check_nonnegative("cost_per_error", cost)
     if np.any(np.diagonal(cost) != 0.0):
         raise ValueError("cost_per_error must have a zero diagonal")

@@ -26,8 +26,7 @@ from rwwce import (
     likelihood_check,
     loss_value,
     paired_t_test,
-    real_world_cost_binary,
-    real_world_cost_categorical,
+    real_world_cost,
     records_match,
     run_binary_suite,
     run_categorical_suite,
@@ -36,7 +35,7 @@ from rwwce import (
 )
 from rwwce.experiments import _without_wall_time
 
-from test_metrics import TTEST_REFERENCE, brute_force_best_f1
+from test_metrics import TTEST_REFERENCE, binary_tallies, brute_force_best_f1
 
 pytestmark = pytest.mark.slow
 
@@ -115,8 +114,11 @@ def test_criterion_3_weighted_bernoulli_mle():
 
 def test_criterion_4_real_world_cost_anchors():
     cost = BinaryCostModel(2000.0, 100.0)
-    assert 5.76 <= real_world_cost_binary(45.4, 12.7, 15908, cost) <= 5.81
-    assert 2.79 <= real_world_cost_binary(16.1, 127.2, 15908, cost) <= 2.84
+    # Mean binary tallies from the published rows: 15,908 test examples with
+    # 45.4 false negatives and 12.7 false positives for the control, 16.1
+    # and 127.2 for the test model.
+    assert 5.76 <= real_world_cost(binary_tallies(45.4, 12.7, 15908), cost.cost_per_error) <= 5.81
+    assert 2.79 <= real_world_cost(binary_tallies(16.1, 127.2, 15908), cost.cost_per_error) <= 2.84
 
     # Mean 10-class tallies reconstructed from the published aggregate rows:
     # 17,500 test examples; 623.0 mean errors with 6.67 on the expensive pair
@@ -131,8 +133,8 @@ def test_criterion_4_real_world_cost_anchors():
     pair_cost = np.ones((10, 10))
     np.fill_diagonal(pair_cost, 0.0)
     pair_cost[2, 1] = 20.0
-    control = real_world_cost_categorical(tallies(623.0, 6.67), pair_cost)
-    experimental = real_world_cost_categorical(tallies(633.5, 2.57), pair_cost)
+    control = real_world_cost(tallies(623.0, 6.67), pair_cost)
+    experimental = real_world_cost(tallies(633.5, 2.57), pair_cost)
     assert abs(control - 0.0428) < 0.0005
     assert abs(experimental - 0.0390) < 0.0005
     passed(4, "real-world cost anchors")

@@ -3,7 +3,7 @@
 import json
 import re
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from rwwce import (
     all_ordered_pairs,
     load_idx,
     load_records,
-    real_world_cost_binary,
     records_match,
     run_binary_suite,
     run_binary_trial,
@@ -134,9 +133,8 @@ def test_binary_trial_record_consistency(binary_records):
     n_test = 6930 // 4  # 630 positives + 6300 negatives, quarter held out
     for record in records:
         assert record.top1_error == (record.fn + record.fp) / n_test
-        assert record.real_world_cost == real_world_cost_binary(
-            record.fn, record.fp, n_test, cfg.cost
-        )
+        cost = cfg.cost
+        assert record.real_world_cost == (cost.fn_cost * record.fn + cost.fp_cost * record.fp) / n_test
         assert record.f1 is not None
         assert record.validation_f1 is not None
         assert record.high_cost_count is None
@@ -393,18 +391,16 @@ def test_summarize_rejects_bad_record_sets():
     with pytest.raises(ValueError):
         summarize([])
     stray = fake_suite()
-    stray[0].model = "mystery"
-    with pytest.raises(ValueError):
+    stray[0] = replace(stray[0], model="control")  # a categorical model among binary ones
+    with pytest.raises(ValueError, match="^records name an unexpected model set"):
         summarize(stray)
 
 
 def test_records_match_ignores_wall_time_only():
     a = fake_binary_record("control1", 0, 10, 5)
-    b = fake_binary_record("control1", 0, 10, 5)
-    b.wall_time = 99.0
+    b = replace(fake_binary_record("control1", 0, 10, 5), wall_time=99.0)
     assert records_match([a], [b])
-    b.fn = 11.0
-    assert not records_match([a], [b])
+    assert not records_match([a], [replace(b, fn=11.0)])
     assert not records_match([a], [a, a])
 
 
@@ -433,6 +429,14 @@ def test_a_record_checks_its_own_fields():
         RunRecord(**_record_with(model="mystery"))
     with pytest.raises(ValueError, match="^config must be a dict, got None$"):
         RunRecord(**_record_with(config=None))
+
+
+def test_a_record_is_frozen_so_it_keeps_its_checked_fields():
+    record = fake_binary_record("control1", 0, 10, 5)
+    with pytest.raises(FrozenInstanceError):
+        record.real_world_cost = float("nan")
+    with pytest.raises(ValueError, match="^real_world_cost must be finite, got nan$"):
+        replace(record, real_world_cost=float("nan"))
 
 
 GOOD_LINE = json.dumps(_record_with())

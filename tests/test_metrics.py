@@ -1,5 +1,6 @@
 """Metrics: confusion counting, F1 search, real-world cost, Student-t."""
 
+import dataclasses
 import math
 import re
 
@@ -8,15 +9,13 @@ import pytest
 
 from rwwce import (
     BinaryCostModel,
-    ConfusionCounts,
     ConfusionMatrix,
     best_f1_threshold,
     confusion_binary,
     confusion_categorical,
     f1_score,
     paired_t_test,
-    real_world_cost_binary,
-    real_world_cost_categorical,
+    real_world_cost,
     regularized_incomplete_beta,
     top1_error,
 )
@@ -123,22 +122,24 @@ INCOMPLETE_BETA_REFERENCE = [
 # --- binary confusion and F1 ---------------------------------------------------
 
 
+# A binary confusion matrix is [[tn, fp], [fn, tp]]: rows true, columns predicted.
+
+
 def test_confusion_binary_hand_case():
-    counts = confusion_binary([0.9, 0.1], [1.0, 0.0], 0.5)
-    assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 0, 1, 0)
-    assert counts.total == 2
+    matrix = confusion_binary([0.9, 0.1, 0.8, 0.2, 0.3], [1.0, 0.0, 0.0, 1.0, 1.0], 0.5)
+    assert np.array_equal(matrix.counts, [[1, 1], [2, 1]])
+    assert matrix.total == 5 and type(matrix.total) is int
 
 
 def test_confusion_binary_never_positive_classifier():
-    counts = confusion_binary([0.0, 0.0, 0.0], [1.0, 0.0, 1.0], 0.5)
-    assert (counts.tp, counts.fp) == (0, 0)
-    assert (counts.tn, counts.fn) == (1, 2)
+    matrix = confusion_binary([0.0, 0.0, 0.0], [1.0, 0.0, 1.0], 0.5)
+    assert np.array_equal(matrix.counts, [[1, 0], [2, 0]])
 
 
 def test_confusion_binary_threshold_is_strict():
-    counts = confusion_binary([0.5, 0.5], [1.0, 0.0], 0.5)
+    matrix = confusion_binary([0.5, 0.5], [1.0, 0.0], 0.5)
     # score == threshold predicts negative
-    assert (counts.tp, counts.fp, counts.tn, counts.fn) == (0, 0, 1, 1)
+    assert np.array_equal(matrix.counts, [[1, 0], [1, 0]])
 
 
 def test_confusion_binary_validation():
@@ -151,9 +152,10 @@ def test_confusion_binary_validation():
 
 
 def test_f1_values():
-    assert f1_score(ConfusionCounts(tp=10, fp=0, tn=5, fn=0)) == 1.0
-    assert f1_score(ConfusionCounts(tp=1, fp=1, tn=0, fn=1)) == 0.5
-    assert f1_score(ConfusionCounts(tp=0, fp=0, tn=9, fn=0)) == 0.0
+    assert f1_score(ConfusionMatrix(np.array([[5, 0], [0, 10]]))) == 1.0
+    assert f1_score(ConfusionMatrix(np.array([[0, 1], [1, 1]]))) == 0.5
+    assert f1_score(ConfusionMatrix(np.array([[9, 0], [0, 0]]))) == 0.0
+    assert f1_score(ConfusionMatrix(np.array([[0, 3], [1, 2]]))) == 0.5
 
 
 def brute_force_best_f1(scores, labels):
@@ -191,7 +193,7 @@ def test_best_f1_no_positive_labels_returns_above_max_sentinel():
     assert f1 == 0.0
     assert threshold == 0.7 + 1.0
     # control2 is scored at the sentinel, so the threshold rule has no [0, 1] bound.
-    assert confusion_binary([0.3, 0.7], [0.0, 0.0], threshold) == ConfusionCounts(tp=0, fp=0, tn=2, fn=0)
+    assert np.array_equal(confusion_binary([0.3, 0.7], [0.0, 0.0], threshold).counts, [[2, 0], [0, 0]])
 
 
 def test_best_f1_ties_go_to_larger_threshold():
@@ -235,27 +237,52 @@ def test_best_f1_sentinels_lie_outside_huge_scores(score):
 # --- real-world cost ------------------------------------------------------------
 
 
-def test_rwc_binary_basic_formula():
+def binary_tallies(fn, fp, n):
+    """A binary run's 2x2 tallies with fn false negatives and fp false
+    positives among n examples, every correct one a true negative."""
+    return np.array([[n - fn - fp, fp], [fn, 0]])
+
+
+def test_binary_cost_per_error_prices_each_error_type():
     cost = BinaryCostModel(2000.0, 100.0)
-    assert real_world_cost_binary(0, 0, 100, cost) == 0.0
-    assert real_world_cost_binary(1, 0, 100, cost) == 20.0
-    assert real_world_cost_binary(0, 2, 100, cost) == 2.0
+    assert np.array_equal(cost.cost_per_error, [[0.0, 100.0], [2000.0, 0.0]])
+    assert real_world_cost(binary_tallies(0, 0, 100), cost.cost_per_error) == 0.0
+    assert real_world_cost(binary_tallies(1, 0, 100), cost.cost_per_error) == 20.0
+    assert real_world_cost(binary_tallies(0, 2, 100), cost.cost_per_error) == 2.0
+    # confusion_binary's layout meets cost_per_error's: one missed positive costs fn_cost.
+    assert real_world_cost(confusion_binary([0.1], [1.0], 0.5), cost.cost_per_error) == 2000.0
+    assert real_world_cost(confusion_binary([0.9], [0.0], 0.5), cost.cost_per_error) == 100.0
+
+
+def test_binary_real_world_cost_is_bit_identical_to_the_two_term_formula():
+    # Only two cells are priced, and adding two products in either order
+    # rounds the same, so for whole tallies the matrix sum is exact.
+    rng = np.random.default_rng(2024)
+    for i in range(2000):
+        tn, fp, fn, tp = (int(v) for v in rng.integers(0, 20_000, size=4))
+        # Whole costs on even cases, fractional ones on odd.
+        costs = rng.uniform(0.0, 5000.0, size=2) if i % 2 else rng.integers(1, 5000, size=2)
+        fn_cost, fp_cost = (float(v) for v in costs)
+        cost = BinaryCostModel(fn_cost, fp_cost)
+        matrix = ConfusionMatrix(np.array([[tn, fp], [fn, tp]]))
+        n = tn + fp + fn + tp
+        assert real_world_cost(matrix, cost.cost_per_error) == (fn_cost * fn + fp_cost * fp) / n
 
 
 def test_rwc_binary_published_rows():
     cost = BinaryCostModel(2000.0, 100.0)
-    control = real_world_cost_binary(45.4, 12.7, 15908, cost)
-    test_row = real_world_cost_binary(16.1, 127.2, 15908, cost)
+    control = real_world_cost(binary_tallies(45.4, 12.7, 15908), cost.cost_per_error)
+    test_row = real_world_cost(binary_tallies(16.1, 127.2, 15908), cost.cost_per_error)
     assert 5.76 <= control <= 5.81
     assert 2.79 <= test_row <= 2.84
 
 
 def test_rwc_binary_validation():
     cost = BinaryCostModel(1.0, 1.0)
-    with pytest.raises(ValueError):
-        real_world_cost_binary(1, 1, 0, cost)
-    with pytest.raises(ValueError):
-        real_world_cost_binary(-1, 0, 10, cost)
+    with pytest.raises(ValueError, match="^tallies are empty$"):
+        real_world_cost(binary_tallies(0, 0, 0), cost.cost_per_error)
+    with pytest.raises(ValueError, match="^tallies must be >= 0$"):
+        real_world_cost(binary_tallies(-1, 0, 10), cost.cost_per_error)
 
 
 def test_confusion_categorical_hand_case():
@@ -278,7 +305,7 @@ def test_confusion_categorical_tie_goes_to_lowest_index():
 def test_rwc_categorical_diagonal_only_is_zero():
     counts = np.diag([5, 5, 5])
     cost = np.ones((3, 3)) - np.eye(3)
-    assert real_world_cost_categorical(counts, cost) == 0.0
+    assert real_world_cost(counts, cost) == 0.0
 
 
 def pair_costs(extra, k=10, cell=(0, 1)):
@@ -303,8 +330,8 @@ def test_rwc_categorical_reproduces_published_values():
         np.fill_diagonal(counts, (17_500.0 - errors) / 10.0)
         return counts
 
-    control = real_world_cost_categorical(tallies(623.0, 6.67), pair_costs(19.0))
-    experimental = real_world_cost_categorical(tallies(633.5, 2.57), pair_costs(19.0))
+    control = real_world_cost(tallies(623.0, 6.67), pair_costs(19.0))
+    experimental = real_world_cost(tallies(633.5, 2.57), pair_costs(19.0))
     assert abs(control - 0.0428) < 0.0005
     assert abs(experimental - 0.0390) < 0.0005
 
@@ -312,16 +339,16 @@ def test_rwc_categorical_reproduces_published_values():
 def test_rwc_categorical_accepts_confusion_matrix_and_fractions():
     cm = ConfusionMatrix(np.array([[8, 2], [1, 9]]))
     cost = np.array([[0.0, 3.0], [5.0, 0.0]])
-    assert real_world_cost_categorical(cm, cost) == pytest.approx((2 * 3 + 1 * 5) / 20.0)
+    assert real_world_cost(cm, cost) == pytest.approx((2 * 3 + 1 * 5) / 20.0)
     fractional = np.array([[8.5, 1.5], [0.5, 9.5]])
-    assert real_world_cost_categorical(fractional, cost) == pytest.approx(
+    assert real_world_cost(fractional, cost) == pytest.approx(
         (1.5 * 3 + 0.5 * 5) / 20.0
     )
 
 
 def test_rwc_categorical_rejects_nonzero_cost_diagonal():
     with pytest.raises(ValueError):
-        real_world_cost_categorical(np.eye(3), np.ones((3, 3)))
+        real_world_cost(np.eye(3), np.ones((3, 3)))
 
 
 @pytest.mark.parametrize(
@@ -335,23 +362,25 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
         (lambda: confusion_categorical([[0.5, 0.5]], [[0.5, 0.5]]), "labels must be exact one-hot rows"),
         (lambda: confusion_categorical([[0.5, 0.5]], [[1.0, 1.0]]), "labels must be exact one-hot rows"),
         (lambda: ConfusionMatrix(np.zeros((2, 3))), "confusion matrix must be square"),
-        (lambda: real_world_cost_categorical(np.zeros((2, 3)), np.zeros((2, 3))), "tallies must be square"),
-        (lambda: real_world_cost_categorical(np.eye(2), np.zeros((3, 3))),
+        (lambda: real_world_cost(np.zeros((2, 3)), np.zeros((2, 3))), "confusion matrix must be square"),
+        (lambda: real_world_cost(np.eye(2), np.zeros((3, 3))),
          "cost matrix shape (3, 3) does not match tallies (2, 2)"),
-        (lambda: real_world_cost_categorical(np.zeros((2, 2)), np.zeros((2, 2))), "tallies are empty"),
+        (lambda: real_world_cost(np.zeros((2, 2)), np.zeros((2, 2))), "tallies are empty"),
         (lambda: top1_error(ConfusionMatrix(np.zeros((2, 2)))), "confusion matrix is empty"),
-        (lambda: real_world_cost_categorical([[1.0, math.nan], [0.0, 1.0]], np.zeros((2, 2))),
+        (lambda: real_world_cost([[1.0, math.nan], [0.0, 1.0]], np.zeros((2, 2))),
          "tallies must be finite"),
-        (lambda: real_world_cost_categorical(np.eye(2), [[0.0, math.inf], [1.0, 0.0]]),
+        (lambda: real_world_cost(np.eye(2), [[0.0, math.inf], [1.0, 0.0]]),
          "cost_per_error must be finite"),
-        (lambda: real_world_cost_categorical(np.eye(2), [[0.0, math.nan], [1.0, 0.0]]),
+        (lambda: real_world_cost(np.eye(2), [[0.0, math.nan], [1.0, 0.0]]),
          "cost_per_error must be finite"),
-        (lambda: real_world_cost_categorical([[1.0, -1.0], [0.0, 2.0]], [[0, 5], [5, 0]]),
+        (lambda: real_world_cost([[1.0, -1.0], [0.0, 2.0]], [[0, 5], [5, 0]]),
          "tallies must be >= 0"),
-        (lambda: real_world_cost_categorical([[1.0, 1.0], [0.0, 2.0]], [[0, -5], [5, 0]]),
+        (lambda: real_world_cost([[1.0, 1.0], [0.0, 2.0]], [[0, -5], [5, 0]]),
          "cost_per_error must be >= 0"),
         (lambda: ConfusionMatrix(np.array([[1, -1], [0, 2]])), "tallies must be >= 0"),
         (lambda: ConfusionMatrix(np.array([[1.0, math.inf], [0.0, 2.0]])), "tallies must be finite"),
+        (lambda: f1_score(ConfusionMatrix(np.eye(3))),
+         "f1_score needs a 2x2 confusion matrix, got shape (3, 3)"),
         (lambda: confusion_categorical([[math.nan, 0.2], [0.1, 0.9]], [[0, 1], [0, 1]]),
          "probabilities must be finite"),
         (lambda: confusion_categorical([[0.1, -math.inf], [0.1, 0.9]], [[1, 0], [0, 1]]),
@@ -391,6 +420,18 @@ def test_top1_error_of_fractional_tallies_is_exact():
     assert top1_error(cm) == 1.0 - 1.7 / 4.2
     integer = ConfusionMatrix(np.array([[8, 2], [1, 9]]))
     assert integer.total == 20 and type(integer.total) is int
+
+
+def test_a_confusion_matrix_is_frozen():
+    tallies = np.array([[5, 1], [2, 0]])
+    matrix = ConfusionMatrix(tallies)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matrix.counts = np.array([[1, -1], [0, 1]])
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.counts[1, 0] = -4
+    tallies[1, 0] = -4  # the caller's array, not the matrix's copy
+    assert np.array_equal(matrix.counts, [[5, 1], [2, 0]])
+    assert real_world_cost(matrix, BinaryCostModel(2000.0, 100.0).cost_per_error) == 512.5
 
 
 # --- Student-t ------------------------------------------------------------------

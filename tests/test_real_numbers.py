@@ -30,7 +30,6 @@ from rwwce import (
     gradcheck_matrix,
     init_mlp,
     load_records,
-    real_world_cost_binary,
     records_match,
     run_binary_suite,
     save_records,
@@ -58,9 +57,6 @@ BOUNDS = {
     "LossSpec.rwwce_binary.fp_cost": {"least": 0},
     # Any finite threshold: best_f1_threshold's sentinels lie outside [0, 1].
     "confusion_binary.threshold": {},
-    "real_world_cost_binary.fn": {"least": 0},
-    "real_world_cost_binary.fp": {"least": 0},
-    "real_world_cost_binary.n": {"above": 0},
     "RunRecord.fn": {"least": 0},
     "RunRecord.fp": {"least": 0},
     "RunRecord.top1_error": {"least": 0},
@@ -105,9 +101,6 @@ def _field_row(cls, name: str) -> Real:
                 lambda v: getattr(cls(**{**REQUIRED[cls], name: v}), name))
 
 
-COST = BinaryCostModel(2000.0, 100.0)
-
-
 def _gradcheck(step):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
@@ -126,9 +119,6 @@ REALS = [_field_row(cls, name) for cls, name in FIELDS] + [
     Real("LossSpec.rwwce_binary.fp_cost", "fp_cost", lambda v: LossSpec.rwwce_binary(1.0, v).terms[1]),
     Real("confusion_binary.threshold", "threshold",
          lambda v: f1_score(confusion_binary([0.2, 0.7, 0.9], [0, 1, 1], v))),
-    Real("real_world_cost_binary.fn", "fn", lambda v: real_world_cost_binary(v, 1.0, 10, COST)),
-    Real("real_world_cost_binary.fp", "fp", lambda v: real_world_cost_binary(1.0, v, 10, COST)),
-    Real("real_world_cost_binary.n", "n", lambda v: real_world_cost_binary(1.0, 1.0, v, COST)),
 ]
 IDS = [real.where for real in REALS]
 
