@@ -26,8 +26,8 @@ numbers: every scalar cost, weight, rate, step and metric threshold or tally
 passes it; a NaN, an infinity, a bool, a string or a value out of bounds
 fails, and a numpy float is stored as a plain float.  check_finite is its
 finiteness half for every entry of an array of scores, probabilities or
-t-test inputs, and check_nonnegative adds >= 0 for an array of costs or
-tallies.
+t-test inputs, and check_nonnegative holds every entry of an array of
+costs or tallies to the whole rule with least=0.
 The CLI checks every number setting with the same two rules, under its
 config key.
 """
@@ -293,8 +293,12 @@ def check_finite(name: str, array: np.ndarray) -> None:
 
 
 def check_nonnegative(name: str, array: np.ndarray) -> None:
-    """A ValueError naming name unless every entry of array is finite and
-    >= 0, check_real's rule with least=0 and one message per part of it."""
+    """A ValueError naming name unless every entry of array is a finite
+    number >= 0, check_real's rule with least=0 and one message per part of
+    it: an array of bools, strings or objects (a None among numbers) is not
+    one of numbers."""
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numbers")
     check_finite(name, array)
     if np.any(array < 0):
         raise ValueError(f"{name} must be >= 0")

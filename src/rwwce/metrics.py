@@ -29,8 +29,8 @@ class ConfusionMatrix:
 
     A binary run is the 2x2 case, class 1 positive: tn = counts[0, 0],
     fp = counts[0, 1], fn = counts[1, 0], tp = counts[1, 1].  The tallies
-    may be fractional (e.g. means over trials); each is finite and >= 0
-    (data.check_nonnegative).  counts is a read-only copy, so the checked
+    may be fractional (e.g. means over trials); each is a finite number
+    >= 0 (data.check_nonnegative).  counts is a read-only copy, so the checked
     tallies cannot change, through the matrix or through the caller's array.
     """
 
@@ -148,15 +148,16 @@ def real_world_cost(tallies, cost_per_error) -> float:
     tallies is a ConfusionMatrix, or an array that is wrapped in one (and so
     held to its rules).  cost_per_error[k, k'] prices a class-k example
     predicted as k', matches the tallies' shape, and must have a zero
-    diagonal, since a correct prediction costs nothing; every entry is
-    finite and >= 0.  A binary run is priced with
+    diagonal, since a correct prediction costs nothing; every entry is a
+    finite number >= 0.  A binary run is priced with
     BinaryCostModel.cost_per_error.
     """
     counts = (tallies if isinstance(tallies, ConfusionMatrix) else ConfusionMatrix(tallies)).counts
-    cost = np.asarray(cost_per_error, dtype=np.float64)
+    cost = np.asarray(cost_per_error)
     if cost.shape != counts.shape:
         raise ValueError(f"cost matrix shape {cost.shape} does not match tallies {counts.shape}")
     check_nonnegative("cost_per_error", cost)
+    cost = cost.astype(np.float64)
     if np.any(np.diagonal(cost) != 0.0):
         raise ValueError("cost_per_error must have a zero diagonal")
     total = counts.sum()

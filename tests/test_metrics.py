@@ -392,6 +392,22 @@ def test_categorical_metrics_refuse_malformed_input(call, message):
         call()
 
 
+# Every entry of the tallies and of the cost matrix keeps check_real's rule
+# with least=0: the array form of the rule the scalar fn, fp and n tallies kept.
+CELLS = [(matrix, (i, j)) for matrix in ("tallies", "cost_per_error") for i in range(2) for j in range(2)]
+BAD_ENTRIES = [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+               (-1.0, "must be >= 0"), ("1.0", "must be numbers"), (None, "must be numbers")]
+
+
+@pytest.mark.parametrize("matrix, cell", CELLS, ids=[f"{m}[{i},{j}]" for m, (i, j) in CELLS])
+@pytest.mark.parametrize("value, rule", BAD_ENTRIES, ids=[repr(v) for v, _ in BAD_ENTRIES])
+def test_each_entry_of_the_tallies_and_the_costs_is_a_finite_number_at_least_zero(matrix, cell, value, rule):
+    entries = {"tallies": [[5, 1], [2, 3]], "cost_per_error": [[0.0, 100.0], [2000.0, 0.0]]}
+    entries[matrix][cell[0]][cell[1]] = value
+    with pytest.raises(ValueError, match=f"^{matrix} {rule}$"):
+        real_world_cost(entries["tallies"], entries["cost_per_error"])
+
+
 def test_binary_metrics_refuse_malformed_labels_with_the_loss_messages():
     for metric in (lambda s, y: confusion_binary(s, y, 0.5), best_f1_threshold):
         with pytest.raises(ValueError, match="^empty batch$"):
