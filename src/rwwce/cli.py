@@ -304,9 +304,12 @@ def _standard_paths(data_dir: str) -> tuple[list[str], list[str]]:
 
 
 def _resolve_data(resolved: dict) -> None:
-    """Fill resolved["images"]/["labels"] from explicit lists or a data dir."""
+    """Fill resolved["images"]/["labels"] from explicit lists or a data dir; an
+    explicit data_dir beside the lists is an error, RWWCE_DATA_DIR only a default."""
     images, labels = resolved.get("images"), resolved.get("labels")
     if images or labels:
+        if resolved.get("data_dir") is not None:
+            raise CliError(f"two data sources: data_dir {resolved['data_dir']!r} and images/labels")
         if not images or not labels or len(images) != len(labels):
             raise CliError("images and labels must be given in matching pairs")
     else:

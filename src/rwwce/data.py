@@ -16,9 +16,11 @@ costs one byte per pixel; nn.network_input scales them to [0, 1] with
 / 255.0.  From a loaded corpus the module builds the two experiment dataset
 shapes: a heavily imbalanced binary problem (one slice of 630 occurrences
 of a chosen digit as positives against every example of the other digits)
-and the full 10-class one-hot problem.  A seeded shuffle splits any
-dataset 25% test / 7.5% validation / remainder train in exact integer
-floors.  check_labels holds labels to Dataset's rule for losses and metrics.
+and the full 10-class problem.  A seeded shuffle splits any dataset 25%
+test / 7.5% validation / remainder train in exact integer floors.
+check_labels is the one rule for labels, from the pool through every
+dataset, loss and metric: a label is its class index, 0 or 1 when binary;
+one-hot rows, float and bool labels are refused.
 check_int is the one rule for whole numbers: every count, index and seed
 the library takes passes it, and a numpy integer is stored as a plain int,
 so a record holding it saves as JSON.  check_real is the one rule for real
@@ -76,8 +78,8 @@ class RawMnist:
     """A loaded corpus: images (N, 784) uint8 pixel bytes, labels (N,) int64 in 0..9.
 
     Images of any other dtype are rejected rather than converted; the uint8
-    dtype is what bounds every pixel to 0..255.  Labels of any integer dtype
-    are stored as int64; labels of any other dtype (float, bool) are rejected.
+    dtype is what bounds every pixel to 0..255.  Labels must keep
+    check_labels' rule for NUM_CLASSES classes and are stored as int64.
     """
 
     images: np.ndarray
@@ -87,20 +89,11 @@ class RawMnist:
         self.images = np.asarray(self.images)
         if self.images.dtype != np.uint8:
             raise ValueError(f"images must be uint8 pixel bytes, got {self.images.dtype}")
-        self.labels = np.asarray(self.labels)
-        if self.labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be integers, got {self.labels.dtype}")
-        self.labels = self.labels.astype(np.int64, copy=False)
+        self.labels = check_labels(self.labels, NUM_CLASSES).astype(np.int64, copy=False)
         if self.images.ndim != 2 or self.images.shape[1] != FEATURES:
             raise ValueError(f"images must be (N, {FEATURES}), got {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not match {self.images.shape[0]} images"
-            )
-        if self.images.shape[0] == 0:
-            raise ValueError("corpus is empty")
-        if np.any(self.labels < 0) or np.any(self.labels > 9):
-            raise ValueError("labels must be digits 0..9")
+        if self.labels.size != self.images.shape[0]:
+            raise ValueError(f"{self.labels.size} labels for {self.images.shape[0]} images")
 
     @property
     def size(self) -> int:
@@ -212,13 +205,11 @@ def concat_corpora(*corpora: RawMnist) -> RawMnist:
 
 @dataclass
 class Dataset:
-    """A model-ready dataset.
+    """A model-ready dataset: X (M, d) uint8 pixel bytes and Y (M,) labels.
 
-    Y's rank says what the labels are, (M,) binary labels each exactly 0.0
-    or 1.0, or (M, K) categorical rows each exactly one-hot, with M > 0: the
-    label rule that check_labels holds every loss's and metric's labels to.
-    X holds uint8 pixel bytes, as every dataset built from a RawMnist does;
-    X of any other dtype is stored as float64.  Y is float64.
+    Y keeps check_labels' rule for NUM_CLASSES classes: a binary dataset's
+    labels are 0 or 1, a categorical one's the digits.  Both arrays are
+    stored as given, so a dataset of a pool's own arrays copies nothing.
     """
 
     X: np.ndarray
@@ -226,13 +217,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X)
-        if self.X.dtype != np.uint8:
-            self.X = self.X.astype(np.float64, copy=False)
-        self.Y = np.asarray(self.Y, dtype=np.float64)
-        if self.X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if self.Y.ndim not in (1, 2):
-            raise ValueError(f"Y must be a label vector or one-hot rows, got {self.Y.ndim}-D")
+        if self.X.dtype != np.uint8 or self.X.ndim != 2:
+            raise ValueError(f"X must be 2-D uint8 pixel bytes, got {self.X.ndim}-D {self.X.dtype}")
+        self.Y = check_labels(self.Y, NUM_CLASSES)
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError(f"X has {self.X.shape[0]} rows but Y has {self.Y.shape[0]}")
 
@@ -241,14 +228,23 @@ class Dataset:
         return self.X.shape[0]
 
 
-def check_labels(y: np.ndarray) -> None:
-    """Raise ValueError unless float64 labels y, (M,) or (M, K), keep Dataset's label rule."""
-    if y.shape[0] == 0:
-        raise ValueError("empty batch")
-    if y.ndim == 1 and np.any((y != 0.0) & (y != 1.0)):
-        raise ValueError("binary labels must be exactly 0 or 1")
-    if y.ndim == 2 and (np.any((y != 0.0) & (y != 1.0)) or np.any(y.sum(axis=1) != 1.0)):
-        raise ValueError("labels must be exact one-hot rows")
+def check_labels(y, k: int) -> np.ndarray:
+    """y as an array, once it is a non-empty vector of integer class indices
+    in 0..k-1; a ValueError naming the first rule it breaks otherwise.
+
+    The one rule for labels.  An integer dtype is required, so float labels
+    (even 1.0), bools and one-hot rows are refused, not converted.
+    """
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {y.dtype}")
+    if y.ndim != 1:
+        raise ValueError(f"labels must be a vector of class indices, got shape {y.shape}")
+    if y.size == 0:
+        raise ValueError("labels are empty")
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"labels must be classes 0..{k - 1}")
+    return y
 
 
 def check_int(name: str, value, least: int | None = None, most: int | None = None) -> int:
@@ -325,7 +321,7 @@ def positive_rows(raw: RawMnist, digit: int, slice_index: int) -> np.ndarray:
 
 
 def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
-    """One imbalanced digit-detection dataset.
+    """One imbalanced digit-detection dataset, labelled 1 for the digit and 0 otherwise.
 
     Positives are the digit's positive_rows slice; negatives are every
     example of all other digits.  Example order follows the source corpus.
@@ -333,16 +329,13 @@ def make_binary_dataset(raw: RawMnist, digit: int, slice_index: int) -> Dataset:
     keep = raw.labels != digit
     keep[positive_rows(raw, digit, slice_index)] = True
     rows = np.flatnonzero(keep)
-    x = raw.images[rows]
-    y = (raw.labels[rows] == digit).astype(np.float64)
-    return Dataset(x, y)
+    return Dataset(raw.images[rows], (raw.labels[rows] == digit).astype(np.int64))
 
 
 def make_categorical_dataset(raw: RawMnist) -> Dataset:
-    """The full corpus as a 10-class one-hot dataset, in file order."""
-    y = np.zeros((raw.size, NUM_CLASSES), dtype=np.float64)
-    y[np.arange(raw.size), raw.labels] = 1.0
-    return Dataset(raw.images, y)
+    """The full corpus as a 10-class dataset, in file order: the pool's own
+    images and labels, not a copy."""
+    return Dataset(raw.images, raw.labels)
 
 
 @dataclass
@@ -370,11 +363,6 @@ def split(dataset: Dataset, seed: int) -> SplitDataset:
     m = dataset.size
     n_test, n_val = split_sizes(m)
     order = np.random.default_rng(check_int("seed", seed, 0)).permutation(m)
-    test_rows = order[:n_test]
-    val_rows = order[n_test : n_test + n_val]
-    train_rows = order[n_test + n_val :]
-
-    def take(rows: np.ndarray) -> Dataset:
-        return Dataset(dataset.X[rows], dataset.Y[rows])
-
-    return SplitDataset(train=take(train_rows), validation=take(val_rows), test=take(test_rows))
+    test_rows, val_rows, train_rows = np.split(order, [n_test, n_test + n_val])
+    parts = (Dataset(dataset.X[rows], dataset.Y[rows]) for rows in (train_rows, val_rows, test_rows))
+    return SplitDataset(*parts)

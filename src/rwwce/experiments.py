@@ -166,8 +166,9 @@ class RunRecord:
     A record holds its fields to the library's rules when it is built: model
     is a name from SUITES, seed passes check_int (>= 0), the counts, errors,
     costs and wall_time pass check_real (>= 0), the optional metrics are
-    None or pass check_real, and config is a dict.  The record is frozen, so
-    it keeps them: a record that can be summarized can also be saved.
+    None or pass check_real, and config is a dict save_records can write as
+    JSON.  The record is frozen, so it keeps them: a record that can be
+    summarized can also be saved.
     """
 
     model: str
@@ -194,6 +195,10 @@ class RunRecord:
                 object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not isinstance(self.config, dict):
             raise ValueError(f"config must be a dict, got {self.config!r}")
+        try:
+            json.dumps(self.config, allow_nan=False)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config must be JSON that save_records can write: {e}") from e
 
 
 def _without_wall_time(record: RunRecord) -> dict:

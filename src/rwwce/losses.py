@@ -13,13 +13,14 @@ A LossSpec is a loss's term weights, in one of two families: binary (a, b)
 on the positive- and negative-label log terms, or categorical (a, FP) on
 the true-class and wrong-class terms; its six classmethods build the
 paper's weightings, each a point of one family.
-checked_targets holds labels to data.Dataset's rule and weighs each
-example's log h and log(1 - h) terms as (pos, neg); from those, one
-unchecked kernel, loss_and_gradient, evaluates one loss expression for every
-spec and its logit gradient, so the weighted losses degenerate to the
-unweighted ones exactly when their weights are 1 (and FP is 0); tests hold
-them to that.  loss_value and fused_gradient_from_probs validate a batch
-and call it; train() weighs its labels once and calls it per batch.
+checked_targets holds labels, one class index per example, to
+data.check_labels and weighs each example's log h and log(1 - h) terms as
+(pos, neg); from those, one unchecked kernel, loss_and_gradient, evaluates
+one loss expression for every spec and its logit gradient, so the weighted
+losses degenerate to the unweighted ones exactly when their weights are 1
+(and FP is 0); tests hold them to that.  loss_value and
+fused_gradient_from_probs validate a batch and call it; train() weighs its
+labels once and calls it per batch.
 """
 
 from __future__ import annotations
@@ -171,39 +172,37 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def checked_targets(spec: LossSpec, y, h_shape) -> tuple[np.ndarray, np.ndarray]:
     """Validate labels for probabilities of shape h_shape and weigh each example's terms.
 
-    Binary labels and probabilities may each be (M,) or a single column
-    (M, 1); categorical ones are (M, K), K >= 2; then the labels must keep
-    data.Dataset's rule (check_labels).  Returns (pos, neg), the weights of
-    each example's log h and log(1 - h) terms: for binary (a, b), a * y and
-    b * (1 - y) as (M, 1) columns; for categorical (a, FP), a * y and y @ FP
-    as (M, K) arrays.  train() calls this once for its whole training set.
+    Binary probabilities are (M,) or a single column (M, 1), categorical
+    ones (M, K) with K >= 2; the labels y are M class indices that keep
+    data.check_labels' rule for 2 or K classes.  Returns (pos, neg), the
+    weights of each example's log h and log(1 - h) terms: for binary (a, b),
+    a * y and b * (1 - y) as (M, 1) columns; for categorical (a, FP), the
+    (M, K) arrays that hold a[y] at each row's true class and 0 elsewhere,
+    and FP's row y.  train() calls this once for its whole training set.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if spec.is_binary:
-        if len(h_shape) == 2 and h_shape[1] == 1:
-            h_shape = h_shape[:1]
-        if y.ndim == 2 and y.shape[1] == 1:
-            y = y[:, 0]
-        if len(h_shape) != 1 or y.ndim != 1:
-            raise ValueError(f"expected vectors, got shapes {h_shape} and {y.shape}")
-    elif len(h_shape) != 2 or y.ndim != 2:
-        raise ValueError(f"expected 2-D arrays, got shapes {h_shape} and {y.shape}")
-    if h_shape != y.shape:
-        raise ValueError(f"shape mismatch: {h_shape} probabilities vs {y.shape} labels")
-    if not spec.is_binary and h_shape[1] < 2:
+    if spec.is_binary and len(h_shape) == 2 and h_shape[1] == 1:
+        h_shape = h_shape[:1]
+    if len(h_shape) != (1 if spec.is_binary else 2):
+        expected = "a vector" if spec.is_binary else "a 2-D array"
+        raise ValueError(f"expected {expected} of probabilities, got shape {h_shape}")
+    k = 2 if spec.is_binary else h_shape[1]
+    if k < 2:
         raise ValueError("categorical batch needs at least two classes")
-    check_labels(y)
+    y = check_labels(y, k)
+    if y.shape[0] != h_shape[0]:
+        raise ValueError(f"{y.shape[0]} labels for {h_shape[0]} examples")
     if spec.is_binary:
         a, b = spec.terms
-        return a * y[:, None], b * (1.0 - y[:, None])
-    k = h_shape[1]
+        return a * y[:, None], b * (1 - y[:, None])
     if spec.terms is None:
         a, fp = np.ones(k), np.zeros((k, k))
     else:
         a, fp = spec.terms
         if a.size != k:
             raise ValueError(f"cost model has {a.size} classes, batch has {k}")
-    return a * y, y @ fp
+    pos = np.zeros(h_shape)
+    pos[np.arange(y.size), y] = a[y]
+    return pos, fp[y]
 
 
 def _checked(spec: LossSpec, h, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ test run is the sum of the tallies times their per-error costs over the
 number of examples, so errors are priced by their marginal costs, not just
 counted.  Also F1 and an exhaustive best-F1 threshold search, top-1 error,
 and a paired two-sided t-test for comparing per-trial metric vectors;
-labels keep data.Dataset's rule (check_labels), and every score,
-probability and t-test input must be finite (check_finite).
+labels are class indices (data.check_labels; 0 or 1 when binary), and
+every score, probability and t-test input must be finite (check_finite).
 The Student-t tail probability comes from the regularized incomplete beta
 function, so the package carries no statistics dependency.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .data import check_finite, check_labels, check_nonnegative, check_real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """counts[k, k'] tallies examples of true class k predicted as k'.
 
@@ -32,6 +32,8 @@ class ConfusionMatrix:
     may be fractional (e.g. means over trials); each is a finite number
     >= 0 (data.check_nonnegative).  counts is a read-only copy, so the checked
     tallies cannot change, through the matrix or through the caller's array.
+    Two matrices are equal when their counts have the same shape and
+    values; a matrix is unhashable, as its counts array is.
     """
 
     counts: np.ndarray
@@ -44,6 +46,11 @@ class ConfusionMatrix:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConfusionMatrix):
+            return NotImplemented
+        return np.array_equal(self.counts, other.counts)
+
     @property
     def total(self) -> int | float:
         """The sum of the tallies: a plain int for integer counts, else a float."""
@@ -51,18 +58,18 @@ class ConfusionMatrix:
 
 
 def _tally(actual: np.ndarray, predicted: np.ndarray, k: int) -> ConfusionMatrix:
-    """The k x k confusion matrix of integer (or bool) true and predicted classes."""
-    return ConfusionMatrix(np.bincount(k * actual + predicted, minlength=k * k).reshape(k, k))
+    """The k x k confusion matrix of integer true classes and integer (or bool) predicted ones."""
+    cells = np.ravel_multi_index((actual, predicted), (k, k))
+    return ConfusionMatrix(np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Finite scores and 0/1 labels as matching non-empty float64 vectors, or ValueError."""
+    """Finite float64 scores and 0/1 labels as matching non-empty vectors, or ValueError."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.ndim != 1 or labels.shape != scores.shape:
+    labels = check_labels(labels, 2)
+    if scores.shape != labels.shape:
         raise ValueError(f"scores and labels must be matching vectors, got {scores.shape} and {labels.shape}")
     check_finite("scores", scores)
-    check_labels(labels)
     return scores, labels
 
 
@@ -76,7 +83,7 @@ def confusion_binary(scores, labels, threshold: float) -> ConfusionMatrix:
     """
     scores, labels = _scores_and_labels(scores, labels)
     predicted = scores > check_real("threshold", threshold)
-    return _tally(labels == 1.0, predicted, 2)
+    return _tally(labels, predicted, 2)
 
 
 def f1_score(matrix: ConfusionMatrix) -> float:
@@ -113,8 +120,8 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
     candidates[1:-1] = np.where(midpoints < descending[:-1], midpoints, descending[1:])
     candidates[-1] = min(descending[-1] - 1.0, np.nextafter(descending[-1], -np.inf))
 
-    pos_sorted = np.sort(scores[labels == 1.0])
-    neg_sorted = np.sort(scores[labels == 0.0])
+    pos_sorted = np.sort(scores[labels == 1])
+    neg_sorted = np.sort(scores[labels == 0])
     n_pos = pos_sorted.size
     # Predicted positive at threshold t means score > t, so count by bisection.
     tp = n_pos - np.searchsorted(pos_sorted, candidates, side="right")
@@ -128,18 +135,19 @@ def best_f1_threshold(scores, labels) -> tuple[float, float]:
 
 
 def confusion_categorical(probabilities, labels) -> ConfusionMatrix:
-    """Tally argmax predictions against one-hot labels.
+    """Tally argmax predictions against labels, one class index per row of probabilities.
 
-    Argmax ties resolve to the lowest class index on both sides; every
-    probability must be finite, since a NaN would be tallied as class 0.
+    Argmax ties resolve to the lowest class index; every probability must
+    be finite, since a NaN would be tallied as class 0.
     """
     p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.ndim != 2 or y.shape != p.shape:
-        raise ValueError(f"expected matching 2-D arrays, got {p.shape} and {y.shape}")
+    if p.ndim != 2:
+        raise ValueError(f"probabilities must be 2-D, got shape {p.shape}")
+    y = check_labels(labels, p.shape[1])
+    if y.shape[0] != p.shape[0]:
+        raise ValueError(f"{y.shape[0]} labels for {p.shape[0]} examples")
     check_finite("probabilities", p)
-    check_labels(y)
-    return _tally(np.argmax(y, axis=1), np.argmax(p, axis=1), p.shape[1])
+    return _tally(y, np.argmax(p, axis=1), p.shape[1])
 
 
 def real_world_cost(tallies, cost_per_error) -> float:

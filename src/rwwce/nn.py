@@ -356,9 +356,10 @@ def _gradient(model: Mlp, x, pos: np.ndarray, neg: np.ndarray, grads) -> float:
 def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tuple[Mlp, list[float]]:
     """Mini-batch gradient descent with Adam.
 
-    train_set provides arrays X (M, d) and Y (labels: (M,) binary or (M, K)
-    one-hot); a uint8 X stays uint8 and each gathered batch is scaled by
-    forward().  The labels are checked and weighed once, by checked_targets,
+    train_set is any object with arrays X (M, d) and Y, M integer class
+    indices (0 or 1 for a binary loss), as a data.Dataset holds them; a
+    uint8 X stays uint8 and each gathered batch is scaled by forward().  The
+    labels are used as given: checked and weighed once, by checked_targets,
     before the first step, and each batch gathers its rows of those weights.
     Each epoch reshuffles with a generator seeded once from config.seed,
     walks the permutation in batch_size slices (final short batch included),
@@ -370,13 +371,8 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
     observed during the epoch).  Bit-deterministic for fixed inputs.
     """
     x = np.asarray(train_set.X)
-    y = np.asarray(train_set.Y, dtype=np.float64)
     m = x.shape[0]
-    if m == 0:
-        raise ValueError("training set is empty")
-    if y.shape[0] != m:
-        raise ValueError(f"X has {m} rows but Y has {y.shape[0]}")
-    pos, neg, theta, model, grad, grads = _setup(mlp, x, y, loss_spec)
+    pos, neg, theta, model, grad, grads = _setup(mlp, x, train_set.Y, loss_spec)
     state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
@@ -399,7 +395,7 @@ def train(mlp: Mlp, train_set, loss_spec: LossSpec, config: TrainConfig) -> tupl
 def gradcheck(mlp: Mlp, batch, loss_spec: LossSpec, step: float = 1e-5) -> float:
     """The worst relative error of train()'s gradient against central finite differences.
 
-    The analytic gradient is train()'s own _setup and _gradient step, so a
+    batch is (x, labels), as train() reads X and Y.  The analytic gradient is train()'s own _setup and _gradient step, so a
     uint8 batch is scaled as training scales it.  Each entry of the flat
     parameter copy is perturbed by +-step, the loss differenced, and the
     largest |analytic - numeric| / max(|analytic|, |numeric|, 1e-12)
@@ -468,8 +464,7 @@ def _sample_gradcheck_instance(variant: str, rng: np.random.Generator):
         topology = [(d0, hidden, hidden_act), (hidden, k, "sigmoid" if binary else "softmax")]
         mlp = init_mlp(topology, seed=int(rng.integers(0, 2**31)))
         x = rng.normal(0.0, 1.0, size=(8, d0))
-        labels = rng.integers(0, 2 if binary else k, size=8)
-        y = labels.astype(np.float64) if binary else np.eye(k)[labels]
+        y = rng.integers(0, 2 if binary else k, size=8)
         spec = _GRADCHECK_SPECS[variant](rng, k)
 
         acts = forward(mlp, x)

@@ -71,7 +71,7 @@ def test_criterion_2_loss_degeneracies():
     for _ in range(1000):
         m = int(rng.integers(1, 33))
         h = rng.uniform(1e-6, 1.0 - 1e-6, size=m)
-        y = rng.integers(0, 2, size=m).astype(np.float64)
+        y = rng.integers(0, 2, size=m)
         w = float(rng.uniform(0.1, 100.0))
         bce = loss_value(LossSpec.bce(), h, y)
         worst = max(worst, abs(loss_value(LossSpec.rwwce_binary(1.0, 1.0), h, y) - bce))
@@ -85,7 +85,7 @@ def test_criterion_2_loss_degeneracies():
 
         k = int(rng.integers(2, 11))
         hk = softmax(rng.normal(size=(m, k)) * 3.0)
-        yk = np.eye(k)[rng.integers(0, k, size=m)]
+        yk = rng.integers(0, k, size=m)
         cce = loss_value(LossSpec.cce(), hk, yk)
         unit = LossSpec.rwwce_categorical(np.ones(k), np.zeros((k, k)))
         worst = max(worst, abs(loss_value(unit, hk, yk) - cce))
@@ -169,7 +169,7 @@ def test_criterion_7_f1_threshold_search(binary_suite):
         n = int(rng.integers(1, 201))
         decimals = int(rng.integers(1, 4))  # coarse rounding forces score ties
         scores = np.round(rng.uniform(0.0, 1.0, size=n), decimals)
-        labels = rng.integers(0, 2, size=n).astype(np.float64)
+        labels = rng.integers(0, 2, size=n)
         assert best_f1_threshold(scores, labels) == brute_force_best_f1(scores, labels)
 
     # Moving the cutoff to the searched optimum never loses validation F1.

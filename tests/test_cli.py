@@ -322,6 +322,32 @@ def test_run_binary_explicit_file_pairs(small_dir, tmp_path, capsys):
     assert (config["w_mcfn"], config["w_mcfp"]) == (2000.0, 100.0)
 
 
+@pytest.mark.parametrize("command", ["run-binary", "run-categorical"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_data_dir_beside_explicit_files_exits_1_before_the_echo(small_dir, tmp_path, capsys, command, source):
+    # Two data sources are ambiguous, so neither may win without a word.
+    files = ["--images", str(small_dir / ALL_NAMES[0]), "--labels", str(small_dir / ALL_NAMES[1])]
+    if source == "flag":
+        argv = [command, "--data-dir", "/nonexistent", *files]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data_dir": "/nonexistent"}))
+        argv = ["--config", str(path), command, *files]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "two data sources: data_dir '/nonexistent' and images/labels" in captured.err
+    assert ECHO_PREFIX not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_data_dir_environment_default_gives_way_to_explicit_files(small_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(DATA_DIR_ENV, "/nonexistent")
+    files = [f"--{kind}={small_dir / name}" for kind, name in zip(("images", "labels") * 2, ALL_NAMES)]
+    rc = main(["run-binary", *files, "--digits", "3", "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "loaded 7000 examples from 2 file pair(s)" in capsys.readouterr().out
+
+
 def test_run_binary_fails_when_positives_run_out(small_dir, tmp_path, capsys):
     # The train pair alone holds ~600 examples per digit, under one slice's 630.
     rc = main(

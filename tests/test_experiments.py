@@ -244,9 +244,9 @@ def test_trials_evaluate_after_dropping_the_training_data(small_pool, monkeypatc
         def watched_split(dataset, seed):
             parts = real_split(dataset, seed)
             refs.append(weakref.ref(parts.train.X))
-            # The categorical dataset's X is the corpus array itself, which the
-            # caller keeps; there the un-split Dataset (and its one-hot Y) is
-            # what must go.
+            # The categorical dataset's X and Y are the corpus arrays
+            # themselves, which the caller keeps; there the un-split Dataset
+            # is what must go.
             unsplit = dataset if np.shares_memory(dataset.X, small_pool.images) else dataset.X
             refs.append(weakref.ref(unsplit))
             if runner is run_categorical_trial:
@@ -431,6 +431,13 @@ def test_a_record_checks_its_own_fields():
         RunRecord(**_record_with(config=None))
 
 
+@pytest.mark.parametrize("config", [{"x": object()}, {"x": float("nan")}, {"x": [float("inf")]}])
+def test_a_record_config_must_be_json_that_save_records_can_write(config):
+    # A record that can be built must be one save_records can write.
+    with pytest.raises(ValueError, match="^config must be JSON that save_records can write: "):
+        RunRecord(**_record_with(config=config))
+
+
 def test_a_record_is_frozen_so_it_keeps_its_checked_fields():
     record = fake_binary_record("control1", 0, 10, 5)
     with pytest.raises(FrozenInstanceError):
@@ -455,9 +462,13 @@ GOOD_LINE = json.dumps(_record_with())
         (json.dumps(_record_with(seed=1.0)), "seed must be an integer, got 1.0"),
         (json.dumps(_record_with(model="mystery")), "model must be a name from SUITES, got 'mystery'"),
         (json.dumps(_record_with(config=[])), "config must be a dict, got []"),
+        (json.dumps(_record_with(config={"pair_weight": float("nan")})),
+         "config must be JSON that save_records can write"),
+        (json.dumps(_record_with(config={"train": {"learning_rate": float("inf")}})),
+         "config must be JSON that save_records can write"),
     ],
     ids=["truncated", "not-json", "not-an-object", "extra-key", "missing-key", "string-count",
-         "nan-cost", "float-seed", "unknown-model", "list-config"],
+         "nan-cost", "float-seed", "unknown-model", "list-config", "nan-config", "inf-config"],
 )
 def test_load_records_names_the_file_and_line_of_a_bad_record(tmp_path, line, message):
     path = tmp_path / "records.jsonl"

@@ -126,18 +126,18 @@ INCOMPLETE_BETA_REFERENCE = [
 
 
 def test_confusion_binary_hand_case():
-    matrix = confusion_binary([0.9, 0.1, 0.8, 0.2, 0.3], [1.0, 0.0, 0.0, 1.0, 1.0], 0.5)
+    matrix = confusion_binary([0.9, 0.1, 0.8, 0.2, 0.3], [1, 0, 0, 1, 1], 0.5)
     assert np.array_equal(matrix.counts, [[1, 1], [2, 1]])
     assert matrix.total == 5 and type(matrix.total) is int
 
 
 def test_confusion_binary_never_positive_classifier():
-    matrix = confusion_binary([0.0, 0.0, 0.0], [1.0, 0.0, 1.0], 0.5)
+    matrix = confusion_binary([0.0, 0.0, 0.0], [1, 0, 1], 0.5)
     assert np.array_equal(matrix.counts, [[1, 0], [2, 0]])
 
 
 def test_confusion_binary_threshold_is_strict():
-    matrix = confusion_binary([0.5, 0.5], [1.0, 0.0], 0.5)
+    matrix = confusion_binary([0.5, 0.5], [1, 0], 0.5)
     # score == threshold predicts negative
     assert np.array_equal(matrix.counts, [[1, 0], [1, 0]])
 
@@ -146,9 +146,11 @@ def test_confusion_binary_validation():
     with pytest.raises(ValueError):
         confusion_binary([], [], 0.5)
     with pytest.raises(ValueError):
-        confusion_binary([0.5], [0.5], 0.5)
+        confusion_binary([0.5], [2], 0.5)
     with pytest.raises(ValueError):
-        confusion_binary([[0.5]], [[1.0]], 0.5)
+        confusion_binary([[0.5]], [[1]], 0.5)
+    with pytest.raises(ValueError):
+        confusion_binary([[0.5]], [1], 0.5)
 
 
 def test_f1_values():
@@ -174,7 +176,7 @@ def brute_force_best_f1(scores, labels):
 
 
 def test_best_f1_worked_example():
-    threshold, f1 = best_f1_threshold([0.1, 0.4, 0.35, 0.8], [0.0, 0.0, 1.0, 1.0])
+    threshold, f1 = best_f1_threshold([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
     # Predicting {0.35, 0.4, 0.8} positive gives tp=2, fp=1, fn=0: F1 = 0.8,
     # realized by any cutoff in (0.1, 0.35]; the midpoint candidate is used.
     assert f1 == 0.8
@@ -183,23 +185,23 @@ def test_best_f1_worked_example():
 
 
 def test_best_f1_separable_scores():
-    threshold, f1 = best_f1_threshold([0.9, 0.8, 0.2, 0.1], [1.0, 1.0, 0.0, 0.0])
+    threshold, f1 = best_f1_threshold([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
     assert f1 == 1.0
     assert 0.2 <= threshold < 0.8
 
 
 def test_best_f1_no_positive_labels_returns_above_max_sentinel():
-    threshold, f1 = best_f1_threshold([0.3, 0.7], [0.0, 0.0])
+    threshold, f1 = best_f1_threshold([0.3, 0.7], [0, 0])
     assert f1 == 0.0
     assert threshold == 0.7 + 1.0
     # control2 is scored at the sentinel, so the threshold rule has no [0, 1] bound.
-    assert np.array_equal(confusion_binary([0.3, 0.7], [0.0, 0.0], threshold).counts, [[2, 0], [0, 0]])
+    assert np.array_equal(confusion_binary([0.3, 0.7], [0, 0], threshold).counts, [[2, 0], [0, 0]])
 
 
 def test_best_f1_ties_go_to_larger_threshold():
     # Identical F1 at several cutoffs; the largest must win.
     scores = [0.1, 0.2, 0.9]
-    labels = [0.0, 0.0, 1.0]
+    labels = [0, 0, 1]
     threshold, f1 = best_f1_threshold(scores, labels)
     assert f1 == 1.0
     assert threshold == (0.9 + 0.2) / 2.0
@@ -210,7 +212,7 @@ def test_best_f1_matches_brute_force_on_random_instances():
     for _ in range(200):
         n = int(rng.integers(1, 50))
         scores = np.round(rng.uniform(0.0, 1.0, size=n), 2)  # force ties
-        labels = rng.integers(0, 2, size=n).astype(np.float64)
+        labels = rng.integers(0, 2, size=n)
         fast = best_f1_threshold(scores, labels)
         slow = brute_force_best_f1(scores, labels)
         assert fast == slow
@@ -220,7 +222,7 @@ def test_best_f1_splits_adjacent_doubles():
     # (a + 1.0) / 2 rounds up to 1.0, which would score the 1.0s negative too;
     # the lower score a is the threshold that separates them.
     a = float(np.nextafter(1.0, 0.0))
-    threshold, f1 = best_f1_threshold([a, a, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    threshold, f1 = best_f1_threshold([a, a, 1.0, 1.0], [0, 0, 1, 1])
     assert (threshold, f1) == (a, 1.0)
 
 
@@ -228,9 +230,9 @@ def test_best_f1_splits_adjacent_doubles():
 def test_best_f1_sentinels_lie_outside_huge_scores(score):
     # At this magnitude score + 1.0 and score - 1.0 round back to score, which
     # as a threshold would score every example negative.
-    threshold, f1 = best_f1_threshold([score, score], [1.0, 1.0])
+    threshold, f1 = best_f1_threshold([score, score], [1, 1])
     assert f1 == 1.0 and threshold < score
-    threshold, f1 = best_f1_threshold([score, score], [0.0, 0.0])
+    threshold, f1 = best_f1_threshold([score, score], [0, 0])
     assert f1 == 0.0 and threshold > score
 
 
@@ -250,8 +252,8 @@ def test_binary_cost_per_error_prices_each_error_type():
     assert real_world_cost(binary_tallies(1, 0, 100), cost.cost_per_error) == 20.0
     assert real_world_cost(binary_tallies(0, 2, 100), cost.cost_per_error) == 2.0
     # confusion_binary's layout meets cost_per_error's: one missed positive costs fn_cost.
-    assert real_world_cost(confusion_binary([0.1], [1.0], 0.5), cost.cost_per_error) == 2000.0
-    assert real_world_cost(confusion_binary([0.9], [0.0], 0.5), cost.cost_per_error) == 100.0
+    assert real_world_cost(confusion_binary([0.1], [1], 0.5), cost.cost_per_error) == 2000.0
+    assert real_world_cost(confusion_binary([0.9], [0], 0.5), cost.cost_per_error) == 100.0
 
 
 def test_binary_real_world_cost_is_bit_identical_to_the_two_term_formula():
@@ -287,7 +289,7 @@ def test_rwc_binary_validation():
 
 def test_confusion_categorical_hand_case():
     probs = [[0.1, 0.7, 0.2], [0.8, 0.1, 0.1], [0.2, 0.3, 0.5]]
-    labels = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    labels = [0, 0, 2]
     matrix = confusion_categorical(probs, labels)
     expected = np.zeros((3, 3), dtype=np.int64)
     expected[0, 1] = 1
@@ -298,7 +300,7 @@ def test_confusion_categorical_hand_case():
 
 
 def test_confusion_categorical_tie_goes_to_lowest_index():
-    matrix = confusion_categorical([[0.5, 0.5]], [[0.0, 1.0]])
+    matrix = confusion_categorical([[0.5, 0.5]], [1])
     assert matrix.counts[1, 0] == 1
 
 
@@ -354,13 +356,12 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: confusion_categorical([[0.5, 0.5]], [[1.0, 0.0, 0.0]]),
-         "expected matching 2-D arrays, got (1, 2) and (1, 3)"),
-        (lambda: confusion_categorical([0.5, 0.5], [1.0, 0.0]),
-         "expected matching 2-D arrays, got (2,) and (2,)"),
-        (lambda: confusion_categorical(np.empty((0, 2)), np.empty((0, 2))), "empty batch"),
-        (lambda: confusion_categorical([[0.5, 0.5]], [[0.5, 0.5]]), "labels must be exact one-hot rows"),
-        (lambda: confusion_categorical([[0.5, 0.5]], [[1.0, 1.0]]), "labels must be exact one-hot rows"),
+        (lambda: confusion_categorical([[0.5, 0.5]], [0, 1]), "2 labels for 1 examples"),
+        (lambda: confusion_categorical([0.5, 0.5], [1, 0]), "probabilities must be 2-D, got shape (2,)"),
+        (lambda: confusion_categorical(np.empty((0, 2)), np.empty(0, np.int64)), "labels are empty"),
+        (lambda: confusion_categorical([[0.5, 0.5]], [[1, 0]]),
+         "labels must be a vector of class indices, got shape (1, 2)"),
+        (lambda: confusion_categorical([[0.5, 0.5]], [2]), "labels must be classes 0..1"),
         (lambda: ConfusionMatrix(np.zeros((2, 3))), "confusion matrix must be square"),
         (lambda: real_world_cost(np.zeros((2, 3)), np.zeros((2, 3))), "confusion matrix must be square"),
         (lambda: real_world_cost(np.eye(2), np.zeros((3, 3))),
@@ -381,9 +382,9 @@ def test_rwc_categorical_rejects_nonzero_cost_diagonal():
         (lambda: ConfusionMatrix(np.array([[1.0, math.inf], [0.0, 2.0]])), "tallies must be finite"),
         (lambda: f1_score(ConfusionMatrix(np.eye(3))),
          "f1_score needs a 2x2 confusion matrix, got shape (3, 3)"),
-        (lambda: confusion_categorical([[math.nan, 0.2], [0.1, 0.9]], [[0, 1], [0, 1]]),
+        (lambda: confusion_categorical([[math.nan, 0.2], [0.1, 0.9]], [1, 1]),
          "probabilities must be finite"),
-        (lambda: confusion_categorical([[0.1, -math.inf], [0.1, 0.9]], [[1, 0], [0, 1]]),
+        (lambda: confusion_categorical([[0.1, -math.inf], [0.1, 0.9]], [0, 1]),
          "probabilities must be finite"),
     ],
 )
@@ -410,10 +411,12 @@ def test_each_entry_of_the_tallies_and_the_costs_is_a_finite_number_at_least_zer
 
 def test_binary_metrics_refuse_malformed_labels_with_the_loss_messages():
     for metric in (lambda s, y: confusion_binary(s, y, 0.5), best_f1_threshold):
-        with pytest.raises(ValueError, match="^empty batch$"):
-            metric([], [])
-        with pytest.raises(ValueError, match="^binary labels must be exactly 0 or 1$"):
-            metric([0.5], [0.5])
+        with pytest.raises(ValueError, match="^labels are empty$"):
+            metric([], np.empty(0, np.int64))
+        with pytest.raises(ValueError, match="^labels must be classes 0..1$"):
+            metric([0.5], [2])
+        with pytest.raises(ValueError, match="^scores and labels must be matching vectors"):
+            metric([0.5, 0.5], [1])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^scores must be finite$"):
                 metric([bad, 0.2, 0.7], [1, 0, 1])
@@ -448,6 +451,22 @@ def test_a_confusion_matrix_is_frozen():
     tallies[1, 0] = -4  # the caller's array, not the matrix's copy
     assert np.array_equal(matrix.counts, [[5, 1], [2, 0]])
     assert real_world_cost(matrix, BinaryCostModel(2000.0, 100.0).cost_per_error) == 512.5
+
+
+def test_confusion_matrices_compare_by_value():
+    # Counts are arrays, so equality must reduce them to one answer, whatever their shapes.
+    assert ConfusionMatrix(np.eye(2)) == ConfusionMatrix(np.eye(2))
+    assert ConfusionMatrix(np.eye(2)) == ConfusionMatrix(np.eye(2, dtype=np.int64))
+    assert not ConfusionMatrix(np.eye(2)) != ConfusionMatrix(np.eye(2))
+    assert ConfusionMatrix(np.eye(2)) != ConfusionMatrix(np.eye(3))
+    assert ConfusionMatrix(np.eye(2)) != ConfusionMatrix(2 * np.eye(2))
+    assert ConfusionMatrix(np.eye(2)) != [[1.0, 0.0], [0.0, 1.0]]  # a matrix equals only a matrix
+    assert confusion_binary([0.9, 0.1], [1, 0], 0.5) == ConfusionMatrix([[1, 0], [0, 1]])
+
+
+def test_a_confusion_matrix_is_unhashable_in_its_own_name():
+    with pytest.raises(TypeError, match="ConfusionMatrix"):
+        hash(ConfusionMatrix(np.eye(2)))
 
 
 # --- Student-t ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -349,17 +350,26 @@ def test_train_config_validation():
 # --- training loop ------------------------------------------------------------
 
 
+class FloatSet(NamedTuple):
+    """A training set of float features and class-index labels: train() reads
+    X and Y, as a Dataset holds them, but a Dataset holds only pixel bytes."""
+
+    X: np.ndarray
+    Y: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.X)
+
+
 def binary_toy_set():
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(-2.0, 0.3, size=(16, 2)), rng.normal(2.0, 0.3, size=(16, 2))])
-    y = np.concatenate([np.zeros(16), np.ones(16)])
-    return Dataset(x, y)
+    return FloatSet(x, np.repeat([0, 1], 16))
 
 
 def categorical_toy_set():
-    x = np.tile(np.eye(3), (8, 1))
-    y = np.tile(np.eye(3), (8, 1))
-    return Dataset(x, y)
+    return FloatSet(np.tile(np.eye(3), (8, 1)), np.tile(np.arange(3), 8))
 
 
 def test_train_decreases_loss_on_separable_binary_set():
@@ -465,10 +475,10 @@ def test_train_is_bit_identical_to_the_reference_loop(variant):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(53, 6))  # batch_size 8 leaves a final batch of 5
     if variant in BINARY_VARIANTS:
-        data = Dataset(x, (rng.random(53) < 0.3).astype(np.float64))
+        data = FloatSet(x, (rng.random(53) < 0.3).astype(np.int64))
         mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=12)
     else:
-        data = Dataset(x, np.eye(4)[rng.integers(0, 4, size=53)])
+        data = FloatSet(x, rng.integers(0, 4, size=53))
         mlp = init_mlp([(6, 7, "relu"), (7, 5, "sigmoid"), (5, 4, "softmax")], seed=12)
     spec = REFERENCE_LOOP_SPECS[variant](rng)
     config = TrainConfig(epochs=6, batch_size=8, learning_rate=0.01, seed=13)
@@ -484,14 +494,14 @@ def test_train_on_pixel_bytes_equals_train_on_scaled_floats(kind):
     rng = np.random.default_rng(23)
     pixels = rng.integers(0, 256, size=(61, 784)).astype(np.uint8)
     if kind == "binary":
-        y = (rng.random(61) < 0.2).astype(np.float64)
+        y = (rng.random(61) < 0.2).astype(np.int64)
         mlp, spec = init_mlp(BINARY_TOPOLOGY, seed=2), LossSpec.rwwce_binary(40.0, 2.0)
     else:
-        y = np.eye(10)[rng.integers(0, 10, size=61)]
+        y = rng.integers(0, 10, size=61)
         mlp, spec = init_mlp(CATEGORICAL_TOPOLOGY, seed=2), LossSpec.cce()
     config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=6)
     as_bytes = Dataset(pixels, y)
-    as_floats = Dataset(pixels / 255.0, y)
+    as_floats = FloatSet(pixels / 255.0, y)
     assert as_bytes.X.dtype == np.uint8 and as_floats.X.dtype == np.float64
     a, history_a = train(mlp, as_bytes, spec, config)
     b, history_b = train(mlp, as_floats, spec, config)
@@ -515,17 +525,17 @@ def test_train_leaves_the_input_model_untouched():
 def _entry_cases():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 3))
-    good_y = np.eye(3)[np.arange(20) % 3]
-    not_one_hot = good_y.copy()
-    not_one_hot[-1] = [0.0, 1.0, 1.0]
-    binary_y = (np.arange(20) % 2).astype(np.float64)
-    binary_y[-1] = 0.5
+    good_y = np.arange(20) % 3
+    no_such_class = good_y.copy()
+    no_such_class[-1] = 3
+    binary_y = np.arange(20) % 2
+    binary_y[-1] = 2
     sigmoid_head = [(3, 4, "relu"), (4, 1, "sigmoid")]
     softmax_head = [(3, 4, "relu"), (4, 3, "softmax")]
     wide_cost = LossSpec.rwwce_categorical(np.ones(4), np.zeros((4, 4)))
     return [
-        (sigmoid_head, x, binary_y, LossSpec.bce(), "binary labels must be exactly 0 or 1"),
-        (softmax_head, x, not_one_hot, LossSpec.cce(), "labels must be exact one-hot rows"),
+        (sigmoid_head, x, binary_y, LossSpec.bce(), "labels must be classes 0..1"),
+        (softmax_head, x, no_such_class, LossSpec.cce(), "labels must be classes 0..2"),
         (softmax_head, x, good_y, LossSpec.wcce([1.0, 1.0]), "cost model has 2 classes, batch has 3"),
         (softmax_head, x, good_y, wide_cost, "cost model has 4 classes, batch has 3"),
     ]
@@ -546,7 +556,7 @@ def test_train_rejects_bad_labels_before_the_first_step(case, monkeypatch):
     monkeypatch.setattr(nn_module, "forward", lambda *a: steps.append(a) or forward(*a))
 
     with pytest.raises(ValueError) as got:
-        train(mlp, Dataset(x, y), spec, TrainConfig(epochs=1, batch_size=4))
+        train(mlp, FloatSet(x, y), spec, TrainConfig(epochs=1, batch_size=4))
     assert str(got.value) == str(expected.value)
     assert steps == []
 
@@ -578,7 +588,7 @@ def test_train_rejects_empty_and_mismatched_sets():
 
     class Mismatched:
         X = np.zeros((4, 2))
-        Y = np.zeros(3)
+        Y = np.zeros(3, np.int64)
 
     with pytest.raises(ValueError):
         train(mlp, Mismatched(), LossSpec.bce(), TrainConfig())
@@ -601,13 +611,12 @@ def test_train_raises_on_numeric_blowup():
 def test_gradcheck_passes_on_moderate_networks():
     rng = np.random.default_rng(17)
     x = rng.uniform(-1.0, 1.0, size=(8, 5))
-    yb = rng.integers(0, 2, size=8).astype(np.float64)
+    yb = rng.integers(0, 2, size=8)
     binary = init_mlp([(5, 6, "relu"), (6, 1, "sigmoid")], seed=2)
     worst = gradcheck(binary, (x, yb), LossSpec.rwwce_binary(3.0, 0.5))
     assert worst < 1e-5, worst
 
-    yc = np.zeros((8, 3))
-    yc[np.arange(8), rng.integers(0, 3, size=8)] = 1.0
+    yc = rng.integers(0, 3, size=8)
     fp = rng.uniform(0.5, 2.0, size=(3, 3))
     categorical = init_mlp([(5, 6, "relu"), (6, 3, "softmax")], seed=2)
     worst = gradcheck(categorical, (x, yc), LossSpec.rwwce_categorical(np.ones(3), fp))
@@ -619,7 +628,7 @@ def test_gradcheck_scales_pixel_bytes_as_training_does():
     # as x / 255.0; differentiating the raw bytes instead reads about 1.79.
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, size=(8, 6)).astype(np.uint8)
-    y = rng.integers(0, 2, size=8).astype(np.float64)
+    y = rng.integers(0, 2, size=8)
     mlp = init_mlp([(6, 5, "relu"), (5, 1, "sigmoid")], seed=3)
     worst = gradcheck(mlp, (pixels, y), LossSpec.bce())
     assert worst == gradcheck(mlp, (pixels / 255.0, y), LossSpec.bce())
@@ -647,8 +656,8 @@ def test_gradcheck_detects_a_corrupted_gradient(monkeypatch):
     x = rng.uniform(-1.0, 1.0, size=(8, 4))
     labels = rng.integers(0, 3, size=8)
     cases = [
-        ([(4, 5, "relu"), (5, 1, "sigmoid")], (labels == 0) * 1.0, LossSpec.bce()),
-        ([(4, 5, "relu"), (5, 3, "softmax")], np.eye(3)[labels], LossSpec.cce()),
+        ([(4, 5, "relu"), (5, 1, "sigmoid")], (labels == 0).astype(np.int64), LossSpec.bce()),
+        ([(4, 5, "relu"), (5, 3, "softmax")], labels, LossSpec.cce()),
     ]
     for topology, y, spec in cases:
         mlp = init_mlp(topology, seed=4)
@@ -664,7 +673,7 @@ def test_gradcheck_does_not_pass_a_model_with_a_nan_weight():
     # folding the errors with it read 0.0 for a NaN-weight model.
     rng = np.random.default_rng(37)
     x = rng.uniform(-1.0, 1.0, size=(8, 3))
-    y = rng.integers(0, 2, size=8).astype(np.float64)
+    y = rng.integers(0, 2, size=8)
     mlp = init_mlp([(3, 4, "sigmoid"), (4, 1, "sigmoid")], seed=5)
     mlp.layers[0].weights[1, 2] = math.nan
     worst = gradcheck(mlp, (x, y), LossSpec.bce())
@@ -682,7 +691,7 @@ def test_gradcheck_does_not_pass_a_model_with_a_nan_weight():
 def test_gradcheck_rejects_an_output_layer_the_loss_cannot_read(topology, spec, message):
     rng = np.random.default_rng(29)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
-    y = np.eye(3)[np.arange(6) % 3] if topology[-1][1] == 3 else (np.arange(6) % 2) * 1.0
+    y = np.arange(6) % (3 if topology[-1][1] == 3 else 2)
     with pytest.raises(ValueError, match=message):
         gradcheck(init_mlp(topology, seed=1), (x, y), spec)
 
@@ -691,14 +700,12 @@ def test_gradcheck_mirrored_two_class_heads_both_pass():
     # The same problem phrased as 1-unit sigmoid and as 2-way softmax.
     rng = np.random.default_rng(31)
     x = rng.uniform(-1.0, 1.0, size=(8, 4))
-    y = rng.integers(0, 2, size=8).astype(np.float64)
+    y = rng.integers(0, 2, size=8)
     sigmoid_net = init_mlp([(4, 5, "relu"), (5, 1, "sigmoid")], seed=6)
     assert gradcheck(sigmoid_net, (x, y), LossSpec.bce()) < 1e-5
 
-    one_hot = np.zeros((8, 2))
-    one_hot[np.arange(8), y.astype(int)] = 1.0
     softmax_net = init_mlp([(4, 5, "relu"), (5, 2, "softmax")], seed=6)
-    assert gradcheck(softmax_net, (x, one_hot), LossSpec.cce()) < 1e-5
+    assert gradcheck(softmax_net, (x, y), LossSpec.cce()) < 1e-5
 
 
 def test_gradcheck_matrix_refuses_zero_instances():

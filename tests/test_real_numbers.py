@@ -104,7 +104,7 @@ def _field_row(cls, name: str) -> Real:
 def _gradcheck(step):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
-    y = (np.arange(6) % 2) * 1.0
+    y = np.arange(6) % 2
     return gradcheck(init_mlp([(3, 4, "relu"), (4, 1, "sigmoid")], seed=1), (x, y), LossSpec.bce(), step)
 
 

@@ -56,7 +56,7 @@ def _run_one_categorical_trial(jobs):
 
 
 def _split_test_rows(seed):
-    return split(Dataset(np.arange(40.0)[:, None], np.zeros(40)), seed).test.X.tolist()
+    return split(Dataset(np.arange(40, dtype=np.uint8)[:, None], np.zeros(40, np.int64)), seed).test.X.tolist()
 
 
 def _weights(topology, seed=0):
